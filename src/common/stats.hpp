@@ -106,7 +106,9 @@ class Histogram
             underflow_ += n;
             return;
         }
-        size_t b = static_cast<size_t>(v / width_);
+        // Unit-width buckets (the simulator's per-cycle histograms)
+        // skip the division; v / 1.0 == v exactly.
+        size_t b = static_cast<size_t>(width_ == 1.0 ? v : v / width_);
         if (b >= counts_.size()) {
             if (!growable_) {
                 overflow_ += n;

@@ -18,6 +18,12 @@ constexpr uint64_t kNeverCycle = UINT64_MAX / 2;
 /** Sentinel sequence number. */
 constexpr uint64_t kNoSeq = UINT64_MAX;
 
+/**
+ * Waiter-list link: (ROB slot << 1) | source operand (0 = src1,
+ * 1 = src2) of a buffered consumer, or kNoWaiter at the list end.
+ */
+constexpr uint32_t kNoWaiter = UINT32_MAX;
+
 /** One in-flight dynamic instruction. */
 struct DynInst
 {
@@ -42,6 +48,10 @@ struct DynInst
     // event calendar is active; unused by the reference scan path).
     /** Cycle all sources are ready (valid once pending_srcs == 0). */
     uint64_t wake_cycle = kNeverCycle;
+    /** Next link of the waiter list each source operand sits on
+     *  (see PhysReg::first_waiter); one link per operand, so an
+     *  instruction reading one register twice waits on it twice. */
+    uint32_t next_waiter[2] = {kNoWaiter, kNoWaiter};
     /** Source registers whose producer has not been scheduled yet. */
     int8_t pending_srcs = 0;
     /** Slot index in a slot-priority central window (-1 otherwise). */

@@ -5,34 +5,31 @@
 
 #include "uarch/fifos.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace cesp::uarch {
 
 FifoSet::FifoSet(int num_clusters, int per_cluster, int depth)
     : num_clusters_(num_clusters), per_cluster_(per_cluster),
-      depth_(depth)
+      num_fifos_(num_clusters * per_cluster), depth_(depth)
 {
     if (num_clusters < 1 || per_cluster < 1 || depth < 1)
         panic("FifoSet: bad shape %dx%dx%d", num_clusters, per_cluster,
               depth);
-    fifos_.assign(
-        static_cast<size_t>(num_clusters) *
-            static_cast<size_t>(per_cluster),
-        Fifo{});
-    free_.assign(static_cast<size_t>(num_clusters), {});
+    size_t n = static_cast<size_t>(num_fifos_);
+    fifos_.assign(n, Fifo{});
+    entries_.assign(n * static_cast<size_t>(depth), 0);
+    free_.assign(static_cast<size_t>(num_clusters),
+                 Ring<int>(static_cast<size_t>(per_cluster)));
     clear();
 }
 
 void
 FifoSet::clear()
 {
-    for (auto &f : fifos_) {
-        f.entries.clear();
-        f.allocated = false;
-    }
+    for (size_t id = 0; id < fifos_.size(); ++id)
+        fifos_[id] = Fifo{static_cast<uint32_t>(id) *
+                          static_cast<uint32_t>(depth_)};
     for (int c = 0; c < num_clusters_; ++c) {
         free_[static_cast<size_t>(c)].clear();
         for (int i = 0; i < per_cluster_; ++i)
@@ -69,16 +66,16 @@ uint64_t
 FifoSet::head(int fifo) const
 {
     const Fifo &f = at(fifo);
-    if (f.entries.empty())
+    if (f.count == 0)
         panic("FifoSet: head of empty fifo %d", fifo);
-    return f.entries.front();
+    return entry(f, 0);
 }
 
 bool
 FifoSet::isTail(int fifo, uint64_t seq) const
 {
     const Fifo &f = at(fifo);
-    return !f.entries.empty() && f.entries.back() == seq;
+    return f.count != 0 && entry(f, f.count - 1) == seq;
 }
 
 void
@@ -87,11 +84,12 @@ FifoSet::push(int fifo, uint64_t seq)
     Fifo &f = at(fifo);
     if (!f.allocated)
         panic("FifoSet: push to unallocated fifo %d", fifo);
-    if (static_cast<int>(f.entries.size()) >= depth_)
+    if (f.count >= depth_)
         panic("FifoSet: push to full fifo %d", fifo);
-    if (!f.entries.empty() && f.entries.back() >= seq)
+    if (f.count != 0 && entry(f, f.count - 1) >= seq)
         panic("FifoSet: out-of-order push (fifo %d)", fifo);
-    f.entries.push_back(seq);
+    entry(f, f.count) = seq;
+    ++f.count;
     ++total_entries_;
 }
 
@@ -107,11 +105,13 @@ void
 FifoSet::popHead(int fifo)
 {
     Fifo &f = at(fifo);
-    if (f.entries.empty())
+    if (f.count == 0)
         panic("FifoSet: pop of empty fifo %d", fifo);
-    f.entries.pop_front();
+    if (++f.head == depth_)
+        f.head = 0;
+    --f.count;
     --total_entries_;
-    if (f.entries.empty())
+    if (f.count == 0)
         recycle(fifo);
 }
 
@@ -119,43 +119,27 @@ void
 FifoSet::remove(int fifo, uint64_t seq)
 {
     Fifo &f = at(fifo);
-    auto it = std::find(f.entries.begin(), f.entries.end(), seq);
-    if (it == f.entries.end())
+    int i = 0;
+    while (i < f.count && entry(f, i) != seq)
+        ++i;
+    if (i == f.count)
         panic("FifoSet: remove of absent seq from fifo %d", fifo);
-    f.entries.erase(it);
+    // Close the gap by shifting the younger entries toward the head.
+    for (; i + 1 < f.count; ++i)
+        entry(f, i) = entry(f, i + 1);
+    --f.count;
     --total_entries_;
-    if (f.entries.empty())
+    if (f.count == 0)
         recycle(fifo);
-}
-
-int
-FifoSet::allocate(const std::function<bool(int)> &cluster_ok)
-{
-    // Two-free-list policy: stay on the current cluster while it has
-    // free FIFOs, then move on (Section 5.5).
-    for (int step = 0; step < num_clusters_; ++step) {
-        int c = (current_cluster_ + step) % num_clusters_;
-        auto &pool = free_[static_cast<size_t>(c)];
-        if (pool.empty() || !cluster_ok(c))
-            continue;
-        current_cluster_ = c;
-        int id = pool.front();
-        pool.pop_front();
-        Fifo &f = at(id);
-        f.allocated = true;
-        f.entries.clear();
-        return id;
-    }
-    return -1;
 }
 
 std::vector<uint64_t>
 FifoSet::headSeqs() const
 {
     std::vector<uint64_t> heads;
-    for (const auto &f : fifos_)
-        if (!f.entries.empty())
-            heads.push_back(f.entries.front());
+    for (const Fifo &f : fifos_)
+        if (f.count != 0)
+            heads.push_back(entry(f, 0));
     return heads;
 }
 

@@ -14,17 +14,20 @@
  * two-window dispatch-steering organization (Section 5.6.2), where
  * instructions may leave from any position (flexible issue), so
  * removal from the middle is supported alongside head pops.
+ *
+ * Storage is dense: every FIFO is a fixed-depth ring inside one flat
+ * array, and the free pools are rings sized to their cluster's FIFO
+ * count, so no operation allocates.
  */
 
 #ifndef CESP_UARCH_FIFOS_HPP
 #define CESP_UARCH_FIFOS_HPP
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "uarch/dyninst.hpp"
+#include "uarch/ring.hpp"
 
 namespace cesp::uarch {
 
@@ -39,17 +42,13 @@ class FifoSet
      */
     FifoSet(int num_clusters, int per_cluster, int depth);
 
-    int numFifos() const { return static_cast<int>(fifos_.size()); }
+    int numFifos() const { return num_fifos_; }
     int depth() const { return depth_; }
     int clusterOf(int fifo) const;
 
-    bool empty(int fifo) const { return at(fifo).entries.empty(); }
+    bool empty(int fifo) const { return at(fifo).count == 0; }
 
-    bool
-    full(int fifo) const
-    {
-        return static_cast<int>(at(fifo).entries.size()) >= depth_;
-    }
+    bool full(int fifo) const { return at(fifo).count >= depth_; }
 
     /** True if the FIFO is currently allocated (holds instructions). */
     bool allocated(int fifo) const { return at(fifo).allocated; }
@@ -76,12 +75,32 @@ class FifoSet
     void remove(int fifo, uint64_t seq);
 
     /**
-     * Allocate a free FIFO using the two-free-list policy. Clusters
-     * for which @p cluster_ok returns false are skipped (used to
-     * avoid clusters whose issue window is full). Returns the FIFO id
-     * or -1 if none is available.
+     * Allocate a free FIFO using the two-free-list policy: stay on
+     * the current cluster while it has free FIFOs, then move on
+     * (Section 5.5). Clusters for which @p cluster_ok(cluster)
+     * returns false are skipped (used to avoid clusters whose issue
+     * window is full). Returns the FIFO id or -1 if none is
+     * available.
      */
-    int allocate(const std::function<bool(int)> &cluster_ok);
+    template <class ClusterOk>
+    int
+    allocate(ClusterOk &&cluster_ok)
+    {
+        for (int step = 0; step < num_clusters_; ++step) {
+            int c = current_cluster_ + step;
+            if (c >= num_clusters_)
+                c -= num_clusters_;
+            Ring<int> &pool = free_[static_cast<size_t>(c)];
+            if (pool.empty() || !cluster_ok(c))
+                continue;
+            current_cluster_ = c;
+            int id = pool.front();
+            pool.pop_front();
+            at(id).allocated = true; // free FIFOs are empty
+            return id;
+        }
+        return -1;
+    }
 
     /** Allocate with no cluster restriction. */
     int
@@ -96,36 +115,49 @@ class FifoSet
     /** Instructions buffered across all FIFOs (O(1), maintained). */
     size_t totalEntries() const { return total_entries_; }
 
-    /** Entries of one FIFO, oldest first (for tests / visualizers). */
-    const std::deque<uint64_t> &
-    contents(int fifo) const
-    {
-        return at(fifo).entries;
-    }
-
     int freeCount(int cluster) const;
 
     /** Reset to the all-free state. */
     void clear();
 
   private:
+    /** One FIFO's ring within entries_ (entries [head, head+count),
+     *  wrapping at depth_). */
     struct Fifo
     {
-        std::deque<uint64_t> entries;
+        uint32_t base = 0; //!< first slot in entries_
+        int head = 0;
+        int count = 0;
         bool allocated = false;
     };
 
     const Fifo &at(int fifo) const;
     Fifo &at(int fifo);
+    /** Storage of the @p i-th oldest entry of @p f. */
+    uint64_t &
+    entry(const Fifo &f, int i)
+    {
+        int pos = f.head + i;
+        if (pos >= depth_)
+            pos -= depth_;
+        return entries_[f.base + static_cast<size_t>(pos)];
+    }
+    uint64_t
+    entry(const Fifo &f, int i) const
+    {
+        return const_cast<FifoSet *>(this)->entry(f, i);
+    }
     void recycle(int fifo);
 
     int num_clusters_;
     int per_cluster_;
+    int num_fifos_;
     int depth_;
     int current_cluster_ = 0; //!< two-free-list "current" pointer
     size_t total_entries_ = 0; //!< buffered instructions, all FIFOs
     std::vector<Fifo> fifos_;
-    std::vector<std::deque<int>> free_; //!< per-cluster free pools
+    std::vector<uint64_t> entries_;  //!< numFifos x depth_ ring slots
+    std::vector<Ring<int>> free_;    //!< per-cluster free pools
 };
 
 } // namespace cesp::uarch

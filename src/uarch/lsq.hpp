@@ -10,13 +10,20 @@
 #define CESP_UARCH_LSQ_HPP
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <set>
+
+#include "uarch/dyninst.hpp"
+#include "uarch/ring.hpp"
 
 namespace cesp::uarch {
 
-/** In-flight store tracking. */
+/**
+ * In-flight store tracking. The queue is a seq-ordered ring, so the
+ * structure never allocates once it has reached its high-water mark.
+ * Stores issue out of order; the load gate needs only the oldest
+ * unissued store, which is tracked directly and advanced forward
+ * past issued stores when that store issues.
+ */
 class StoreQueue
 {
   public:
@@ -61,8 +68,12 @@ class StoreQueue
         bool issued = false;
     };
 
-    std::deque<Store> stores_;       //!< program order (by seq)
-    std::set<uint64_t> unissued_;    //!< seqs of unissued stores
+    /** Index into stores_ of @p seq, or stores_.size() if absent. */
+    size_t find(uint64_t seq) const;
+
+    Ring<Store> stores_;              //!< program order (by seq)
+    size_t unissued_count_ = 0;       //!< stores not yet issued
+    uint64_t oldest_unissued_ = kNoSeq; //!< kNoSeq when none
 };
 
 } // namespace cesp::uarch

@@ -6,10 +6,74 @@
 #include "uarch/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hpp"
 
 namespace cesp::uarch {
+
+namespace {
+
+/**
+ * Visit the set bits of @p words in [@p lo, @p hi) in ascending order
+ * until @p visit returns false. Each word is read once into a copy,
+ * so @p visit may clear the bit it is given without disturbing the
+ * walk. Returns false if @p visit stopped it.
+ */
+template <class Visit>
+bool
+walkUp(const std::vector<uint64_t> &words, size_t lo, size_t hi,
+       Visit &&visit)
+{
+    if (lo >= hi)
+        return true;
+    size_t w = lo >> 6;
+    const size_t last = (hi - 1) >> 6;
+    uint64_t bits = words[w] & (~uint64_t{0} << (lo & 63));
+    for (;;) {
+        if (w == last && (hi & 63) != 0)
+            bits &= (uint64_t{1} << (hi & 63)) - 1;
+        while (bits != 0) {
+            size_t b = static_cast<size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            if (!visit((w << 6) | b))
+                return false;
+        }
+        if (w == last)
+            return true;
+        bits = words[++w];
+    }
+}
+
+/** walkUp's mirror: set bits of [@p lo, @p hi) in descending order. */
+template <class Visit>
+bool
+walkDown(const std::vector<uint64_t> &words, size_t lo, size_t hi,
+         Visit &&visit)
+{
+    if (lo >= hi)
+        return true;
+    size_t w = (hi - 1) >> 6;
+    const size_t first = lo >> 6;
+    uint64_t bits = words[w];
+    if ((hi & 63) != 0)
+        bits &= (uint64_t{1} << (hi & 63)) - 1;
+    for (;;) {
+        if (w == first)
+            bits &= ~uint64_t{0} << (lo & 63);
+        while (bits != 0) {
+            size_t b = 63 - static_cast<size_t>(std::countl_zero(bits));
+            bits &= ~(uint64_t{1} << b);
+            if (!visit((w << 6) | b))
+                return false;
+        }
+        if (w == first)
+            return true;
+        bits = words[--w];
+    }
+}
+
+} // namespace
 
 SimStats::SimStats(int num_clusters)
     : num_clusters_(std::clamp(num_clusters, 1, kMaxClusters)),
@@ -108,7 +172,6 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceSource &src)
         cfg_.select_policy != SelectPolicy::Random;
     slot_keyed_ = cfg_.style == IssueBufferStyle::CentralWindow &&
         !cfg_.window_compaction;
-    calendars_.resize(static_cast<size_t>(cfg_.num_clusters));
 
     switch (cfg_.style) {
       case IssueBufferStyle::CentralWindow:
@@ -145,7 +208,21 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceSource &src)
         l2_ = std::make_unique<mem::Cache>(l2c);
     }
 
-    rob_.assign(static_cast<size_t>(cfg_.max_inflight), DynInst{});
+    // Waiter links pack (slot << 1) | operand into 32 bits.
+    size_t rob_slots = ceilPow2(static_cast<size_t>(cfg_.max_inflight));
+    if (rob_slots > (size_t{1} << 30))
+        fatal("%s: max_inflight %d too large", cfg_.name.c_str(),
+              cfg_.max_inflight);
+    rob_.assign(rob_slots, DynInst{});
+    rob_mask_ = rob_slots - 1;
+    rob_lookup_ = [this](uint64_t s) -> const DynInst & {
+        return rob(s);
+    };
+    fetch_q_.reserve(static_cast<size_t>(cfg_.fetch_queue));
+
+    size_t ready_bits =
+        slot_keyed_ ? static_cast<size_t>(cfg_.window_size) : rob_slots;
+    ready_bits_.assign((ready_bits + 63) / 64, 0);
 }
 
 DynInst &
@@ -155,7 +232,7 @@ Pipeline::rob(uint64_t seq)
         panic("rob: seq %llu outside [%llu, %llu)",
               (unsigned long long)seq, (unsigned long long)rob_head_,
               (unsigned long long)rob_tail_);
-    return rob_[seq % rob_.size()];
+    return rob_[seq & rob_mask_];
 }
 
 const DynInst &
@@ -167,7 +244,7 @@ Pipeline::rob(uint64_t seq) const
 bool
 Pipeline::robFull() const
 {
-    return robSize() >= rob_.size();
+    return robSize() >= static_cast<size_t>(cfg_.max_inflight);
 }
 
 uint64_t
@@ -309,7 +386,7 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
                 continue;
             const PhysReg &pr = rename_.preg(p);
             if (pr.producing_cluster != cluster &&
-                now_ < pr.rf_visible[cluster]) {
+                now_ < pr.rfVisible(cluster, cfg_.regfile_extra)) {
                 ++stats_.intercluster_bypasses();
                 break;
             }
@@ -317,7 +394,7 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
     }
 
     if (event_driven_)
-        readyErase(readyKey(inst), inst.seq);
+        readyClear(readyBit(inst));
 
     if (inst.dst_preg >= 0) {
         PhysReg &pr = rename_.preg(inst.dst_preg);
@@ -330,24 +407,23 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
             static_cast<uint64_t>(cfg_.wakeup_select_stages - 1);
         for (int c = 0; c < cfg_.num_clusters; ++c) {
             int hops = bypassHops(cluster, c);
-            uint64_t rc = inst.complete_cycle + select_extra +
+            pr.ready_cycle[c] = inst.complete_cycle + select_extra +
                 (hops == 0
                      ? static_cast<uint64_t>(cfg_.local_bypass_extra)
                      : static_cast<uint64_t>(hops) *
                            static_cast<uint64_t>(
                                cfg_.inter_cluster_extra));
-            pr.ready_cycle[c] = rc;
-            pr.rf_visible[c] =
-                rc + static_cast<uint64_t>(cfg_.regfile_extra);
         }
         pr.scheduled = true;
         if (event_driven_) {
-            for (uint64_t w : pr.waiters) {
-                DynInst &d = rob(w);
+            uint32_t link = pr.first_waiter;
+            pr.first_waiter = kNoWaiter;
+            while (link != kNoWaiter) {
+                DynInst &d = rob_[link >> 1];
+                link = d.next_waiter[link & 1];
                 if (--d.pending_srcs == 0)
                     scheduleReady(d, now_ + 1);
             }
-            pr.waiters.clear();
         }
     }
 
@@ -419,29 +495,44 @@ Pipeline::doIssue()
         doIssueScan();
 }
 
-void
-Pipeline::readyInsert(uint64_t key, uint64_t seq)
-{
-    std::pair<uint64_t, uint64_t> v{key, seq};
-    auto it = std::lower_bound(ready_.begin(), ready_.end(), v);
-    if (it == ready_.end() || *it != v)
-        ready_.insert(it, v); // duplicate events fire once
-}
-
-void
-Pipeline::readyErase(uint64_t key, uint64_t seq)
-{
-    std::pair<uint64_t, uint64_t> v{key, seq};
-    auto it = std::lower_bound(ready_.begin(), ready_.end(), v);
-    if (it != ready_.end() && *it == v)
-        ready_.erase(it);
-}
-
-uint64_t
-Pipeline::readyKey(const DynInst &inst) const
+size_t
+Pipeline::readyBit(const DynInst &inst) const
 {
     // Slot-priority central windows select by slot position, not age.
-    return slot_keyed_ ? static_cast<uint64_t>(inst.wslot) : inst.seq;
+    return slot_keyed_ ? static_cast<size_t>(inst.wslot)
+                       : static_cast<size_t>(inst.seq & rob_mask_);
+}
+
+DynInst &
+Pipeline::readyInst(size_t bit)
+{
+    if (slot_keyed_)
+        return rob(windows_[0].seqAt(static_cast<int>(bit)));
+    // The live seqs [rob_head_, rob_head_ + ring size) map one-to-one
+    // onto the ring's slots.
+    return rob(rob_head_ + ((bit - rob_head_) & rob_mask_));
+}
+
+void
+Pipeline::readySet(size_t bit)
+{
+    uint64_t &w = ready_bits_[bit >> 6];
+    uint64_t m = uint64_t{1} << (bit & 63);
+    if ((w & m) == 0) { // duplicate events fire once
+        w |= m;
+        ++ready_count_;
+    }
+}
+
+void
+Pipeline::readyClear(size_t bit)
+{
+    uint64_t &w = ready_bits_[bit >> 6];
+    uint64_t m = uint64_t{1} << (bit & 63);
+    if ((w & m) != 0) {
+        w &= ~m;
+        --ready_count_;
+    }
 }
 
 uint64_t
@@ -462,22 +553,25 @@ Pipeline::scheduleReady(DynInst &inst, uint64_t earliest)
 {
     uint64_t wake = std::max(instReadyCycle(inst), earliest);
     inst.wake_cycle = wake;
-    size_t c = inst.cluster >= 0 ? static_cast<size_t>(inst.cluster)
-                                 : 0;
-    calendars_[c].schedule(wake, inst.seq);
+    calendar_.schedule(wake, inst.seq);
 }
 
 void
 Pipeline::wireDispatchEvents(DynInst &inst)
 {
+    // Each unscheduled source links this instruction into its
+    // register's waiter list, one link per operand.
     int pending = 0;
-    for (int p : {inst.src1_preg, inst.src2_preg}) {
-        if (p < 0)
+    const uint32_t slot = static_cast<uint32_t>(inst.seq & rob_mask_);
+    const int srcs[2] = {inst.src1_preg, inst.src2_preg};
+    for (uint32_t k = 0; k < 2; ++k) {
+        if (srcs[k] < 0)
             continue;
-        PhysReg &pr = rename_.preg(p);
+        PhysReg &pr = rename_.preg(srcs[k]);
         if (pr.scheduled)
             continue;
-        pr.waiters.push_back(inst.seq);
+        inst.next_waiter[k] = pr.first_waiter;
+        pr.first_waiter = (slot << 1) | k;
         ++pending;
     }
     inst.pending_srcs = static_cast<int8_t>(pending);
@@ -491,20 +585,18 @@ Pipeline::wireDispatchEvents(DynInst &inst)
 void
 Pipeline::drainWakeups()
 {
-    event_scratch_.clear();
-    for (auto &cal : calendars_)
-        cal.popDue(now_, event_scratch_);
-    for (uint64_t s : event_scratch_) {
+    auto fire = [this](uint64_t s) {
         if (s < rob_head_ || s >= rob_tail_)
-            continue; // committed; stale duplicate event
-        DynInst &d = rob_[s % rob_.size()];
-        if (d.seq != s || !d.in_buffer || d.issued)
-            continue; // slot reused or already issued
+            return; // committed; stale duplicate event
+        DynInst &d = rob_[s & rob_mask_];
+        if (!d.in_buffer || d.issued)
+            return; // already issued
         if (cfg_.style == IssueBufferStyle::Fifos &&
             fifos_->head(d.fifo) != s)
-            continue; // buried in a FIFO; re-armed on head change
-        readyInsert(readyKey(d), s);
-    }
+            return; // buried in a FIFO; re-armed on head change
+        readySet(readyBit(d));
+    };
+    calendar_.drainDue(now_, fire);
 }
 
 void
@@ -514,27 +606,35 @@ Pipeline::doIssueEvent()
 
     stats_.buffer_occupancy().add(static_cast<double>(bufferedCount()));
 
-    // Iterate the ready set in place: the only mutation issuing can
-    // make is erasing the entry just issued, and wakeups it schedules
-    // land at now_ + 1, so the candidates seen are exactly the
-    // cycle-start snapshot (matching the scan path's fixed list).
+    // Walk the ready bitmap in priority order. The only mutation
+    // issuing can make is clearing the bit just visited, and wakeups
+    // it schedules land at now_ + 1, so the candidates seen are
+    // exactly the cycle-start snapshot (matching the scan path's
+    // fixed list).
     int global_issued = 0;
     FuUsage usage;
-    if (cfg_.select_policy == SelectPolicy::YoungestFirst) {
-        size_t i = ready_.size();
-        while (i > 0 && global_issued < cfg_.issue_width) {
-            --i;
-            // an issue erases ready_[i]; indices below are unmoved
-            tryIssueOne(rob(ready_[i].second), global_issued, usage);
-        }
-    } else {
-        size_t i = 0;
-        while (i < ready_.size() &&
-               global_issued < cfg_.issue_width) {
-            size_t before = ready_.size();
-            tryIssueOne(rob(ready_[i].second), global_issued, usage);
-            if (ready_.size() == before)
-                ++i; // kept; an issue shifts the next entry into i
+    auto visit = [&](size_t bit) {
+        tryIssueOne(readyInst(bit), global_issued, usage);
+        return global_issued < cfg_.issue_width;
+    };
+    const bool youngest =
+        cfg_.select_policy == SelectPolicy::YoungestFirst;
+    if (ready_count_ != 0 && slot_keyed_) {
+        size_t n = static_cast<size_t>(cfg_.window_size);
+        if (youngest)
+            walkDown(ready_bits_, 0, n, visit);
+        else
+            walkUp(ready_bits_, 0, n, visit);
+    } else if (ready_count_ != 0) {
+        // Age order is ring order from the head slot: [h, size) holds
+        // older seqs than [0, h).
+        size_t h = static_cast<size_t>(rob_head_ & rob_mask_);
+        size_t n = rob_.size();
+        if (youngest) {
+            if (walkDown(ready_bits_, 0, h, visit))
+                walkDown(ready_bits_, h, n, visit);
+        } else if (walkUp(ready_bits_, h, n, visit)) {
+            walkUp(ready_bits_, 0, h, visit);
         }
     }
     stats_.issue_sizes().add(static_cast<double>(global_issued));
@@ -543,7 +643,7 @@ Pipeline::doIssueEvent()
 void
 Pipeline::maybeSkipIdle()
 {
-    if (!event_driven_ || !ready_.empty())
+    if (!event_driven_ || ready_count_ != 0)
         return;
     if (trace_done_ && fetch_q_.empty() && robSize() == 0)
         return; // fully drained; the run loop is about to exit
@@ -559,9 +659,7 @@ Pipeline::maybeSkipIdle()
         return;
     // Commit must not be due (an issued ROB head bounds the jump
     // below; an unissued head is woken by a calendar event).
-    uint64_t target = kNeverCycle;
-    for (const auto &cal : calendars_)
-        target = std::min(target, cal.nextEventCycle());
+    uint64_t target = calendar_.nextEventCycle();
     if (robSize() > 0) {
         const DynInst &head = rob(rob_head_);
         if (head.issued)
@@ -738,15 +836,27 @@ Pipeline::doDispatch()
     for (int n = 0; n < cfg_.rename_width; ++n) {
         if (fetch_q_.empty())
             return;
-        DynInst &front = fetch_q_.front();
+        const FetchEntry &front = fetch_q_.front();
         if (front.frontend_exit > now_)
             return;
         if (robFull()) {
             ++stats_.dispatch_stall_rob();
             return;
         }
+        if (front.seq != rob_tail_)
+            panic("dispatch: fetch seq %llu is not the ROB tail %llu",
+                  (unsigned long long)front.seq,
+                  (unsigned long long)rob_tail_);
 
-        DynInst inst = front;
+        // Build the instruction in place in the free tail slot. A
+        // stall below leaves it outside [rob_head_, rob_tail_), where
+        // nothing reads it, and the next attempt rebuilds it.
+        DynInst &inst = rob_[front.seq & rob_mask_];
+        inst = DynInst{};
+        inst.op = front.op;
+        inst.seq = front.seq;
+        inst.frontend_exit = front.frontend_exit;
+        inst.mispredicted = front.mispredicted;
         const trace::TraceOp &op = inst.op;
 
         // Resolve sources against the current map (before the
@@ -768,9 +878,8 @@ Pipeline::doDispatch()
             return;
         }
 
-        SteerDecision d = steering_->decide(
-            inst, rename_, now_,
-            [this](uint64_t s) -> const DynInst & { return rob(s); });
+        SteerDecision d =
+            steering_->decide(inst, rename_, now_, rob_lookup_);
         if (!d.ok) {
             ++stats_.dispatch_stall_buffer();
             return;
@@ -819,14 +928,13 @@ Pipeline::doDispatch()
 
         inst.dispatch_cycle = now_;
         inst.in_buffer = true;
-        rob_[inst.seq % rob_.size()] = inst;
         rob_tail_ = inst.seq + 1;
         if (event_driven_)
-            wireDispatchEvents(rob_[inst.seq % rob_.size()]);
+            wireDispatchEvents(inst);
         fetch_q_.pop_front();
         ++stats_.dispatched();
         if (on_dispatch_)
-            on_dispatch_(rob_[inst.seq % rob_.size()]);
+            on_dispatch_(inst);
     }
 }
 
@@ -842,17 +950,18 @@ Pipeline::doFetch()
         if (static_cast<int>(fetch_q_.size()) >= cfg_.fetch_queue)
             return;
 
-        trace::TraceOp op;
-        if (!src_.next(op)) {
+        // Read the record straight into its fetch-queue slot.
+        FetchEntry &fe = fetch_q_.append();
+        if (!src_.next(fe.op)) {
+            fetch_q_.pop_back();
             trace_done_ = true;
             return;
         }
-
-        DynInst di;
-        di.op = op;
-        di.seq = next_seq_++;
-        di.frontend_exit =
+        const trace::TraceOp &op = fe.op;
+        fe.seq = next_seq_++;
+        fe.frontend_exit =
             now_ + static_cast<uint64_t>(cfg_.frontend_latency);
+        fe.mispredicted = false;
         ++stats_.fetched();
         ++fetched_total_;
 
@@ -864,14 +973,11 @@ Pipeline::doFetch()
             bpred_->update(op.pc, op.taken);
             if (pred != op.taken) {
                 ++stats_.mispredicts();
-                di.mispredicted = true;
-                blocking_branch_ = di.seq;
-                fetch_q_.push_back(di);
+                fe.mispredicted = true;
+                blocking_branch_ = fe.seq;
                 return; // delivery stalls until the branch executes
             }
         }
-
-        fetch_q_.push_back(di);
 
         if (op.cls == isa::OpClass::Halt) {
             trace_done_ = true;

@@ -17,17 +17,23 @@
  * than a per-cycle scan of the whole buffer (IssueModel::EventDriven,
  * the default): issuing an instruction schedules wakeup events for
  * its dependents at the exact cycle their operands become usable, the
- * select stage draws from a maintained ready set ordered by selection
- * priority, and provably idle cycle stretches are skipped in one
- * jump. The per-cycle scan survives as IssueModel::LegacyScan; the
- * two are cycle- and statistic-exact against each other (enforced by
+ * select stage walks a ready bitmap in selection-priority order, and
+ * provably idle cycle stretches are skipped in one jump. The
+ * per-cycle scan survives as IssueModel::LegacyScan; the two are
+ * cycle- and statistic-exact against each other (enforced by
  * tests/test_event_sched.cpp).
+ *
+ * The hot-path state is dense and, once a run warms up,
+ * allocation-free: the ROB is a power-of-two ring indexed by
+ * seq & mask, dispatch builds each DynInst directly in its ROB slot
+ * from a fixed-capacity fetch ring, and consumers wait on a
+ * producer's register through intrusive lists threaded through
+ * their ROB slots.
  */
 
 #ifndef CESP_UARCH_PIPELINE_HPP
 #define CESP_UARCH_PIPELINE_HPP
 
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -43,6 +49,7 @@
 #include "uarch/fifos.hpp"
 #include "uarch/lsq.hpp"
 #include "uarch/rename.hpp"
+#include "uarch/ring.hpp"
 #include "uarch/steering.hpp"
 #include "uarch/wakeup.hpp"
 #include "uarch/window.hpp"
@@ -365,6 +372,9 @@ class Pipeline
      * @param src trace source; rewound at the start of run()
      */
     Pipeline(const SimConfig &cfg, trace::TraceSource &src);
+    // Steering and the ROB lookup hold pointers into this object.
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
 
     /**
      * Simulate until the trace ends (or limits.max_instructions have
@@ -443,8 +453,13 @@ class Pipeline
     void scheduleReady(DynInst &inst, uint64_t earliest);
     /** Move fired events into the ready set. */
     void drainWakeups();
-    /** Ready-set ordering key (slot for slot-priority, else age). */
-    uint64_t readyKey(const DynInst &inst) const;
+    /** Ready-bitmap bit of @p inst: its window slot for slot-priority
+     *  windows, else its ROB slot. */
+    size_t readyBit(const DynInst &inst) const;
+    /** Instruction owning ready-bitmap bit @p bit. */
+    DynInst &readyInst(size_t bit);
+    void readySet(size_t bit);
+    void readyClear(size_t bit);
     /** Jump over cycles that provably perform no work. */
     void maybeSkipIdle();
 
@@ -473,11 +488,28 @@ class Pipeline
     std::unique_ptr<Steering> steering_;
     StoreQueue stq_;
 
-    std::vector<DynInst> rob_;   //!< ring buffer, slot = seq % size
+    /** In-flight instructions: a power-of-two ring of at least
+     *  max_inflight slots, slot = seq & rob_mask_. Only slots in
+     *  [rob_head_, rob_tail_) hold live instructions; dispatch builds
+     *  the next one in the tail slot. */
+    std::vector<DynInst> rob_;
+    uint64_t rob_mask_ = 0;
     uint64_t rob_head_ = 0;      //!< oldest in-flight seq
     uint64_t rob_tail_ = 0;      //!< next seq to dispatch
+    /** Steering's view of the ROB, built once. */
+    RobLookup rob_lookup_;
 
-    std::deque<DynInst> fetch_q_; //!< fetched, awaiting rename
+    /** A fetched instruction awaiting rename. */
+    struct FetchEntry
+    {
+        trace::TraceOp op;
+        uint64_t seq = kNoSeq;
+        uint64_t frontend_exit = 0; //!< earliest rename cycle
+        bool mispredicted = false;  //!< conditional branch, wrong way
+    };
+    /** Fetched, awaiting rename: seqs [rob_tail_, next_seq_), at most
+     *  cfg.fetch_queue of them. */
+    Ring<FetchEntry> fetch_q_;
     uint64_t next_seq_ = 0;
     bool trace_done_ = false;
 
@@ -512,15 +544,20 @@ class Pipeline
     // Event-driven issue state.
     bool event_driven_ = false; //!< resolved issue model for this run
     bool slot_keyed_ = false;   //!< ready set ordered by window slot
-    std::vector<WakeupCalendar> calendars_; //!< one per cluster
-    /** Buffered instructions with all sources ready, sorted by
-     *  selection priority: (key, seq). A flat vector: it stays small
-     *  (bounded by the issue buffering) and is copied every cycle, so
-     *  contiguity beats node-based sets. */
-    std::vector<std::pair<uint64_t, uint64_t>> ready_;
-    void readyInsert(uint64_t key, uint64_t seq);
-    void readyErase(uint64_t key, uint64_t seq);
-    std::vector<uint64_t> event_scratch_; //!< drained events, reused
+    /** Wakeup events of every cluster: each carries its cluster's
+     *  operand-ready cycle, and all feed the one ready bitmap. */
+    WakeupCalendar calendar_;
+    /**
+     * Buffered instructions with all sources ready, one bit each. A
+     * slot-priority central window selects by window slot, so its
+     * bits are window slots; every other organization selects by age,
+     * so its bits are ROB slots and oldest-first is a walk of the ring
+     * from the head slot. Select iterates a word copy, so the set it
+     * sees is the cycle-start snapshot: an issue clears only the bit
+     * it visits and wakeups land at now_ + 1.
+     */
+    std::vector<uint64_t> ready_bits_;
+    size_t ready_count_ = 0; //!< bits set in ready_bits_
 
     InstObserver on_dispatch_;
     InstObserver on_issue_;

@@ -16,6 +16,8 @@ RenameState::RenameState(const SimConfig &cfg)
         static_cast<size_t>(cfg.phys_int_regs + cfg.phys_fp_regs),
         PhysReg{});
     map_.assign(isa::kNumArchRegs, -1);
+    free_int_.reserve(static_cast<size_t>(cfg.phys_int_regs));
+    free_fp_.reserve(static_cast<size_t>(cfg.phys_fp_regs));
 
     // Architectural integer register i starts mapped to physical i;
     // fp register i to physical phys_int_ + i. The remainder of each
@@ -49,18 +51,15 @@ RenameState::rename(int arch_dst, uint64_t seq)
     int p = pool.front();
     pool.pop_front();
 
-    // Reset in place (not via struct assignment) so the waiter
-    // vector's capacity survives reallocation churn.
+    // first_waiter needs no reset: the pipeline empties the list when
+    // the producer issues, long before the register is released.
     PhysReg &pr = pregs_[static_cast<size_t>(p)];
     pr.computed_cycle = kNeverCycle;
     pr.producer_seq = seq;
     pr.producing_cluster = 0;
     pr.scheduled = false;
-    pr.waiters.clear();
-    for (int c = 0; c < kMaxClusters; ++c) {
+    for (int c = 0; c < kMaxClusters; ++c)
         pr.ready_cycle[c] = kNeverCycle;
-        pr.rf_visible[c] = kNeverCycle;
-    }
 
     int old = map_[arch_dst];
     map_[arch_dst] = p;

@@ -19,42 +19,59 @@
 #ifndef CESP_UARCH_RENAME_HPP
 #define CESP_UARCH_RENAME_HPP
 
-#include <deque>
 #include <vector>
 
 #include "isa/isa.hpp"
 #include "uarch/config.hpp"
 #include "uarch/dyninst.hpp"
+#include "uarch/ring.hpp"
 
 namespace cesp::uarch {
 
-/** Scheduling state of one physical register. */
-struct PhysReg
+/** Scheduling state of one physical register (one cache line). */
+struct alignas(64) PhysReg
 {
     /** Earliest cycle a consumer in cluster c may issue. */
     uint64_t ready_cycle[kMaxClusters] = {};
-    /** Cycle the value is readable from cluster c's register file. */
-    uint64_t rf_visible[kMaxClusters] = {};
     /** Cycle the value is computed (kNeverCycle until scheduled). */
     uint64_t computed_cycle = 0;
     uint64_t producer_seq = kNoSeq; //!< renaming instruction
     int producing_cluster = 0;
     /**
-     * True once ready_cycle/rf_visible are final: the producer has
+     * True once ready_cycle is final: the producer has
      * issued (or the register is a live-in with no in-flight
-     * producer). Until then, dispatched consumers register in
-     * waiters and are woken when the producer issues — the
-     * event-driven replacement for broadcasting every result tag to
-     * every window entry each cycle.
+     * producer). Until then, dispatched consumers link themselves
+     * into first_waiter's list and are woken when the producer
+     * issues — the event-driven replacement for broadcasting every
+     * result tag to every window entry each cycle.
      */
     bool scheduled = true;
-    /** Buffered consumers awaiting this value's schedule (seqs). */
-    std::vector<uint64_t> waiters;
+    /**
+     * Head of the intrusive list of buffered consumers awaiting this
+     * value's schedule (a waiter link, see DynInst::next_waiter;
+     * kNoWaiter when empty). The pipeline empties it when the
+     * producer issues, which always precedes the register's release,
+     * so a freshly renamed register starts with an empty list.
+     */
+    uint32_t first_waiter = kNoWaiter;
 
     bool
     readyFor(int cluster, uint64_t now) const
     {
         return ready_cycle[cluster] <= now;
+    }
+
+    /**
+     * Cycle the value is readable from @p cluster's register file:
+     * @p regfile_extra cycles after it reaches the cluster, or 0 for
+     * a live-in value with no producer. Meaningful once scheduled.
+     */
+    uint64_t
+    rfVisible(int cluster, int regfile_extra) const
+    {
+        return producer_seq == kNoSeq
+            ? 0
+            : ready_cycle[cluster] + static_cast<uint64_t>(regfile_extra);
     }
 
     /** Value not yet computed as of @p now (outstanding operand). */
@@ -116,7 +133,7 @@ class RenameState
     int phys_int_;
     std::vector<PhysReg> pregs_;       //!< int then fp
     std::vector<int> map_;             //!< arch (flat 0..63) -> preg
-    std::deque<int> free_int_, free_fp_;
+    Ring<int> free_int_, free_fp_;
 };
 
 } // namespace cesp::uarch

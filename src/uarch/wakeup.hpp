@@ -10,7 +10,9 @@
  * dependent is pushed at the exact cycle the value becomes usable
  * (wakeup+select depth, local bypass, and inter-cluster hops are all
  * folded into that cycle by the pipeline), and the select stage only
- * ever looks at instructions whose event has fired.
+ * ever looks at instructions whose event has fired: each cycle the
+ * pipeline drains the due events and sets their instructions' bits in
+ * its ready bitmap, which select then walks in priority order.
  *
  * Storage is a bucketed ring keyed by cycle for near events (the
  * common case: latencies of a few cycles) with an ordered map
@@ -23,6 +25,7 @@
 #ifndef CESP_UARCH_WAKEUP_HPP
 #define CESP_UARCH_WAKEUP_HPP
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -32,20 +35,18 @@
 
 namespace cesp::uarch {
 
-/** Per-cluster bucketed queue of wakeup events keyed by cycle. */
+/** Bucketed queue of wakeup events keyed by cycle. */
 class WakeupCalendar
 {
   public:
-    WakeupCalendar() : ring_(kHorizon) {}
-
     bool empty() const { return count_ == 0; }
 
     /**
      * Schedule instruction @p seq to become selectable at @p cycle.
      * Events may only be scheduled at or beyond the next unpopped
      * cycle (the pipeline never needs to wake anything in the past).
-     * Duplicate events for one instruction are permitted; the
-     * pipeline's ready set deduplicates on fire.
+     * Duplicate events for one instruction are permitted; setting a
+     * ready bit twice is harmless, so they fire once.
      */
     void
     schedule(uint64_t cycle, uint64_t seq)
@@ -76,19 +77,32 @@ class WakeupCalendar
     void
     popDue(uint64_t now, std::vector<uint64_t> &out)
     {
+        drainDue(now, [&out](uint64_t seq) { out.push_back(seq); });
+    }
+
+    /**
+     * popDue without the output vector: call @p visit(seq) for every
+     * event due at or before @p now, in popDue's order. @p visit must
+     * not schedule into this calendar.
+     */
+    template <class Visit>
+    void
+    drainDue(uint64_t now, Visit &&visit)
+    {
         if (count_ != 0) {
             for (uint64_t c = cursor_; c <= now && count_ != 0; ++c) {
                 Bucket &b = ring_[c & (kHorizon - 1)];
                 if (b.cycle != c || b.seqs.empty())
                     continue;
-                out.insert(out.end(), b.seqs.begin(), b.seqs.end());
+                for (uint64_t seq : b.seqs)
+                    visit(seq);
                 count_ -= b.seqs.size();
                 b.seqs.clear();
             }
             while (!far_.empty() && far_.begin()->first <= now) {
-                auto &seqs = far_.begin()->second;
-                out.insert(out.end(), seqs.begin(), seqs.end());
-                count_ -= seqs.size();
+                for (uint64_t seq : far_.begin()->second)
+                    visit(seq);
+                count_ -= far_.begin()->second.size();
                 far_.erase(far_.begin());
             }
         }
@@ -129,7 +143,7 @@ class WakeupCalendar
         std::vector<uint64_t> seqs;
     };
 
-    std::vector<Bucket> ring_;
+    std::array<Bucket, kHorizon> ring_;
     /** Events at cycles beyond the ring horizon, keyed by cycle. */
     std::map<uint64_t, std::vector<uint64_t>> far_;
     uint64_t cursor_ = 0; //!< next cycle popDue has not yet drained

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "uarch/ring.hpp"
 
 namespace cesp::uarch {
 
@@ -19,7 +20,22 @@ IssueWindow::IssueWindow(int capacity, WindowOrder order)
     if (order_ == WindowOrder::SlotPriority)
         slots_.assign(static_cast<size_t>(capacity), kEmptySlot);
     else
-        compacted_.reserve(static_cast<size_t>(capacity));
+        growAged(2 * static_cast<uint64_t>(capacity));
+}
+
+void
+IssueWindow::growAged(uint64_t span)
+{
+    std::vector<uint64_t> grown(
+        std::max(ceilPow2(static_cast<size_t>(span)), 2 * aged_.size()),
+        kEmptySlot);
+    uint64_t mask = grown.size() - 1;
+    if (size_ > 0)
+        for (uint64_t s = oldest_; s <= newest_; ++s)
+            if (aged_[s & aged_mask_] == s)
+                grown[s & mask] = s;
+    aged_.swap(grown);
+    aged_mask_ = mask;
 }
 
 int
@@ -29,9 +45,16 @@ IssueWindow::insert(uint64_t seq)
         panic("IssueWindow: insert into full window");
     int slot = -1;
     if (order_ == WindowOrder::AgeCompacted) {
-        if (!compacted_.empty() && compacted_.back() >= seq)
-            panic("IssueWindow: out-of-order insert");
-        compacted_.push_back(seq);
+        if (size_ == 0) {
+            oldest_ = seq;
+        } else {
+            if (newest_ >= seq)
+                panic("IssueWindow: out-of-order insert");
+            if (seq - oldest_ > aged_mask_)
+                growAged(seq - oldest_ + 1);
+        }
+        newest_ = seq;
+        aged_[seq & aged_mask_] = seq;
     } else {
         // Lowest free slot: freed slots are reused out of age order.
         auto it = std::find(slots_.begin(), slots_.end(), kEmptySlot);
@@ -48,11 +71,20 @@ void
 IssueWindow::remove(uint64_t seq)
 {
     if (order_ == WindowOrder::AgeCompacted) {
-        auto it = std::lower_bound(compacted_.begin(),
-                                   compacted_.end(), seq);
-        if (it == compacted_.end() || *it != seq)
+        if (size_ == 0 || seq < oldest_ || seq > newest_ ||
+            aged_[seq & aged_mask_] != seq)
             panic("IssueWindow: remove of absent instruction");
-        compacted_.erase(it);
+        aged_[seq & aged_mask_] = kEmptySlot;
+        // Keep both span ends on live entries (a live one remains
+        // between them unless the window emptied).
+        if (size_ > 1) {
+            if (seq == oldest_)
+                while (aged_[++oldest_ & aged_mask_] == kEmptySlot) {
+                }
+            else if (seq == newest_)
+                while (aged_[--newest_ & aged_mask_] == kEmptySlot) {
+                }
+        }
     } else {
         auto it = std::find(slots_.begin(), slots_.end(), seq);
         if (it == slots_.end())
@@ -65,9 +97,14 @@ IssueWindow::remove(uint64_t seq)
 const std::vector<uint64_t> &
 IssueWindow::entries() const
 {
-    if (order_ == WindowOrder::AgeCompacted)
-        return compacted_;
     scratch_.clear();
+    if (order_ == WindowOrder::AgeCompacted) {
+        if (size_ > 0)
+            for (uint64_t s = oldest_; s <= newest_; ++s)
+                if (aged_[s & aged_mask_] == s)
+                    scratch_.push_back(s);
+        return scratch_;
+    }
     for (uint64_t s : slots_)
         if (s != kEmptySlot)
             scratch_.push_back(s);
@@ -77,9 +114,10 @@ IssueWindow::entries() const
 void
 IssueWindow::clear()
 {
-    compacted_.clear();
     if (order_ == WindowOrder::SlotPriority)
         slots_.assign(static_cast<size_t>(capacity_), kEmptySlot);
+    else
+        std::fill(aged_.begin(), aged_.end(), kEmptySlot);
     size_ = 0;
 }
 

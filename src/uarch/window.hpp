@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hpp"
+
 namespace cesp::uarch {
 
 /** Window priority organization. */
@@ -54,9 +56,21 @@ class IssueWindow
     /** Remove an issued instruction. */
     void remove(uint64_t seq);
 
+    /** Instruction in slot @p slot of a SlotPriority window
+     *  (UINT64_MAX when the slot is free). */
+    uint64_t
+    seqAt(int slot) const
+    {
+        if (slot < 0 || static_cast<size_t>(slot) >= slots_.size())
+            panic("IssueWindow: bad slot %d", slot);
+        return slots_[static_cast<size_t>(slot)];
+    }
+
     /**
      * Waiting instructions in selection-priority order: ascending
-     * age for AgeCompacted, slot order for SlotPriority.
+     * age for AgeCompacted, slot order for SlotPriority. Built on
+     * each call (the reference scan's view; the event-driven
+     * pipeline never needs it).
      */
     const std::vector<uint64_t> &entries() const;
 
@@ -65,11 +79,26 @@ class IssueWindow
   private:
     static constexpr uint64_t kEmptySlot = UINT64_MAX;
 
+    /** Re-home the AgeCompacted ring at a size holding @p span seqs. */
+    void growAged(uint64_t span);
+
     int capacity_;
     WindowOrder order_;
     int size_ = 0;
     std::vector<uint64_t> slots_;           //!< SlotPriority storage
-    std::vector<uint64_t> compacted_;       //!< AgeCompacted storage
+    /**
+     * AgeCompacted storage, indexed by seq: aged_[seq & aged_mask_]
+     * holds seq while it waits and kEmptySlot otherwise, so insert
+     * and remove are O(1) and age order is index order. The waiting
+     * seqs lie in [oldest_, newest_], both kept on live entries; the
+     * ring doubles when that span outgrows it (issued instructions
+     * leave holes, so the span is bounded by the in-flight
+     * instructions, not by the capacity).
+     */
+    std::vector<uint64_t> aged_;
+    uint64_t aged_mask_ = 0;
+    uint64_t oldest_ = 0;
+    uint64_t newest_ = 0;
     mutable std::vector<uint64_t> scratch_; //!< entries() cache
 };
 

@@ -163,3 +163,49 @@ TEST(EventSched, IdleSkipExactAroundBranchStalls)
     c.dcache.miss_latency = 30;
     expectExact(c, 23);
 }
+
+/** ROB sizes that are not a power of two or fit in less than one
+ *  64-bit ready-bitmap word. Age-ordered select walks the ROB ring
+ *  from the head slot and wraps at the ring's end; a walk that wraps
+ *  anywhere else (say, at the next word boundary) reorders candidates
+ *  and breaks parity. */
+TEST(EventSched, ExactAtAwkwardRobSizes)
+{
+    for (int rob : {8, 48, 100, 130}) {
+        for (SelectPolicy pol : {SelectPolicy::OldestFirst,
+                                 SelectPolicy::YoungestFirst}) {
+            for (bool compaction : {true, false}) {
+                SimConfig w = core::baseline8Way();
+                w.max_inflight = rob;
+                w.select_policy = pol;
+                w.window_compaction = compaction;
+                expectExact(w, 29);
+            }
+            SimConfig f = core::dependence8x8();
+            f.max_inflight = rob;
+            f.select_policy = pol;
+            expectExact(f, 29);
+
+            SimConfig cw = core::clusteredWindows2x4();
+            cw.max_inflight = rob;
+            cw.select_policy = pol;
+            expectExact(cw, 29);
+        }
+    }
+}
+
+/** A slot-priority window whose 100 slots span a partial second
+ *  bitmap word, under both select directions. */
+TEST(EventSched, ExactForSlotPriorityWindowOf100)
+{
+    for (SelectPolicy pol : {SelectPolicy::OldestFirst,
+                             SelectPolicy::YoungestFirst}) {
+        SimConfig c = core::baseline8Way();
+        c.window_compaction = false;
+        c.window_size = 100;
+        c.max_inflight = 130;
+        c.select_policy = pol;
+        for (uint64_t seed : {3ULL, 37ULL})
+            expectExact(c, seed);
+    }
+}

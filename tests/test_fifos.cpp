@@ -177,3 +177,81 @@ TEST(FifoSetDeathTest, MisusePanics)
     EXPECT_DEATH(f.remove(id, 99), "absent");
     EXPECT_DEATH(f.clusterOf(9), "bad fifo");
 }
+
+TEST(FifoSet, RingWrapsAcrossManyPushPopRounds)
+{
+    // Keep a 3-deep FIFO partly full while pushing and popping well
+    // past its depth, so the ring head wraps several times.
+    FifoSet f(1, 2, 3);
+    int id = f.allocate();
+    uint64_t next_push = 0, next_pop = 0;
+    f.push(id, next_push++);
+    for (int round = 0; round < 20; ++round) {
+        f.push(id, next_push++);
+        if (round % 3 == 0 && !f.full(id))
+            f.push(id, next_push++);
+        EXPECT_EQ(f.head(id), next_pop);
+        EXPECT_TRUE(f.isTail(id, next_push - 1));
+        f.popHead(id);
+        ++next_pop;
+        ASSERT_TRUE(f.allocated(id));
+    }
+    EXPECT_EQ(f.totalEntries(), next_push - next_pop);
+    while (!f.empty(id)) {
+        EXPECT_EQ(f.head(id), next_pop++);
+        f.popHead(id);
+    }
+    EXPECT_EQ(next_pop, next_push);
+    EXPECT_FALSE(f.allocated(id)); // recycled on empty
+    EXPECT_EQ(f.totalEntries(), 0u);
+}
+
+TEST(FifoSet, MiddleRemoveAfterWrap)
+{
+    FifoSet f(1, 1, 4);
+    int id = f.allocate();
+    // Advance the ring head to slot 3 so later entries wrap.
+    for (uint64_t s = 0; s < 3; ++s)
+        f.push(id, s);
+    for (int i = 0; i < 3; ++i) {
+        f.push(id, 3 + static_cast<uint64_t>(i)); // keeps it allocated
+        f.popHead(id);
+    }
+    // Entries 3, 4, 5 occupy slots 3, 0, 1.
+    f.push(id, 6); // slot 2: full, wrapped
+    EXPECT_TRUE(f.full(id));
+    f.remove(id, 4); // middle, across the wrap
+    EXPECT_EQ(f.head(id), 3u);
+    EXPECT_TRUE(f.isTail(id, 6));
+    EXPECT_EQ(f.headSeqs().size(), 1u);
+    f.remove(id, 6); // the tail
+    EXPECT_TRUE(f.isTail(id, 5));
+    f.remove(id, 3); // the head
+    EXPECT_EQ(f.head(id), 5u);
+    EXPECT_TRUE(f.allocated(id));
+    f.remove(id, 5); // last entry: recycled
+    EXPECT_FALSE(f.allocated(id));
+    EXPECT_EQ(f.freeCount(0), 1);
+    EXPECT_EQ(f.totalEntries(), 0u);
+    // The recycled FIFO comes back empty.
+    EXPECT_EQ(f.allocate(), id);
+    EXPECT_TRUE(f.empty(id));
+    f.push(id, 10);
+    EXPECT_EQ(f.head(id), 10u);
+}
+
+TEST(FifoSet, RecycledFifosReturnInFreeListOrder)
+{
+    FifoSet f(1, 3, 2);
+    int a = f.allocate();
+    int b = f.allocate();
+    int c = f.allocate();
+    f.push(a, 1);
+    f.push(b, 2);
+    f.push(c, 3);
+    f.remove(b, 2); // recycled first
+    f.popHead(a);   // then a
+    EXPECT_EQ(f.allocate(), b);
+    EXPECT_EQ(f.allocate(), a);
+    EXPECT_EQ(f.allocate(), -1);
+}

@@ -241,3 +241,167 @@ TEST(StoreQueueDeathTest, ProtocolViolationsPanic)
     EXPECT_DEATH(q.markIssued(99), "unknown");
     EXPECT_DEATH(q.commit(5), "unissued");
 }
+
+TEST(StoreQueue, YoungerStoreIssuingFirstKeepsOlderGate)
+{
+    StoreQueue q;
+    q.dispatch(2, 0x100);
+    q.dispatch(5, 0x200);
+    q.dispatch(8, 0x300);
+    q.markIssued(8); // youngest first
+    // The oldest unissued store (2) still gates every younger load.
+    EXPECT_TRUE(q.olderStoreUnissued(3));
+    EXPECT_TRUE(q.olderStoreUnissued(9));
+    EXPECT_FALSE(q.olderStoreUnissued(2));
+    q.markIssued(5);
+    EXPECT_TRUE(q.olderStoreUnissued(9));
+    // Issuing the oldest skips past the already-issued 5 and 8.
+    q.markIssued(2);
+    EXPECT_FALSE(q.olderStoreUnissued(9));
+    EXPECT_FALSE(q.olderStoreUnissued(100));
+}
+
+TEST(StoreQueue, OldestIssuesWhileYoungerStillWaits)
+{
+    StoreQueue q;
+    q.dispatch(1, 0x100);
+    q.dispatch(4, 0x200);
+    q.dispatch(7, 0x300);
+    q.markIssued(1);
+    // Store 4 is now the oldest unissued: loads between 1 and 4 run,
+    // loads past 4 wait.
+    EXPECT_FALSE(q.olderStoreUnissued(3));
+    EXPECT_TRUE(q.olderStoreUnissued(5));
+    q.markIssued(7);
+    EXPECT_FALSE(q.olderStoreUnissued(4));
+    EXPECT_TRUE(q.olderStoreUnissued(8));
+    q.markIssued(4);
+    EXPECT_FALSE(q.olderStoreUnissued(8));
+}
+
+TEST(StoreQueue, CommitBetweenOutOfOrderIssues)
+{
+    StoreQueue q;
+    q.dispatch(1, 0x100);
+    q.dispatch(3, 0x200);
+    q.dispatch(6, 0x300);
+    q.markIssued(1);
+    q.markIssued(6);
+    q.commit(1);
+    EXPECT_EQ(q.size(), 2u);
+    // 3 is still the oldest unissued after the pop.
+    EXPECT_TRUE(q.olderStoreUnissued(4));
+    EXPECT_FALSE(q.olderStoreUnissued(2));
+    q.dispatch(9, 0x400);
+    q.markIssued(3);
+    // Next unissued is the newly dispatched 9, not the issued 6.
+    EXPECT_FALSE(q.olderStoreUnissued(9));
+    EXPECT_TRUE(q.olderStoreUnissued(10));
+    q.commit(3);
+    q.commit(6);
+    q.markIssued(9);
+    EXPECT_FALSE(q.olderStoreUnissued(10));
+    // Issued stores still forward after earlier commits.
+    auto f = q.forwardFrom(10, 0x400);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(*f, 9u);
+    q.commit(9);
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(StoreQueue, ClearResetsUnissuedTracking)
+{
+    StoreQueue q;
+    q.dispatch(10, 0x100);
+    q.dispatch(11, 0x104);
+    q.markIssued(11);
+    q.clear();
+    EXPECT_FALSE(q.olderStoreUnissued(100));
+    // Tracking starts afresh: older seqs are accepted and gate again.
+    q.dispatch(2, 0x200);
+    EXPECT_TRUE(q.olderStoreUnissued(3));
+    q.markIssued(2);
+    EXPECT_FALSE(q.olderStoreUnissued(3));
+}
+
+TEST(StoreQueue, ManyStoresWrapTheRing)
+{
+    // Far more stores than the ring's first allocation, with commits
+    // interleaved so head and tail both wrap.
+    StoreQueue q;
+    uint64_t next_commit = 0;
+    for (uint64_t s = 0; s < 200; ++s) {
+        q.dispatch(s, static_cast<uint32_t>(0x1000 + 4 * s));
+        if (s >= 3) {
+            q.markIssued(s - 3);
+            EXPECT_TRUE(q.olderStoreUnissued(s + 1));
+        }
+        if (s >= 20)
+            q.commit(next_commit++);
+    }
+    EXPECT_EQ(q.size(), 200u - next_commit);
+    q.markIssued(197);
+    q.markIssued(198);
+    q.markIssued(199);
+    EXPECT_FALSE(q.olderStoreUnissued(1000));
+    auto f = q.forwardFrom(1000, 0x1000 + 4 * 190);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(*f, 190u);
+}
+
+TEST(StoreQueueDeathTest, DoubleIssueAndClearedStorePanic)
+{
+    StoreQueue q;
+    q.dispatch(5, 0x100);
+    q.markIssued(5);
+    EXPECT_DEATH(q.markIssued(5), "unknown");
+    q.dispatch(6, 0x104);
+    q.clear();
+    EXPECT_DEATH(q.markIssued(6), "unknown");
+}
+
+TEST(IssueWindow, SparseSeqsAndLongSpans)
+{
+    // Issued instructions leave holes, so the span of waiting seqs
+    // can far exceed the capacity; order and lookups must survive.
+    IssueWindow w(4);
+    w.insert(3);
+    w.insert(4);
+    w.remove(4);
+    w.insert(200); // span 3..200 forces the storage to grow
+    w.insert(201);
+    ASSERT_EQ(w.entries().size(), 3u);
+    EXPECT_EQ(w.entries()[0], 3u);
+    EXPECT_EQ(w.entries()[1], 200u);
+    EXPECT_EQ(w.entries()[2], 201u);
+    w.remove(3);
+    w.insert(1000);
+    ASSERT_EQ(w.entries().size(), 3u);
+    EXPECT_EQ(w.entries()[0], 200u);
+    EXPECT_EQ(w.entries()[2], 1000u);
+    // Removing the newest re-exposes the next-newest to the order
+    // check, exactly as a compacted list would.
+    w.remove(1000);
+    w.insert(500);
+    EXPECT_EQ(w.entries()[2], 500u);
+    w.remove(200);
+    w.remove(201);
+    w.remove(500);
+    EXPECT_TRUE(w.empty());
+    EXPECT_TRUE(w.entries().empty());
+    // An empty window accepts any seq again.
+    w.insert(7);
+    EXPECT_EQ(w.entries()[0], 7u);
+}
+
+TEST(IssueWindowDeathTest, SparseSeqMisusePanics)
+{
+    IssueWindow w(4);
+    w.insert(3);
+    w.insert(200);
+    w.insert(500);
+    EXPECT_DEATH(w.insert(400), "out-of-order");
+    EXPECT_DEATH(w.remove(1000), "absent");
+    EXPECT_DEATH(w.remove(2), "absent");
+    EXPECT_DEATH(w.remove(100), "absent");
+}
