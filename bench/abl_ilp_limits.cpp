@@ -35,16 +35,17 @@ constexpr int kWindowSweep[] = {8, 16, 32, 64, 128, 256};
 
 /** All the limit-study quantities of one workload. */
 StatGroup
-limitsGroup(const std::string &workload, trace::TraceBuffer &buf)
+limitsGroup(const std::string &workload)
 {
-    auto unlimited = trace::dataflowSchedule(buf);
+    trace::TraceView view = cachedWorkloadTraceView(workload);
+    auto unlimited = trace::dataflowSchedule(view);
     trace::ScheduleLimits lim;
     lim.window = 64;
     lim.issue_width = 8;
-    auto limited = trace::dataflowSchedule(buf, lim);
-    double machine = Machine(baseline8Way()).runTrace(buf).ipc();
-    double dep = Machine(dependence8x8()).runTrace(buf).ipc();
-    auto deps = trace::analyzeDependences(buf);
+    auto limited = trace::dataflowSchedule(view, lim);
+    double machine = Machine(baseline8Way()).runWorkload(workload).ipc();
+    double dep = Machine(dependence8x8()).runWorkload(workload).ipc();
+    auto deps = trace::analyzeDependences(view);
 
     StatGroup g("ilp_limits", workload);
     g.addGauge("dataflow_ipc", "inst/cycle",
@@ -67,7 +68,7 @@ limitsGroup(const std::string &workload, trace::TraceBuffer &buf)
         g.addGauge("ideal_ipc_w" + std::to_string(ws), "inst/cycle",
                    "Idealized IPC with a " + std::to_string(ws) +
                        "-entry window, 8-wide",
-                   trace::dataflowSchedule(buf, l).ipc);
+                   trace::dataflowSchedule(view, l).ipc);
     }
     g.addGauge("dep_distance_mean", "instructions",
                "Mean producer-consumer distance",
@@ -104,7 +105,7 @@ main(int argc, char **argv)
 
     std::vector<StatGroup> groups;
     for (const auto &w : workloads::workloadNames())
-        groups.push_back(limitsGroup(w, cachedWorkloadTrace(w)));
+        groups.push_back(limitsGroup(w));
 
     Table t("Dataflow ILP limits vs realized IPC");
     t.header({"benchmark", "dataflow", "win=64 iw=8", "machine IPC",

@@ -165,43 +165,34 @@ BENCHMARK(BM_TimingSim_Clustered_LegacyScan);
 
 /**
  * Trace-load startup cost for a cached 8-workload sweep: the work a
- * harness process does before its first simulated cycle, measured
- * over three generations of the trace cache. DecodeV1 reads and
- * unpacks every record field-by-field (the pre-v2 cache format);
- * Load freads a v2 payload in bulk and checksums it; Mmap maps the
- * v2 file and verifies the CRC in place, copying nothing — that is
- * what core::cachedWorkloadTraceView does on a warm cache. One file
- * pair per pseudo-workload, written once.
+ * harness process does before its first simulated cycle. Load freads
+ * a v2 payload in bulk and checksums it; Mmap maps the v2 file and
+ * verifies the CRC in place, copying nothing — that is what
+ * core::cachedWorkloadTraceView does on a warm cache. One file per
+ * pseudo-workload, written once.
  */
-struct StartupFiles
-{
-    std::vector<std::string> v1, v2;
-};
-
-static const StartupFiles &
+static const std::vector<std::string> &
 startupTraceFiles()
 {
-    static const StartupFiles files = [] {
+    static const std::vector<std::string> files = [] {
         std::filesystem::path dir =
             std::filesystem::temp_directory_path() /
             strprintf("cesp-bench-traces-%d", getpid());
         std::filesystem::create_directories(dir);
-        StartupFiles out;
+        std::vector<std::string> out;
         for (uint64_t w = 0; w < 8; ++w) {
             trace::SyntheticParams sp;
             sp.seed = 100 + w;
             trace::TraceBuffer buf =
                 trace::generateSynthetic(sp, 1000000);
-            std::string base =
-                (dir / strprintf("w%llu",
+            std::string path =
+                (dir / strprintf("w%llu.trc",
                                  static_cast<unsigned long long>(w)))
                     .string();
-            if (!trace::saveTraceV1(buf, base + ".v1.trc").ok() ||
-                !trace::saveTrace(buf, base + ".v2.trc").ok())
+            if (!trace::saveTrace(buf, path).ok())
                 fatal("cannot write bench traces under %s",
                       dir.c_str());
-            out.v1.push_back(base + ".v1.trc");
-            out.v2.push_back(base + ".v2.trc");
+            out.push_back(path);
         }
         return out;
     }();
@@ -209,9 +200,9 @@ startupTraceFiles()
 }
 
 static void
-loadStartupFiles(benchmark::State &state,
-                 const std::vector<std::string> &files)
+BM_TraceStartup_Load(benchmark::State &state)
 {
+    const auto &files = startupTraceFiles();
     int64_t records = 0;
     for (auto _ : state) {
         records = 0;
@@ -225,25 +216,12 @@ loadStartupFiles(benchmark::State &state,
         state.SetItemsProcessed(state.items_processed() + records);
     }
 }
-
-static void
-BM_TraceStartup_DecodeV1(benchmark::State &state)
-{
-    loadStartupFiles(state, startupTraceFiles().v1);
-}
-BENCHMARK(BM_TraceStartup_DecodeV1)->Unit(benchmark::kMillisecond);
-
-static void
-BM_TraceStartup_Load(benchmark::State &state)
-{
-    loadStartupFiles(state, startupTraceFiles().v2);
-}
 BENCHMARK(BM_TraceStartup_Load)->Unit(benchmark::kMillisecond);
 
 static void
 BM_TraceStartup_Mmap(benchmark::State &state)
 {
-    const auto &files = startupTraceFiles().v2;
+    const auto &files = startupTraceFiles();
     int64_t records = 0;
     for (auto _ : state) {
         records = 0;

@@ -109,8 +109,9 @@ BM_ShardedWorkload(benchmark::State &state)
         trace::TraceView slice = tv.slice(s.begin, s.end - s.begin);
         auto s0 = std::chrono::steady_clock::now();
         trace::TraceCursor cur(slice);
-        uarch::SimStats st =
-            uarch::simulate(cfg, cur, UINT64_MAX, s.warmup);
+        uarch::RunLimits limits;
+        limits.warmup = s.warmup;
+        uarch::SimStats st = uarch::simulate(cfg, cur, limits);
         auto s1 = std::chrono::steady_clock::now();
         benchmark::DoNotOptimize(st.cycles());
         max_shard_secs = std::max(

@@ -38,10 +38,9 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(*v);
         }
 
-    // Resolve the workload traces on the main thread (the cache is
-    // not thread-safe), then build the full machine list: the ideal
-    // 1-cluster reference plus every organization at every bypass
-    // latency.
+    // Resolve the workload traces, then build the full machine list:
+    // the ideal 1-cluster reference plus every organization at every
+    // bypass latency.
     std::vector<trace::TraceView> traces;
     for (const auto &w : workloads::allWorkloads())
         traces.push_back(cachedWorkloadTraceView(w.name));

@@ -42,10 +42,9 @@ main(int argc, char **argv)
 
     ClockEstimator est(Process::um0_18);
 
-    // The sweep engine wants resolved trace views, and the workload
-    // trace cache is not thread-safe, so warm it here on the main
-    // thread before any worker starts (mmap-backed when the disk
-    // cache has a valid v2 file — one page-cache copy per workload).
+    // The sweep engine wants resolved trace views (mmap-backed when
+    // the disk cache has a valid v2 file — one page-cache copy per
+    // workload).
     std::vector<trace::TraceView> traces;
     for (const auto &w : workloads::allWorkloads())
         traces.push_back(core::cachedWorkloadTraceView(w.name));

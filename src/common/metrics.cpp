@@ -793,7 +793,7 @@ class JsonParser
     parse(JVal &out)
     {
         skipWs();
-        if (!parseValue(out))
+        if (!parseValue(out, 0))
             return false;
         skipWs();
         if (pos_ != s_.size())
@@ -897,13 +897,17 @@ class JsonParser
         return true;
     }
 
+    /** @p depth counts the containers enclosing this value; capping
+     *  it bounds the recursion here and in JVal's destructor. */
     bool
-    parseValue(JVal &out)
+    parseValue(JVal &out, int depth)
     {
         skipWs();
         if (pos_ >= s_.size())
             return fail("unexpected end");
         char c = s_[pos_];
+        if ((c == '{' || c == '[') && depth >= kJsonMaxDepth)
+            return fail("nesting too deep");
         if (c == '{') {
             ++pos_;
             out.type = JVal::Obj;
@@ -921,7 +925,7 @@ class JsonParser
                 if (pos_ >= s_.size() || s_[pos_++] != ':')
                     return fail("expected ':'");
                 JVal v;
-                if (!parseValue(v))
+                if (!parseValue(v, depth + 1))
                     return false;
                 out.obj.emplace_back(std::move(key), std::move(v));
                 skipWs();
@@ -948,7 +952,7 @@ class JsonParser
             }
             for (;;) {
                 JVal v;
-                if (!parseValue(v))
+                if (!parseValue(v, depth + 1))
                     return false;
                 out.arr.push_back(std::move(v));
                 skipWs();

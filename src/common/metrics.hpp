@@ -39,6 +39,12 @@ constexpr const char *kStatsSchemaName = "cesp.statgroup";
 /** Identifier written in every JSON-lines stream record. */
 constexpr const char *kStatsStreamSchemaName = "cesp.statgroup.jsonl";
 
+/** Deepest object/array nesting the JSON readers accept. Exports
+ *  nest at most six levels (a list document's histogram buckets);
+ *  deeper input is a parse error ("nesting too deep"), never
+ *  unbounded recursion. */
+constexpr int kJsonMaxDepth = 64;
+
 /** What a registered metric is and how it merges. */
 enum class StatKind
 {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 
 #include "common/logging.hpp"
 #include "func/emulator.hpp"
@@ -52,10 +53,9 @@ Machine::runTrace(trace::TraceSource &src) const
 namespace {
 
 /**
- * One cached workload trace. Exactly one backing is primary: an
- * mmap-backed entry has a live MmapTraceSource and (lazily, only if
- * the legacy buffer-ref API is used) a materialized buffer copy; a
- * buffer-backed entry owns its records outright.
+ * One cached workload trace, immutable once built: either a live
+ * MmapTraceSource or a buffer that owns its records; view points
+ * into whichever it is.
  */
 struct CachedTrace
 {
@@ -64,10 +64,18 @@ struct CachedTrace
     trace::TraceView view;
 };
 
-std::map<std::string, CachedTrace> &
+/** The cache and the lock that guards its map. std::map never moves
+ *  an entry, so views stay valid while other entries are added. */
+struct TraceCache
+{
+    std::mutex mu;
+    std::map<std::string, CachedTrace> entries;
+};
+
+TraceCache &
 traceCache()
 {
-    static std::map<std::string, CachedTrace> cache;
+    static TraceCache cache;
     return cache;
 }
 
@@ -137,8 +145,8 @@ publishTrace(const trace::TraceBuffer &buf,
 
 /**
  * Resolve a workload's trace: mmap the disk cache's v2 file when it
- * verifies, upgrade a v1 file in place, and otherwise regenerate
- * (logging why the cached file was rejected) and republish.
+ * verifies, and otherwise regenerate (logging why the cached file was
+ * rejected) and republish.
  */
 CachedTrace
 obtainTrace(const workloads::Workload &w)
@@ -157,32 +165,9 @@ obtainTrace(const workloads::Workload &w)
             entry.mmap = std::move(mmap);
             return entry;
         }
-        if (opened.status == trace::TraceIoStatus::LegacyVersion) {
-            // A valid v1 file: decode it once, republish as v2, and
-            // serve the mapping so later processes share pages.
-            trace::TraceBuffer upgraded;
-            trace::TraceIoResult loaded =
-                trace::loadTrace(file.string(), upgraded);
-            if (loaded.ok()) {
-                inform("trace cache: upgrading %s to v2",
-                       file.string().c_str());
-                if (publishTrace(upgraded, file) &&
-                    mmap->open(file.string()).ok()) {
-                    entry.view = mmap->view();
-                    entry.mmap = std::move(mmap);
-                    return entry;
-                }
-                entry.buf = std::move(upgraded);
-                entry.view = entry.buf;
-                return entry;
-            }
-            warn("trace cache: %s: %s (%s); regenerating",
-                 file.string().c_str(),
-                 trace::traceIoStatusName(loaded.status),
-                 loaded.detail.c_str());
-        } else if (opened.status != trace::TraceIoStatus::OpenFailed) {
+        if (opened.status != trace::TraceIoStatus::OpenFailed) {
             // Missing file is the normal cold-cache case and stays
-            // quiet; anything else is a corrupt or foreign file and
+            // quiet; anything else (a corrupt, foreign, or v1 file)
             // says exactly what was wrong before we fall back.
             warn("trace cache: %s: %s (%s); regenerating",
                  file.string().c_str(),
@@ -208,46 +193,29 @@ obtainTrace(const workloads::Workload &w)
     return entry;
 }
 
-CachedTrace &
-cacheEntry(const std::string &name)
-{
-    auto &cache = traceCache();
-    auto it = cache.find(name);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(name,
-                          obtainTrace(workloads::workload(name)))
-                 .first;
-    }
-    return it->second;
-}
-
 } // namespace
 
 trace::TraceView
 cachedWorkloadTraceView(const std::string &name)
 {
-    return cacheEntry(name).view;
-}
-
-trace::TraceBuffer &
-cachedWorkloadTrace(const std::string &name)
-{
-    CachedTrace &entry = cacheEntry(name);
-    if (entry.mmap && entry.buf.empty() && entry.mmap->size()) {
-        // Legacy API against an mmap-backed entry: materialize a
-        // private copy once. The entry's view stays on the mapping.
-        std::vector<trace::TraceOp> ops(
-            entry.view.records, entry.view.records + entry.view.count);
-        entry.buf.assign(std::move(ops));
-    }
-    return entry.buf;
+    // Building an entry under the lock serialises first requests, but
+    // guarantees each trace is generated (and published) exactly once.
+    TraceCache &cache = traceCache();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    auto it = cache.entries.find(name);
+    if (it == cache.entries.end())
+        it = cache.entries
+                 .emplace(name, obtainTrace(workloads::workload(name)))
+                 .first;
+    return it->second.view;
 }
 
 void
 clearTraceCache()
 {
-    traceCache().clear();
+    TraceCache &cache = traceCache();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    cache.entries.clear();
 }
 
 } // namespace cesp::core

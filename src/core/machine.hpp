@@ -58,21 +58,17 @@ class Machine
  * disabled, missing, or fails integrity checks (each failure is
  * logged with its distinct cause), the trace regenerates into a
  * private buffer and — where possible — is republished to disk and
- * remapped. Not thread-safe: resolve views on the calling thread
- * before handing them to sweep workers (the view stays valid until
- * clearTraceCache()).
+ * remapped.
+ *
+ * Safe to call from any thread: each entry is built exactly once,
+ * under a lock, and never changes afterwards, so every caller gets
+ * the same records. The view stays valid until clearTraceCache().
  */
 trace::TraceView cachedWorkloadTraceView(const std::string &name);
 
-/**
- * Legacy buffer-ref accessor. If the cache entry is mmap-backed,
- * this materializes a private TraceBuffer copy on first use — prefer
- * cachedWorkloadTraceView, which is zero-copy in that case.
- */
-trace::TraceBuffer &cachedWorkloadTrace(const std::string &name);
-
 /** Drop all cached traces and mappings (frees tens of MB);
- *  invalidates every view previously returned. */
+ *  invalidates every view previously returned. Must not race with
+ *  simulations still reading those views. */
 void clearTraceCache();
 
 } // namespace cesp::core

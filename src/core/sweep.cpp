@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing implementation of the sweep runner.
+ * Work-stealing implementation of core::run.
  */
 
 #include "core/sweep.hpp"
@@ -309,14 +309,6 @@ run(const std::vector<SweepTask> &tasks, const RunOptions &opt)
     return r;
 }
 
-std::vector<uarch::SimStats>
-runSweep(const std::vector<SweepTask> &tasks, unsigned jobs)
-{
-    RunOptions opt;
-    opt.jobs = jobs;
-    return run(tasks, opt).stats;
-}
-
 StatGroup
 mergedStats(const std::vector<uarch::SimStats> &results)
 {
@@ -328,19 +320,6 @@ mergedStats(const std::vector<uarch::SimStats> &results)
     for (size_t i = 1; i < results.size(); ++i)
         merged.merge(results[i].group());
     return merged;
-}
-
-std::vector<uarch::SimStats>
-runSweep(const std::vector<uarch::SimConfig> &configs,
-         trace::TraceView trace, unsigned jobs)
-{
-    std::vector<SweepTask> tasks;
-    tasks.reserve(configs.size());
-    for (const uarch::SimConfig &cfg : configs)
-        tasks.push_back({cfg, trace});
-    RunOptions opt;
-    opt.jobs = jobs;
-    return run(tasks, opt).stats;
 }
 
 std::vector<ShardSpec>
@@ -369,34 +348,6 @@ planShards(size_t record_count, unsigned shards, uint64_t warmup)
         begin = end;
     }
     return plan;
-}
-
-ShardedRun
-runSharded(const uarch::SimConfig &cfg, trace::TraceView trace,
-           unsigned shards, uint64_t warmup, unsigned jobs)
-{
-    RunOptions opt;
-    opt.jobs = jobs;
-    opt.shards = shards;
-    opt.warmup = warmup;
-    RunResult r = run({{cfg, trace}}, opt);
-    ShardedRun sharded;
-    sharded.shards = std::move(r.stats);
-    // Keep the historical aggregate label ("merged over N runs")
-    // rather than the task-labelled group core::run builds.
-    sharded.merged = mergedStats(sharded.shards);
-    return sharded;
-}
-
-std::vector<StatGroup>
-runShardedBatch(const std::vector<SweepTask> &pairs, unsigned shards,
-                uint64_t warmup, unsigned jobs)
-{
-    RunOptions opt;
-    opt.jobs = jobs;
-    opt.shards = shards;
-    opt.warmup = warmup;
-    return run(pairs, opt).groups;
 }
 
 } // namespace cesp::core

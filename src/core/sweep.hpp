@@ -1,20 +1,19 @@
 /**
  * @file
- * Parallel sweep runner: simulate many configurations over shared
- * traces across a pool of worker threads. Design-space exploration
- * is embarrassingly parallel — every (configuration, trace) pair is
- * an independent simulation — so the harnesses that used to loop
- * serially (design_space, clustered_tradeoff, cesp-sim sweeps) hand
- * their task lists to runSweep instead.
+ * The run entrypoint: simulate many (configuration, trace) pairs
+ * across a pool of worker threads, optionally sharding each trace
+ * into warmed-up windows. Design-space exploration is embarrassingly
+ * parallel — every (configuration, trace) pair is an independent
+ * simulation — so the harnesses (design_space, clustered_tradeoff,
+ * cesp-sim sweeps) hand their task lists to core::run.
  *
  * Determinism: results are indexed by task position and each
  * simulation is a pure function of its (config, trace) pair, so the
  * output is bit-identical for any thread count, including 1. The
  * simulator holds no mutable global state (verified by the
  * tsan-labeled sweep test); the one process-wide cache in the
- * library, core::cachedWorkloadTrace, is NOT thread-safe and must be
- * resolved on the calling thread before the sweep starts — which is
- * natural, since SweepTask wants the resolved buffer pointer anyway.
+ * library, core::cachedWorkloadTraceView, initialises each entry
+ * exactly once and may be called from any thread.
  */
 
 #ifndef CESP_CORE_SWEEP_HPP
@@ -30,7 +29,7 @@
 namespace cesp::core {
 
 /** One simulation in a sweep. The trace is shared, not owned, and
- *  must outlive the runSweep call; workers read it through private
+ *  must outlive the core::run call; workers read it through private
  *  TraceCursors. A TraceView converts implicitly from a TraceBuffer
  *  and from an MmapTraceSource, so tasks can mix buffer-backed and
  *  mmap-backed traces freely. warmup discards the stats of the
@@ -48,24 +47,39 @@ struct SweepTask
 unsigned defaultJobs();
 
 /**
- * Options for core::run, the single entrypoint that replaced the
- * runSweep / runSharded / runShardedBatch trio. Defaults reproduce a
- * plain parallel sweep; shards/warmup select sharded execution, and
- * the callbacks stream results out as workers finish.
+ * Options for core::run. Defaults reproduce a plain parallel sweep;
+ * shards/warmup select sharded execution, and the callbacks stream
+ * results out as workers finish.
  */
 struct RunOptions
 {
     /** Worker threads; 0 = defaultJobs(), 1 = inline on the caller. */
     unsigned jobs = 0;
-    /** Split every task's trace into this many contiguous measured
-     *  windows (see planShards). Values <= 1 combined with warmup ==
-     *  0 run each task monolithically. */
+    /**
+     * Split every task's trace into this many contiguous measured
+     * windows (see planShards), simulated as independent shards on
+     * the pool and merged per task. Values <= 1 combined with
+     * warmup == 0 run each task monolithically.
+     *
+     * The sharding measurement contract:
+     *  - The merged group's derived IPC is total committed over
+     *    total (summed) shard cycles — the sampled-simulation
+     *    estimate of the monolithic IPC. The accuracy gap shrinks as
+     *    warmup grows (see the test_shard convergence suite and
+     *    bench/shard_accuracy).
+     *  - Merged committed is exact for any shards and warmup: the
+     *    measured windows partition the trace. Warmup records are
+     *    simulated by two shards but only ever measured by one.
+     *  - With shards == 1 and warmup == 0 the single shard is the
+     *    whole trace, and its stats are bit-identical
+     *    (StatGroup::sameValues) to a monolithic uarch::simulate of
+     *    the same pair.
+     */
     unsigned shards = 1;
     /** Per-shard state-warming prefix, in trace records. Applies
      *  only to sharded execution (shards > 1 or warmup > 0), where it
-     *  overrides any SweepTask::warmup, matching the old
-     *  runShardedBatch contract. Unsharded runs honour the per-task
-     *  warmup instead. */
+     *  overrides any SweepTask::warmup. Unsharded runs honour the
+     *  per-task warmup instead. */
     uint64_t warmup = 0;
     /** Emit a StatSnapshot every this-many measured commits of each
      *  simulation (0 = off; requires on_snapshot). */
@@ -124,8 +138,8 @@ struct RunResult
  * With shards > 1 or warmup > 0, every task's trace is split via
  * planShards and the whole expansion runs as one flat task list on
  * the pool (shards of different tasks load-balance against each
- * other), then merges per task — see ShardedRun for the measurement
- * contract.
+ * other), then merges per task — see RunOptions::shards for the
+ * measurement contract.
  *
  * If a simulation (or callback) throws, the first exception is
  * captured, the remaining tasks are drained without running, all
@@ -134,17 +148,6 @@ struct RunResult
  */
 RunResult run(const std::vector<SweepTask> &tasks,
               const RunOptions &options = {});
-
-/** @deprecated Thin wrapper over core::run; use it directly. */
-[[deprecated("use core::run(tasks, RunOptions)")]]
-std::vector<uarch::SimStats> runSweep(const std::vector<SweepTask> &tasks,
-                                      unsigned jobs = 0);
-
-/** @deprecated Thin wrapper over core::run; use it directly. */
-[[deprecated("use core::run(tasks, RunOptions)")]]
-std::vector<uarch::SimStats>
-runSweep(const std::vector<uarch::SimConfig> &configs,
-         trace::TraceView trace, unsigned jobs = 0);
 
 /**
  * Merge per-run statistics into one aggregate StatGroup: counters
@@ -156,7 +159,7 @@ runSweep(const std::vector<uarch::SimConfig> &configs,
  *
  * Because counter merge is integer addition, the merge of N
  * per-worker groups is exactly the single-threaded accumulation —
- * the property the metrics test suite checks across runSweep worker
+ * the property the metrics test suite checks across core::run worker
  * counts.
  */
 StatGroup mergedStats(const std::vector<uarch::SimStats> &results);
@@ -194,49 +197,6 @@ struct ShardSpec
  */
 std::vector<ShardSpec> planShards(size_t record_count,
                                   unsigned shards, uint64_t warmup);
-
-/** Per-shard stats plus their merge, from runSharded. */
-struct ShardedRun
-{
-    std::vector<uarch::SimStats> shards; //!< measured, in trace order
-    StatGroup merged; //!< mergedStats over the shards
-};
-
-/**
- * Simulate one (configuration, trace) pair as K parallel shard
- * windows on the runSweep pool and merge the measured stats. The
- * merged group's derived IPC is total committed over total (summed)
- * shard cycles — the sampled-simulation estimate of the monolithic
- * IPC; the accuracy gap shrinks as warmup grows (see the
- * test_shard convergence suite and bench/shard_accuracy). Merged
- * committed is exact for any K and warmup (the measured windows
- * partition the trace); warmup records are simulated by two shards,
- * but only ever measured by one.
- *
- * With shards == 1 and warmup == 0 the single shard is the whole
- * trace and its stats are bit-identical (StatGroup::sameValues) to a
- * monolithic uarch::simulate of the same pair.
- *
- * @deprecated Thin wrapper over core::run; use it directly.
- */
-[[deprecated("use core::run(tasks, RunOptions{.shards=, .warmup=})")]]
-ShardedRun runSharded(const uarch::SimConfig &cfg,
-                      trace::TraceView trace, unsigned shards,
-                      uint64_t warmup, unsigned jobs = 0);
-
-/**
- * Shard every (configuration, trace) pair of @p pairs K ways and run
- * the whole expansion as one flat task list on the pool, then merge
- * per pair. Returns one merged StatGroup per input pair, in order,
- * labelled with the pair's configuration name. Any warmup already on
- * a pair is ignored; @p warmup applies to every shard.
- *
- * @deprecated Thin wrapper over core::run; use it directly.
- */
-[[deprecated("use core::run(tasks, RunOptions{.shards=, .warmup=})")]]
-std::vector<StatGroup>
-runShardedBatch(const std::vector<SweepTask> &pairs, unsigned shards,
-                uint64_t warmup, unsigned jobs = 0);
 
 namespace detail {
 

@@ -14,9 +14,9 @@
 namespace cesp::trace {
 
 ScheduleResult
-dataflowSchedule(const TraceBuffer &buf, const ScheduleLimits &limits)
+dataflowSchedule(TraceView trace, const ScheduleLimits &limits)
 {
-    const size_t n = buf.size();
+    const size_t n = trace.count;
     ScheduleResult r;
     r.instructions = n;
     if (n == 0)
@@ -33,7 +33,7 @@ dataflowSchedule(const TraceBuffer &buf, const ScheduleLimits &limits)
 
     uint64_t max_cycle = 0;
     for (size_t i = 0; i < n; ++i) {
-        const TraceOp &op = buf[i];
+        const TraceOp &op = trace[i];
         uint64_t ready = 0;
         if (op.src1 > 0)
             ready = std::max(ready, reg_time[op.src1]);
@@ -79,10 +79,10 @@ dataflowSchedule(const TraceBuffer &buf, const ScheduleLimits &limits)
 }
 
 DependenceStats
-analyzeDependences(const TraceBuffer &buf)
+analyzeDependences(TraceView trace)
 {
     DependenceStats stats;
-    const size_t n = buf.size();
+    const size_t n = trace.count;
     stats.instructions = n;
     if (n == 0)
         return stats;
@@ -94,7 +94,7 @@ analyzeDependences(const TraceBuffer &buf)
     uint64_t longest = 0;
 
     for (size_t i = 0; i < n; ++i) {
-        const TraceOp &op = buf[i];
+        const TraceOp &op = trace[i];
         int64_t nearest = -1;
         uint64_t depth = 0;
         for (int src : {static_cast<int>(op.src1),

@@ -50,7 +50,7 @@ struct ScheduleResult
  * branch prediction and caches, full bypassing — only data
  * dependences and the given limits constrain issue.
  */
-ScheduleResult dataflowSchedule(const TraceBuffer &buf,
+ScheduleResult dataflowSchedule(TraceView trace,
                                 const ScheduleLimits &limits = {});
 
 /** Register dependence statistics of a trace. */
@@ -71,7 +71,7 @@ struct DependenceStats
 };
 
 /** Compute register dependence statistics. */
-DependenceStats analyzeDependences(const TraceBuffer &buf);
+DependenceStats analyzeDependences(TraceView trace);
 
 } // namespace cesp::trace
 

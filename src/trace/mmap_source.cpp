@@ -20,8 +20,6 @@ namespace cesp::trace {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1'};
-
 TraceIoResult
 fail(TraceIoStatus status, std::string detail)
 {
@@ -139,9 +137,8 @@ MmapTraceSource::open(const std::string &path)
         return r;
     };
 
-    if (std::memcmp(bytes, kMagicV1, sizeof(kMagicV1)) == 0)
-        return reject(fail(TraceIoStatus::LegacyVersion,
-                           path + ": v1 file (convert to v2 to mmap)"));
+    if (TraceIoResult v1 = detail::refuseV1Header(bytes, path); !v1)
+        return reject(v1);
 
     uint64_t count = 0;
     uint32_t crc = 0;

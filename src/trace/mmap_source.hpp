@@ -14,7 +14,7 @@
  * size, count-vs-file-size, CRC-32, or record contents are wrong,
  * with a distinct TraceIoStatus for each, so a torn or corrupted
  * cache file can never reach the simulator; callers fall back to
- * regeneration (see core::cachedWorkloadTrace).
+ * regeneration (see core::cachedWorkloadTraceView).
  *
  * Concurrency: the mapping is read-only and MAP_PRIVATE; any number
  * of TraceCursors from any number of threads may walk view()
@@ -60,8 +60,8 @@ class MmapTraceSource
     /**
      * Map and validate @p path, replacing any current mapping. On
      * failure the source is left empty and the result says exactly
-     * what was wrong (LegacyVersion for a valid-magic v1 file, which
-     * callers may convert or load through the buffered reader).
+     * what was wrong (LegacyVersion for a retired v1 file, which
+     * must be regenerated).
      */
     TraceIoResult open(const std::string &path);
 

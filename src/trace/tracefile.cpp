@@ -1,7 +1,8 @@
 /**
  * @file
- * Implementation of the binary trace file formats (v1 read/write,
- * v2 read/write, shared v2 validation used by MmapTraceSource).
+ * Implementation of the binary trace file format v2 (read/write, and
+ * the shared validation used by MmapTraceSource). v1 files are
+ * recognised by their magic and refused.
  */
 
 #include "trace/tracefile.hpp"
@@ -150,39 +151,6 @@ packPayload(const TraceBuffer &buf)
 }
 
 TraceIoResult
-loadTraceV1(std::FILE *f, const uint8_t *header,
-            const std::string &path, TraceBuffer &out)
-{
-    uint64_t count = get64(header + 8);
-
-    TraceBuffer result;
-    std::vector<uint8_t> block(kTraceRecordBytes * 4096);
-    uint64_t remaining = count;
-    while (remaining > 0) {
-        size_t chunk = static_cast<size_t>(
-            std::min<uint64_t>(4096, remaining));
-        if (std::fread(block.data(), kTraceRecordBytes, chunk, f) !=
-            chunk)
-            return fail(TraceIoStatus::ShortRead,
-                        path + ": v1 payload truncated");
-        for (size_t j = 0; j < chunk; ++j) {
-            TraceOp op;
-            if (!unpack(block.data() + j * kTraceRecordBytes, op))
-                return fail(TraceIoStatus::BadRecord,
-                            path + ": v1 record out of range");
-            result.append(op);
-        }
-        remaining -= chunk;
-    }
-    if (std::fgetc(f) != EOF)
-        return fail(TraceIoStatus::CountMismatch,
-                    path + ": bytes beyond the v1 record count");
-    out = std::move(result);
-    out.rewind();
-    return traceIoOk();
-}
-
-TraceIoResult
 loadTraceV2(std::FILE *f, const uint8_t *header,
             const std::string &path, TraceBuffer &out)
 {
@@ -248,6 +216,15 @@ loadTraceV2(std::FILE *f, const uint8_t *header,
 } // namespace
 
 namespace detail {
+
+TraceIoResult
+refuseV1Header(const uint8_t *header, const std::string &path)
+{
+    if (std::memcmp(header, kMagicV1, sizeof(kMagicV1)) == 0)
+        return fail(TraceIoStatus::LegacyVersion,
+                    path + ": v1 is no longer supported; regenerate");
+    return traceIoOk();
+}
 
 TraceIoResult
 parseV2Header(const uint8_t *header, const std::string &path,
@@ -366,39 +343,6 @@ saveTrace(const TraceBuffer &buf, const std::string &path)
 }
 
 TraceIoResult
-saveTraceV1(const TraceBuffer &buf, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return fail(TraceIoStatus::OpenFailed,
-                    path + ": cannot open for writing");
-
-    uint8_t header[16] = {};
-    std::memcpy(header, kMagicV1, sizeof(kMagicV1));
-    put64(header + 8, buf.size());
-    if (std::fwrite(header, 1, sizeof(header), f) != sizeof(header)) {
-        std::fclose(f);
-        return fail(TraceIoStatus::ShortWrite, path + ": short write");
-    }
-
-    std::vector<uint8_t> block(kTraceRecordBytes * 4096);
-    size_t i = 0;
-    while (i < buf.size()) {
-        size_t chunk = std::min<size_t>(4096, buf.size() - i);
-        for (size_t j = 0; j < chunk; ++j)
-            pack(buf[i + j], block.data() + j * kTraceRecordBytes);
-        if (std::fwrite(block.data(), kTraceRecordBytes, chunk, f) !=
-            chunk) {
-            std::fclose(f);
-            return fail(TraceIoStatus::ShortWrite,
-                        path + ": short write");
-        }
-        i += chunk;
-    }
-    return finishWrite(f, path);
-}
-
-TraceIoResult
 loadTrace(const std::string &path, TraceBuffer &out)
 {
     std::unique_ptr<std::FILE, FileCloser> f(
@@ -407,9 +351,9 @@ loadTrace(const std::string &path, TraceBuffer &out)
         return fail(TraceIoStatus::OpenFailed,
                     path + ": cannot open for reading");
 
-    // Both versions' headers begin with the 8-byte magic and an
-    // 8-byte record count; read the first 16 bytes to dispatch, then
-    // the rest of the v2 header if needed.
+    // Read the 8-byte magic and 8-byte record count first, so a
+    // 16-byte v1 header is recognised; then the rest of the v2
+    // header.
     uint8_t header[kTraceV2HeaderBytes];
     size_t got = std::fread(header, 1, 16, f.get());
     if (got == 0 && std::feof(f.get()))
@@ -422,8 +366,8 @@ loadTrace(const std::string &path, TraceBuffer &out)
     if (got != 16)
         return fail(TraceIoStatus::ShortRead,
                     path + ": header truncated");
-    if (std::memcmp(header, kMagicV1, sizeof(kMagicV1)) == 0)
-        return loadTraceV1(f.get(), header, path, out);
+    if (TraceIoResult v1 = detail::refuseV1Header(header, path); !v1)
+        return v1;
     if (std::memcmp(header, kMagicV2, sizeof(kMagicV2)) != 0)
         return fail(TraceIoStatus::BadMagic,
                     path + ": unrecognized magic");

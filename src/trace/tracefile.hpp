@@ -4,20 +4,20 @@
  * workload kernels, but emulating a million instructions per
  * (process, workload) pair adds up across the test and bench
  * binaries; a versioned on-disk format lets harnesses share captured
- * traces (see core::cachedWorkloadTrace's disk cache).
+ * traces (see core::cachedWorkloadTraceView's disk cache).
  *
- * Two format versions exist:
+ * The format ("CESPTRC2") is a 32-byte header (magic, record count,
+ * record size, CRC-32 of the payload), then the payload — TraceOp's
+ * in-memory layout verbatim, 20 bytes per record. Because the file
+ * layout IS the memory layout, a file can be memory-mapped and
+ * served with zero decode and zero copy (see MmapTraceSource); the
+ * CRC lets every reader prove the payload intact before a simulation
+ * consumes it.
  *
- *  - v1 ("CESPTRC1"): 16-byte header (magic, record count), then one
- *    packed 20-byte little-endian record per dynamic instruction.
- *    Read-only legacy format; no checksum.
- *  - v2 ("CESPTRC2"): 32-byte header (magic, record count, record
- *    size, CRC-32 of the payload), then the payload — TraceOp's
- *    in-memory layout verbatim, 20 bytes per record. Because the
- *    file layout IS the memory layout, a v2 file can be
- *    memory-mapped and served with zero decode and zero copy (see
- *    MmapTraceSource); the CRC lets every reader prove the payload
- *    intact before a simulation consumes it.
+ * The retired v1 format ("CESPTRC1", packed records, no checksum) is
+ * no longer read. Both readers still recognise its magic and return
+ * LegacyVersion, so a stale cache file is regenerated with a clear
+ * log line rather than reported as foreign.
  *
  * All I/O reports failures as a TraceIoResult instead of a bare
  * bool: short writes, a failed flush or close (the way a full disk
@@ -47,7 +47,7 @@ enum class TraceIoStatus
     ShortRead,      //!< file ends before header/payload does
     EmptyFile,      //!< zero-length file (torn create, not a trace)
     BadMagic,       //!< not a cesp trace file
-    LegacyVersion,  //!< valid v1 file where v2 was required (mmap)
+    LegacyVersion,  //!< v1 file: no longer supported, regenerate it
     BadRecordSize,  //!< v2 header's record size is not ours
     CountMismatch,  //!< header count disagrees with the file size
     CrcMismatch,    //!< payload bytes fail the header checksum
@@ -90,21 +90,20 @@ TraceIoResult saveTrace(const TraceBuffer &buf,
                         const std::string &path);
 
 /**
- * Read a trace from @p path into @p out (replacing its contents).
- * Accepts v1 and v2 files; v2 payloads are checksum-verified. On
- * failure @p out is untouched.
+ * Read a v2 trace from @p path into @p out (replacing its contents),
+ * verifying the payload checksum. On failure @p out is untouched.
  */
 TraceIoResult loadTrace(const std::string &path, TraceBuffer &out);
 
-/**
- * Write a trace in the legacy v1 format. Kept for the v1-vs-v2
- * round-trip tests and for producing inputs to `cesp-trace convert`;
- * new code should write v2 via saveTrace.
- */
-TraceIoResult saveTraceV1(const TraceBuffer &buf,
-                          const std::string &path);
-
 namespace detail {
+
+/**
+ * LegacyVersion if @p header starts with the retired v1 magic
+ * ("CESPTRC1"), Ok otherwise. Shared by the buffered reader and the
+ * mmap source, so both refuse v1 the same way.
+ */
+TraceIoResult refuseV1Header(const uint8_t *header,
+                             const std::string &path);
 
 /**
  * Validate a v2 header (magic, record size) and extract the record

@@ -79,79 +79,24 @@ SimStats::SimStats(int num_clusters)
     : num_clusters_(std::clamp(num_clusters, 1, kMaxClusters)),
       group_("sim")
 {
-    // Registration order is the enum order in pipeline.hpp AND the
-    // export order: every metric below appears in reports, JSON, and
-    // CSV exactly once, exactly here.
-    group_.addCounter("cycles", "cycles", "Simulated clock cycles");
-    group_.addCounter("fetched", "instructions",
-                      "Instructions fetched (including wrong-path "
-                      "stall shadows)");
-    group_.addCounter("dispatched", "instructions",
-                      "Instructions renamed, steered, and inserted "
-                      "into the issue buffering");
-    group_.addCounter("issued", "instructions",
-                      "Instructions issued to functional units");
-    group_.addCounter("committed", "instructions",
-                      "Instructions retired in program order");
-    group_.addCounter("cond_branches", "instructions",
-                      "Conditional branches fetched");
-    group_.addCounter("mispredicts", "instructions",
-                      "Conditional branches mispredicted");
-    group_.addCounter("loads", "instructions", "Loads committed");
-    group_.addCounter("stores", "instructions", "Stores committed");
-    group_.addCounter("store_forwards", "instructions",
-                      "Loads satisfied by store-queue forwarding");
-    group_.addCounter("dcache_accesses", "accesses",
-                      "L1 data-cache accesses");
-    group_.addCounter("dcache_misses", "accesses",
-                      "L1 data-cache misses");
-    group_.addCounter("l2_accesses", "accesses",
-                      "L2 cache accesses (0 when no L2 configured)");
-    group_.addCounter("l2_misses", "accesses", "L2 cache misses");
-    group_.addCounter("intercluster_bypasses", "instructions",
-                      "Committed instructions that used an "
-                      "inter-cluster bypass (Sec. 5.6.4)");
-    group_.addCounter("steer_new_fifo", "instructions",
-                      "Steering: started a new FIFO (Sec. 5.1)");
-    group_.addCounter("steer_chain_left", "instructions",
-                      "Steering: chained behind the left source");
-    group_.addCounter("steer_chain_right", "instructions",
-                      "Steering: chained behind the right source");
-    group_.addCounter("dispatch_stall_buffer", "cycles",
-                      "Dispatch stalled: window/FIFO full");
-    group_.addCounter("dispatch_stall_regs", "cycles",
-                      "Dispatch stalled: no free physical register");
-    group_.addCounter("dispatch_stall_rob", "cycles",
-                      "Dispatch stalled: in-flight limit reached");
+    // The tables in pipeline.hpp fix the order: scalar counters, the
+    // per-cluster issue counters, histograms, then derived ratios.
+#define CESP_ADD_COUNTER(name, unit, desc)                                    \
+    group_.addCounter(#name, unit, desc);
+    CESP_SIM_COUNTERS(CESP_ADD_COUNTER)
+#undef CESP_ADD_COUNTER
     for (int c = 0; c < num_clusters_; ++c)
         group_.addCounter(
             strprintf("issued_cluster%d", c), "instructions",
             strprintf("Instructions issued on cluster %d", c));
-    // Growable: sized by the largest occupancy actually seen, so a
-    // 2x4 FIFO machine exports ~9 buckets while a 128-entry window
-    // machine grows to ~129 — no per-organization sizing constant.
-    group_.addHistogram("buffer_occupancy", "entries",
-                        "Per-cycle occupancy of the issue buffering "
-                        "(window/FIFOs)", 32, 1.0,
-                        /*growable=*/true);
-    group_.addHistogram("issue_sizes", "instructions",
-                        "Instructions issued per cycle", 17, 1.0);
-    group_.addDerived("ipc", "inst/cycle",
-                      "Committed instructions per cycle", "committed",
-                      "cycles");
-    group_.addDerived("mispredict_rate", "fraction",
-                      "Mispredicted fraction of conditional branches",
-                      "mispredicts", "cond_branches");
-    group_.addDerived("intercluster_pct", "%",
-                      "Committed instructions bypassing between "
-                      "clusters (Sec. 5.6.4)", "intercluster_bypasses",
-                      "committed", 100.0);
-    group_.addDerived("dcache_miss_rate", "fraction",
-                      "L1 data-cache miss rate", "dcache_misses",
-                      "dcache_accesses");
-    group_.addDerived("l2_miss_rate", "fraction",
-                      "L2 cache miss rate", "l2_misses",
-                      "l2_accesses");
+#define CESP_ADD_HISTOGRAM(name, unit, desc, buckets, width, growable)        \
+    group_.addHistogram(#name, unit, desc, buckets, width, growable);
+    CESP_SIM_HISTOGRAMS(CESP_ADD_HISTOGRAM)
+#undef CESP_ADD_HISTOGRAM
+#define CESP_ADD_DERIVED(accessor, name, unit, desc, num, den, scale)         \
+    group_.addDerived(name, unit, desc, #num, #den, scale);
+    CESP_SIM_DERIVED(CESP_ADD_DERIVED)
+#undef CESP_ADD_DERIVED
 }
 
 Pipeline::Pipeline(const SimConfig &cfg, trace::TraceSource &src)
@@ -1036,25 +981,6 @@ Pipeline::run(const RunLimits &limits)
         stats_.l2_misses() = l2_->misses() - l2_miss_base_;
     }
     return stats_;
-}
-
-SimStats
-Pipeline::run(uint64_t max_instructions, uint64_t warmup_instructions)
-{
-    RunLimits limits;
-    limits.max_instructions = max_instructions;
-    limits.warmup = warmup_instructions;
-    return run(limits);
-}
-
-SimStats
-simulate(const SimConfig &cfg, trace::TraceSource &src,
-         uint64_t max_instructions, uint64_t warmup_instructions)
-{
-    RunLimits limits;
-    limits.max_instructions = max_instructions;
-    limits.warmup = warmup_instructions;
-    return simulate(cfg, src, limits);
 }
 
 SimStats

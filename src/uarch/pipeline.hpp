@@ -57,13 +57,90 @@
 namespace cesp::uarch {
 
 /**
+ * The simulator's metrics, each declared exactly once. A row
+ * generates the metric's storage index, its accessor pair, and its
+ * registration call; row order is registration order, which is the
+ * export order. Counters and histograms are exported under their
+ * accessor name.
+ *
+ * Scalar counters: X(name, unit, description). The per-cluster issue
+ * counters follow them (see SimStats::issued_per_cluster).
+ */
+#define CESP_SIM_COUNTERS(X)                                                  \
+    X(cycles, "cycles", "Simulated clock cycles")                             \
+    X(fetched, "instructions",                                                \
+      "Instructions fetched (including wrong-path stall shadows)")            \
+    X(dispatched, "instructions",                                             \
+      "Instructions renamed, steered, and inserted into the issue "           \
+      "buffering")                                                            \
+    X(issued, "instructions", "Instructions issued to functional units")      \
+    X(committed, "instructions", "Instructions retired in program order")     \
+    X(cond_branches, "instructions", "Conditional branches fetched")          \
+    X(mispredicts, "instructions", "Conditional branches mispredicted")       \
+    X(loads, "instructions", "Loads committed")                               \
+    X(stores, "instructions", "Stores committed")                             \
+    X(store_forwards, "instructions",                                         \
+      "Loads satisfied by store-queue forwarding")                            \
+    X(dcache_accesses, "accesses", "L1 data-cache accesses")                  \
+    X(dcache_misses, "accesses", "L1 data-cache misses")                      \
+    X(l2_accesses, "accesses",                                                \
+      "L2 cache accesses (0 when no L2 configured)")                          \
+    X(l2_misses, "accesses", "L2 cache misses")                               \
+    X(intercluster_bypasses, "instructions",                                  \
+      "Committed instructions that used an inter-cluster bypass "             \
+      "(Sec. 5.6.4)")                                                         \
+    X(steer_new_fifo, "instructions",                                         \
+      "Steering: started a new FIFO (Sec. 5.1)")                              \
+    X(steer_chain_left, "instructions",                                       \
+      "Steering: chained behind the left source")                             \
+    X(steer_chain_right, "instructions",                                      \
+      "Steering: chained behind the right source")                            \
+    X(dispatch_stall_buffer, "cycles", "Dispatch stalled: window/FIFO full")  \
+    X(dispatch_stall_regs, "cycles",                                          \
+      "Dispatch stalled: no free physical register")                          \
+    X(dispatch_stall_rob, "cycles",                                           \
+      "Dispatch stalled: in-flight limit reached")
+
+/**
+ * Histograms: X(name, unit, description, buckets, width, growable).
+ * buffer_occupancy is growable: sized by the largest occupancy
+ * actually seen, so a 2x4 FIFO machine exports ~9 buckets while a
+ * 128-entry window machine grows to ~129, with no per-organization
+ * sizing constant.
+ */
+#define CESP_SIM_HISTOGRAMS(X)                                                \
+    X(buffer_occupancy, "entries",                                            \
+      "Per-cycle occupancy of the issue buffering (window/FIFOs)", 32,        \
+      1.0, true)                                                              \
+    X(issue_sizes, "instructions", "Instructions issued per cycle", 17,       \
+      1.0, false)
+
+/**
+ * Derived ratios, scale * numerator / denominator over two counters:
+ * X(accessor, export name, unit, description, numerator counter,
+ *   denominator counter, scale).
+ */
+#define CESP_SIM_DERIVED(X)                                                   \
+    X(ipc, "ipc", "inst/cycle", "Committed instructions per cycle",           \
+      committed, cycles, 1.0)                                                 \
+    X(mispredictRate, "mispredict_rate", "fraction",                          \
+      "Mispredicted fraction of conditional branches", mispredicts,           \
+      cond_branches, 1.0)                                                     \
+    X(interClusterPct, "intercluster_pct", "%",                               \
+      "Committed instructions bypassing between clusters "                    \
+      "(Sec. 5.6.4)", intercluster_bypasses, committed, 100.0)                \
+    X(dcacheMissRate, "dcache_miss_rate", "fraction",                         \
+      "L1 data-cache miss rate", dcache_misses, dcache_accesses, 1.0)         \
+    X(l2MissRate, "l2_miss_rate", "fraction", "L2 cache miss rate",           \
+      l2_misses, l2_accesses, 1.0)
+
+/**
  * End-of-run statistics, backed by a self-describing metrics registry
- * (cesp::StatGroup): every counter, derived ratio, and histogram is
- * registered once with a unit and description, which gives reports,
- * JSON/CSV exports, merges, and whole-stats comparisons a single
- * source of truth. The original field API survives as same-named thin
- * accessors (`s.cycles()` where `s.cycles` used to be), all O(1)
- * lookups into the registry's storage.
+ * (cesp::StatGroup): every counter, derived ratio, and histogram of
+ * the tables above is registered once with a unit and description,
+ * which gives reports, JSON/CSV exports, merges, and whole-stats
+ * comparisons a single source of truth. Each metric has a same-named
+ * O(1) accessor into the registry's storage (`s.cycles()`).
  *
  * Per-cluster counters are registered only for the configured cluster
  * count, so reports and exports never show phantom always-zero
@@ -74,125 +151,25 @@ class SimStats
   public:
     explicit SimStats(int num_clusters = 1);
 
-    // --- thin accessors preserving the original field API ---
     std::string &config_name() { return group_.label(); }
     const std::string &config_name() const { return group_.label(); }
 
-    uint64_t &cycles() { return group_.counterAt(kCycles); }
-    uint64_t cycles() const { return group_.counterAt(kCycles); }
-    uint64_t &fetched() { return group_.counterAt(kFetched); }
-    uint64_t fetched() const { return group_.counterAt(kFetched); }
-    uint64_t &dispatched() { return group_.counterAt(kDispatched); }
-    uint64_t dispatched() const { return group_.counterAt(kDispatched); }
-    uint64_t &issued() { return group_.counterAt(kIssued); }
-    uint64_t issued() const { return group_.counterAt(kIssued); }
-    uint64_t &committed() { return group_.counterAt(kCommitted); }
-    uint64_t committed() const { return group_.counterAt(kCommitted); }
+#define CESP_COUNTER_ACCESSORS(name, ...)                                     \
+    uint64_t &name() { return group_.counterAt(k_##name); }                   \
+    uint64_t name() const { return group_.counterAt(k_##name); }
+    CESP_SIM_COUNTERS(CESP_COUNTER_ACCESSORS)
+#undef CESP_COUNTER_ACCESSORS
 
-    uint64_t &cond_branches() { return group_.counterAt(kCondBranches); }
-    uint64_t cond_branches() const
-    {
-        return group_.counterAt(kCondBranches);
-    }
-    uint64_t &mispredicts() { return group_.counterAt(kMispredicts); }
-    uint64_t mispredicts() const
-    {
-        return group_.counterAt(kMispredicts);
-    }
+#define CESP_HISTOGRAM_ACCESSORS(name, ...)                                   \
+    Histogram &name() { return group_.histogramAt(k_##name); }                \
+    const Histogram &name() const { return group_.histogramAt(k_##name); }
+    CESP_SIM_HISTOGRAMS(CESP_HISTOGRAM_ACCESSORS)
+#undef CESP_HISTOGRAM_ACCESSORS
 
-    uint64_t &loads() { return group_.counterAt(kLoads); }
-    uint64_t loads() const { return group_.counterAt(kLoads); }
-    uint64_t &stores() { return group_.counterAt(kStores); }
-    uint64_t stores() const { return group_.counterAt(kStores); }
-    uint64_t &store_forwards()
-    {
-        return group_.counterAt(kStoreForwards);
-    }
-    uint64_t store_forwards() const
-    {
-        return group_.counterAt(kStoreForwards);
-    }
-    uint64_t &dcache_accesses()
-    {
-        return group_.counterAt(kDcacheAccesses);
-    }
-    uint64_t dcache_accesses() const
-    {
-        return group_.counterAt(kDcacheAccesses);
-    }
-    uint64_t &dcache_misses()
-    {
-        return group_.counterAt(kDcacheMisses);
-    }
-    uint64_t dcache_misses() const
-    {
-        return group_.counterAt(kDcacheMisses);
-    }
-    uint64_t &l2_accesses() { return group_.counterAt(kL2Accesses); }
-    uint64_t l2_accesses() const
-    {
-        return group_.counterAt(kL2Accesses);
-    }
-    uint64_t &l2_misses() { return group_.counterAt(kL2Misses); }
-    uint64_t l2_misses() const { return group_.counterAt(kL2Misses); }
-
-    /** Committed instructions that used an inter-cluster bypass. */
-    uint64_t &intercluster_bypasses()
-    {
-        return group_.counterAt(kInterclusterBypasses);
-    }
-    uint64_t intercluster_bypasses() const
-    {
-        return group_.counterAt(kInterclusterBypasses);
-    }
-
-    /** Section 5.1 steering-case counters (FIFO organizations). */
-    uint64_t &steer_new_fifo() { return group_.counterAt(kSteerNew); }
-    uint64_t steer_new_fifo() const
-    {
-        return group_.counterAt(kSteerNew);
-    }
-    uint64_t &steer_chain_left()
-    {
-        return group_.counterAt(kSteerLeft);
-    }
-    uint64_t steer_chain_left() const
-    {
-        return group_.counterAt(kSteerLeft);
-    }
-    uint64_t &steer_chain_right()
-    {
-        return group_.counterAt(kSteerRight);
-    }
-    uint64_t steer_chain_right() const
-    {
-        return group_.counterAt(kSteerRight);
-    }
-
-    uint64_t &dispatch_stall_buffer() //!< window/FIFO full cycles
-    {
-        return group_.counterAt(kStallBuffer);
-    }
-    uint64_t dispatch_stall_buffer() const
-    {
-        return group_.counterAt(kStallBuffer);
-    }
-    uint64_t &dispatch_stall_regs() //!< no free physical register
-    {
-        return group_.counterAt(kStallRegs);
-    }
-    uint64_t dispatch_stall_regs() const
-    {
-        return group_.counterAt(kStallRegs);
-    }
-    uint64_t &dispatch_stall_rob() //!< in-flight limit reached
-    {
-        return group_.counterAt(kStallRob);
-    }
-    uint64_t dispatch_stall_rob() const
-    {
-        return group_.counterAt(kStallRob);
-    }
+#define CESP_DERIVED_ACCESSOR(accessor, ...)                                  \
+    double accessor() const { return group_.derivedAt(k_##accessor); }
+    CESP_SIM_DERIVED(CESP_DERIVED_ACCESSOR)
+#undef CESP_DERIVED_ACCESSOR
 
     /** Clusters this run was configured with (registry rows exist
      *  only for these). */
@@ -215,86 +192,27 @@ class SimStats
                                 static_cast<size_t>(c));
     }
 
-    /** Per-cycle occupancy of the issue buffering (window/FIFOs). */
-    Histogram &buffer_occupancy()
-    {
-        return group_.histogramAt(kOccupancyHist);
-    }
-    const Histogram &buffer_occupancy() const
-    {
-        return group_.histogramAt(kOccupancyHist);
-    }
-    /** Instructions issued per cycle. */
-    Histogram &issue_sizes()
-    {
-        return group_.histogramAt(kIssueSizeHist);
-    }
-    const Histogram &issue_sizes() const
-    {
-        return group_.histogramAt(kIssueSizeHist);
-    }
-
-    double ipc() const { return group_.derivedAt(kIpc); }
-    double mispredictRate() const
-    {
-        return group_.derivedAt(kMispredictRate);
-    }
-    /** Section 5.6.4 metric, in percent of committed instructions. */
-    double interClusterPct() const
-    {
-        return group_.derivedAt(kInterClusterPct);
-    }
-    double dcacheMissRate() const
-    {
-        return group_.derivedAt(kDcacheMissRate);
-    }
-
     /** The backing registry: export, merge, compare, visit. */
     StatGroup &group() { return group_; }
     const StatGroup &group() const { return group_; }
 
   private:
-    /** Storage indices of the scalar counters, in registration
-     *  order; per-cluster issue counters follow at
-     *  kNumScalarCounters + c. */
-    enum ScalarCounter : size_t
+    // Per-kind storage indices, in registration order; per-cluster
+    // issue counters follow the scalars at kNumScalarCounters + c.
+#define CESP_STAT_ID(name, ...) k_##name,
+    enum CounterId : size_t
     {
-        kCycles,
-        kFetched,
-        kDispatched,
-        kIssued,
-        kCommitted,
-        kCondBranches,
-        kMispredicts,
-        kLoads,
-        kStores,
-        kStoreForwards,
-        kDcacheAccesses,
-        kDcacheMisses,
-        kL2Accesses,
-        kL2Misses,
-        kInterclusterBypasses,
-        kSteerNew,
-        kSteerLeft,
-        kSteerRight,
-        kStallBuffer,
-        kStallRegs,
-        kStallRob,
-        kNumScalarCounters,
+        CESP_SIM_COUNTERS(CESP_STAT_ID) kNumScalarCounters
+    };
+    enum HistogramId : size_t
+    {
+        CESP_SIM_HISTOGRAMS(CESP_STAT_ID)
     };
     enum DerivedId : size_t
     {
-        kIpc,
-        kMispredictRate,
-        kInterClusterPct,
-        kDcacheMissRate,
-        kL2MissRate,
+        CESP_SIM_DERIVED(CESP_STAT_ID)
     };
-    enum HistId : size_t
-    {
-        kOccupancyHist,
-        kIssueSizeHist,
-    };
+#undef CESP_STAT_ID
 
     int num_clusters_ = 1;
     StatGroup group_;
@@ -321,10 +239,8 @@ struct StatSnapshot
 };
 
 /**
- * Limits and observation hooks for one Pipeline::run. Replaces the
- * old positional (max_instructions, warmup_instructions) signature
- * so new knobs — like the sampler — compose without argument-order
- * traps.
+ * Limits and observation hooks for one Pipeline::run. Named fields,
+ * so knobs like the sampler compose without argument-order traps.
  */
 struct RunLimits
 {
@@ -381,12 +297,7 @@ class Pipeline
      * been fetched) and the machine drains. Returns the statistics;
      * see RunLimits for the warmup and sampling contracts.
      */
-    SimStats run(const RunLimits &limits);
-    /** Run to completion with default limits. */
-    SimStats run() { return run(RunLimits{}); }
-    [[deprecated("use run(const RunLimits&)")]]
-    SimStats run(uint64_t max_instructions,
-                 uint64_t warmup_instructions = 0);
+    SimStats run(const RunLimits &limits = {});
 
     const SimConfig &config() const { return cfg_; }
 
@@ -515,7 +426,7 @@ class Pipeline
 
     // Warmup measurement boundary (see run()). fetched_total_ counts
     // every fetched instruction across the whole run — the registry's
-    // "fetched" counter rebases at the boundary, but the
+    // fetched() counter rebases at the boundary, but the
     // max_instructions bound must not.
     bool warmup_pending_ = false;
     uint64_t warmup_target_ = 0;
@@ -565,14 +476,9 @@ class Pipeline
     SimStats stats_;
 };
 
-/** Convenience: build, run, and return statistics. */
-SimStats simulate(const SimConfig &cfg, trace::TraceSource &src,
-                  uint64_t max_instructions = UINT64_MAX,
-                  uint64_t warmup_instructions = 0);
-
 /** Convenience: build, run with @p limits, and return statistics. */
 SimStats simulate(const SimConfig &cfg, trace::TraceSource &src,
-                  const RunLimits &limits);
+                  const RunLimits &limits = {});
 
 } // namespace cesp::uarch
 

@@ -116,13 +116,14 @@ TEST(Machine, RunTraceUsesConfigName)
 
 TEST(Machine, TraceCacheReturnsSameBuffer)
 {
-    trace::TraceBuffer &a = cachedWorkloadTrace("go");
-    trace::TraceBuffer &b = cachedWorkloadTrace("go");
-    EXPECT_EQ(&a, &b);
-    EXPECT_GT(a.size(), 0u);
+    trace::TraceView a = cachedWorkloadTraceView("go");
+    trace::TraceView b = cachedWorkloadTraceView("go");
+    EXPECT_EQ(a.records, b.records);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_GT(a.count, 0u);
     clearTraceCache();
-    trace::TraceBuffer &c = cachedWorkloadTrace("go");
-    EXPECT_GT(c.size(), 0u);
+    trace::TraceView c = cachedWorkloadTraceView("go");
+    EXPECT_EQ(c.count, a.count);
 }
 
 TEST(Machine, ReusableAcrossRuns)

@@ -186,13 +186,13 @@ TEST(MachineBound, NeverExceedsFiniteWindowDataflowIpc)
     // on top of the idealized schedule with the same window and
     // width; it must never beat that bound.
     for (const char *wname : {"compress", "m88ksim", "vortex"}) {
-        trace::TraceBuffer &buf = core::cachedWorkloadTrace(wname);
+        trace::TraceView view = core::cachedWorkloadTraceView(wname);
         trace::ScheduleLimits lim;
         lim.window = 64;
         lim.issue_width = 8;
-        double bound = trace::dataflowSchedule(buf, lim).ipc;
+        double bound = trace::dataflowSchedule(view, lim).ipc;
         double machine =
-            core::Machine(core::baseline8Way()).runTrace(buf).ipc();
+            core::Machine(core::baseline8Way()).runWorkload(wname).ipc();
         EXPECT_LE(machine, bound + 1e-9) << wname;
     }
 }

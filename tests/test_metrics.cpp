@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -195,6 +199,43 @@ TEST(StatGroup, FromJsonRejectsGarbage)
     ASSERT_NE(at, std::string::npos);
     doc.replace(at, 19, "\"schema_version\": 99");
     EXPECT_FALSE(StatGroup::fromJson(doc, back, &err));
+}
+
+TEST(StatGroup, DeepNestingIsAParseErrorNotACrash)
+{
+    // Nesting is capped: input deeper than kJsonMaxDepth fails with a
+    // typed error rather than recursing once per bracket.
+    auto nested = [](int depth) {
+        return std::string(static_cast<size_t>(depth), '[') +
+            std::string(static_cast<size_t>(depth), ']');
+    };
+    StatGroup back;
+    std::string err;
+    EXPECT_FALSE(StatGroup::fromJson(nested(kJsonMaxDepth), back, &err));
+    EXPECT_EQ(err.find("nesting too deep"), std::string::npos) << err;
+    err.clear();
+    EXPECT_FALSE(
+        StatGroup::fromJson(nested(kJsonMaxDepth + 1), back, &err));
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+
+    // What `cesp-sim --compare` reads: a file of two million '['.
+    const std::string deep(2000000, '[');
+    err.clear();
+    EXPECT_FALSE(StatGroup::fromJson(deep, back, &err));
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+
+    std::filesystem::path file =
+        std::filesystem::temp_directory_path() /
+        ("cesp-deep-" + std::to_string(getpid()) + ".json");
+    {
+        std::ofstream out(file, std::ios::binary);
+        out << deep;
+    }
+    std::vector<StatGroup> groups;
+    err.clear();
+    EXPECT_FALSE(loadStatGroups(file.string(), groups, &err));
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+    std::filesystem::remove(file);
 }
 
 TEST(StatGroup, ResetZeroesValuesKeepsSchema)

@@ -513,7 +513,9 @@ TEST(Pipeline, MaxInstructionCapRespected)
     TraceBuilder tb;
     for (int i = 0; i < 100; ++i)
         tb.alu(1 + i % 8);
-    SimStats s = simulate(windowCfg(), tb.buf(), 40);
+    RunLimits limits;
+    limits.max_instructions = 40;
+    SimStats s = simulate(windowCfg(), tb.buf(), limits);
     EXPECT_LE(s.committed(), 48u); // cap checked at fetch granularity
     EXPECT_GE(s.committed(), 40u);
 }

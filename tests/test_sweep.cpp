@@ -3,15 +3,18 @@
  * Tests of the parallel sweep runner: results must be identical for
  * any worker count (the simulator is a pure function of its config
  * and trace, and the runner must not introduce shared mutable
- * state). This suite carries the "tsan" ctest label so the
- * ThreadSanitizer preset re-runs it under race detection.
+ * state), and concurrent trace-cache lookups must share one entry.
+ * This suite carries the "tsan" ctest label so the ThreadSanitizer
+ * preset re-runs it under race detection.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "core/sweep.hpp"
 #include "trace/synthetic.hpp"
@@ -55,8 +58,7 @@ sweep(const std::vector<SweepTask> &tasks, unsigned jobs)
     return core::run(tasks, opt).stats;
 }
 
-/** Every config over one shared trace, like the old runSweep
- *  convenience overload. */
+/** Every config over one shared trace. */
 std::vector<SimStats>
 sweep(const std::vector<uarch::SimConfig> &configs,
       const trace::TraceBuffer &buf, unsigned jobs)
@@ -230,43 +232,6 @@ TEST(Sweep, WorkerExceptionRethrownOnCaller)
     }
 }
 
-TEST(Sweep, DeprecatedWrappersDelegateToRun)
-{
-    // The legacy entrypoints survive as thin wrappers over core::run;
-    // they must return exactly what the new API returns. This is the
-    // only remaining in-tree caller, so it opts out of the
-    // deprecation warning explicitly.
-    trace::SyntheticParams sp;
-    sp.seed = 11;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 4000);
-    std::vector<SweepTask> tasks = {{core::baseline8Way(), buf},
-                                    {core::dependence8x8(), buf}};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    std::vector<SimStats> legacy = core::runSweep(tasks, 2);
-    core::ShardedRun sharded =
-        core::runSharded(core::baseline8Way(), buf, 3, 200, 2);
-    std::vector<StatGroup> batch =
-        core::runShardedBatch(tasks, 3, 200, 2);
-#pragma GCC diagnostic pop
-
-    std::vector<SimStats> fresh = sweep(tasks, 2);
-    ASSERT_EQ(legacy.size(), fresh.size());
-    for (size_t i = 0; i < legacy.size(); ++i)
-        EXPECT_EQ(fingerprint(legacy[i]), fingerprint(fresh[i]));
-
-    core::RunOptions opt;
-    opt.jobs = 2;
-    opt.shards = 3;
-    opt.warmup = 200;
-    core::RunResult direct = core::run(tasks, opt);
-    ASSERT_EQ(batch.size(), direct.groups.size());
-    for (size_t i = 0; i < batch.size(); ++i)
-        EXPECT_TRUE(batch[i].sameValues(direct.groups[i]));
-    ASSERT_EQ(sharded.shards.size(), 3u);
-    EXPECT_TRUE(sharded.merged.sameValues(direct.groups[0]));
-}
-
 TEST(Sweep, RecoversAfterWorkerException)
 {
     // The pool must wind down cleanly: a subsequent sweep on the
@@ -284,4 +249,26 @@ TEST(Sweep, RecoversAfterWorkerException)
     ASSERT_EQ(after.size(), configs.size());
     for (const SimStats &s : after)
         EXPECT_EQ(fingerprint(s), fingerprint(after[0]));
+}
+
+TEST(TraceCache, ConcurrentResolveBuildsOneEntry)
+{
+    // Eight threads race to resolve the same cold entry: it must be
+    // built exactly once, so every caller sees the same records.
+    core::clearTraceCache();
+    constexpr int kThreads = 8;
+    std::vector<trace::TraceView> views(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&views, t] {
+            views[static_cast<size_t>(t)] =
+                core::cachedWorkloadTraceView("go");
+        });
+    for (std::thread &t : threads)
+        t.join();
+    ASSERT_GT(views[0].count, 0u);
+    for (const trace::TraceView &v : views) {
+        EXPECT_EQ(v.records, views[0].records);
+        EXPECT_EQ(v.count, views[0].count);
+    }
 }

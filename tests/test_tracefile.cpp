@@ -1,9 +1,10 @@
 /**
  * @file
- * Fault-injection tests of the trace file formats and the zero-copy
+ * Fault-injection tests of the trace file format and the zero-copy
  * mmap reader: every way a file can be wrong — truncated header,
- * truncated payload, foreign magic, flipped payload byte, lying
- * record count, alien record size, impossible opcode — must map to
+ * truncated payload, foreign magic, retired v1 magic, flipped payload
+ * byte, lying record count, alien record size, impossible opcode —
+ * must map to
  * its own TraceIoStatus, and the workload trace cache must recover
  * from each by regenerating. Also proves the mmap view is
  * statistic-exact against TraceBuffer for every machine preset and
@@ -193,20 +194,22 @@ TEST(TraceFileV2, SaveReportsUnwritablePath)
     EXPECT_FALSE(r.detail.empty());
 }
 
-TEST(TraceFileV1, RoundTripAndMmapRefusal)
+TEST(TraceFileV1, BothReadersRefuseLegacyVersion)
 {
-    trace::TraceBuffer buf = sampleTrace(3000, 7);
+    // A hand-written v1 file: the 16-byte header (magic, record
+    // count) and one packed record. v1 is no longer read; both
+    // readers must name it LegacyVersion rather than a foreign file.
+    std::vector<uint8_t> bytes = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1',
+                                  1, 0, 0, 0, 0, 0, 0, 0};
+    bytes.resize(bytes.size() + trace::kTraceRecordBytes, 0);
     const std::string path = scratchFile("legacy.trc");
-    ASSERT_TRUE(trace::saveTraceV1(buf, path).ok());
+    writeAll(path, bytes);
 
-    // The buffered reader accepts v1 transparently...
     trace::TraceBuffer loaded;
     trace::TraceIoResult r = trace::loadTrace(path, loaded);
-    ASSERT_TRUE(r.ok()) << r.detail;
-    EXPECT_TRUE(sameRecords(buf, loaded));
-
-    // ...but the zero-copy reader must refuse with LegacyVersion
-    // (v1 records are packed; there is nothing to map verbatim).
+    EXPECT_EQ(r.status, TraceIoStatus::LegacyVersion);
+    EXPECT_NE(r.detail.find("no longer supported"), std::string::npos)
+        << r.detail;
     trace::MmapTraceSource src;
     EXPECT_EQ(src.open(path).status, TraceIoStatus::LegacyVersion);
 }
@@ -508,19 +511,26 @@ TEST(TraceCacheRecovery, UpgradesV1FileInPlace)
     ASSERT_FALSE(file.empty());
 
     // Rewrite the cache file in the legacy format, as a harness from
-    // before the v2 migration would have left it.
-    trace::TraceBuffer legacy;
-    legacy.assign(golden);
+    // before the v2 migration would have left it: the 16-byte v1
+    // header (magic, record count) and the packed records.
+    std::vector<uint8_t> legacy = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1'};
+    const uint64_t count = golden.size();
+    for (int i = 0; i < 8; ++i)
+        legacy.push_back(static_cast<uint8_t>(count >> (8 * i)));
+    legacy.resize(legacy.size() + count * trace::kTraceRecordBytes, 0);
     core::clearTraceCache();
-    ASSERT_TRUE(trace::saveTraceV1(legacy, file.string()).ok());
+    writeAll(file.string(), legacy);
 
-    // The next request decodes v1 once and republishes v2 — no
-    // re-emulation, and the file is mappable again afterwards.
+    // v1 is no longer decoded: the next request refuses the file,
+    // regenerates the trace and republishes it as v2 at the same
+    // path, so the file is mappable again afterwards.
     trace::TraceView upgraded = core::cachedWorkloadTraceView(w);
     ASSERT_EQ(upgraded.count, golden.size());
     EXPECT_EQ(std::memcmp(upgraded.records, golden.data(),
                           golden.size() * sizeof(trace::TraceOp)),
               0);
     trace::MmapTraceSource check;
-    EXPECT_TRUE(check.open(file.string()).ok());
+    trace::TraceIoResult r = check.open(file.string());
+    EXPECT_TRUE(r.ok()) << r.detail;
+    EXPECT_EQ(check.size(), golden.size());
 }

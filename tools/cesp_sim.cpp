@@ -537,10 +537,9 @@ main(int argc, char **argv)
         // Configuration sweep (the Fig. 13 comparison writ large):
         // every preset — with any command-line overrides applied —
         // over every built-in workload, or over one synthetic trace
-        // when --synthetic N is given. Workload traces resolve on
-        // the main thread (the cache is not thread-safe); the
-        // simulations fan out over the worker pool. The table is
-        // identical for every --jobs value.
+        // when --synthetic N is given. The simulations fan out over
+        // the worker pool; the table is identical for every --jobs
+        // value.
         std::vector<uarch::SimConfig> machines;
         for (const auto &p : kPresets) {
             uarch::SimConfig c = p.make();

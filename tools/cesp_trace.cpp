@@ -3,14 +3,13 @@
  * cesp-trace: inspect dynamic traces. Capture a workload or assembly
  * file to a binary .trc file (format v2), analyze an existing one —
  * mix, dependence statistics, dataflow ILP limits, and an optional
- * disassembled listing — or check and migrate trace files:
+ * disassembled listing — or check a trace file's integrity:
  *
  *   cesp-trace --capture compress --out compress.trc
  *   cesp-trace --analyze compress.trc
  *   cesp-trace --capture-asm kernel.s --out k.trc --list 20
  *   cesp-trace --analyze k.trc --window 64 --issue 8
  *   cesp-trace verify compress.trc     # header/CRC integrity check
- *   cesp-trace convert old.trc new.trc # rewrite (v1 or v2) as v2
  */
 
 #include <cstdio>
@@ -39,7 +38,6 @@ usage()
     std::puts(
         "usage: cesp-trace [options]\n"
         "       cesp-trace verify FILE\n"
-        "       cesp-trace convert IN OUT\n"
         "  --capture NAME      capture a built-in workload's trace\n"
         "  --capture-asm FILE  assemble and capture FILE's trace\n"
         "  --out FILE          where to write the .trc (default\n"
@@ -53,9 +51,8 @@ usage()
         "  --csv PATH          write the analysis as CSV ('-' = "
         "stdout)\n"
         "subcommands:\n"
-        "  verify FILE         check header, record count, and (v2)\n"
-        "                      payload CRC; exit 0 iff intact\n"
-        "  convert IN OUT      rewrite a v1 or v2 trace as v2");
+        "  verify FILE         check header, record count, and\n"
+        "                      payload CRC; exit 0 iff intact");
     std::exit(2);
 }
 
@@ -88,44 +85,10 @@ verifyCommand(const std::string &path)
                         src.size() * trace::kTraceRecordBytes);
         return 0;
     }
-    if (r.status == trace::TraceIoStatus::LegacyVersion) {
-        trace::TraceBuffer buf;
-        trace::TraceIoResult v1 = trace::loadTrace(path, buf);
-        if (v1.ok()) {
-            std::printf("%s: v1 OK, %zu records (no checksum; "
-                        "`cesp-trace convert` upgrades to v2)\n",
-                        path.c_str(), buf.size());
-            return 0;
-        }
-        std::fprintf(stderr, "%s: CORRUPT: %s (%s)\n", path.c_str(),
-                     trace::traceIoStatusName(v1.status),
-                     v1.detail.c_str());
-        return 1;
-    }
     std::fprintf(stderr, "%s: CORRUPT: %s (%s)\n", path.c_str(),
                  trace::traceIoStatusName(r.status),
                  r.detail.c_str());
     return 1;
-}
-
-/** `cesp-trace convert IN OUT`: rewrite any readable trace as v2. */
-int
-convertCommand(const std::string &in, const std::string &out)
-{
-    trace::TraceBuffer buf;
-    trace::TraceIoResult loaded = trace::loadTrace(in, buf);
-    if (!loaded.ok())
-        fatal("cannot read '%s': %s (%s)", in.c_str(),
-              trace::traceIoStatusName(loaded.status),
-              loaded.detail.c_str());
-    trace::TraceIoResult saved = trace::saveTrace(buf, out);
-    if (!saved.ok())
-        fatal("cannot write '%s': %s (%s)", out.c_str(),
-              trace::traceIoStatusName(saved.status),
-              saved.detail.c_str());
-    std::printf("wrote %zu records to %s (v2)\n", buf.size(),
-                out.c_str());
-    return 0;
 }
 
 /**
@@ -261,11 +224,6 @@ main(int argc, char **argv)
         if (argc != 3)
             usage();
         return verifyCommand(argv[2]);
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "convert") == 0) {
-        if (argc != 4)
-            usage();
-        return convertCommand(argv[2], argv[3]);
     }
 
     for (int i = 1; i < argc; ++i) {
