@@ -8,16 +8,15 @@
  * The 17-machine x 7-workload matrix runs on the parallel sweep
  * engine; pass --jobs N to set the worker count (default: all
  * hardware threads). Results are identical for any thread count.
+ *
+ *   clustered_tradeoff [--jobs N]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/logging.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
-#include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "core/sweep.hpp"
 #include "workloads/workloads.hpp"
@@ -28,23 +27,21 @@ using namespace cesp::core;
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 0; // 0 = defaultJobs()
-    for (int i = 1; i < argc; ++i)
-        if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-        {
-            auto v = parseInt(argv[++i], 0, 65536);
-            if (!v)
-                fatal("invalid value '%s' for --jobs", argv[i]);
-            jobs = static_cast<unsigned>(*v);
+    RunOptions opt; // jobs 0 = defaultJobs()
+    for (int i = 1; i < argc; ++i) {
+        auto jobs = std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc
+            ? parseInt(argv[++i], 0, 65536)
+            : std::nullopt;
+        if (!jobs) {
+            std::fprintf(stderr,
+                         "usage: clustered_tradeoff [--jobs N]\n");
+            return 2;
         }
+        opt.jobs = static_cast<unsigned>(*jobs);
+    }
 
-    // Resolve the workload traces, then build the full machine list:
-    // the ideal 1-cluster reference plus every organization at every
-    // bypass latency.
-    std::vector<trace::TraceView> traces;
-    for (const auto &w : workloads::allWorkloads())
-        traces.push_back(cachedWorkloadTraceView(w.name));
-
+    // The full machine list: the ideal 1-cluster reference plus every
+    // organization at every bypass latency.
     std::vector<uarch::SimConfig> machines = {baseline8Way()};
     for (auto maker : {clusteredDependence2x4, clusteredWindows2x4,
                        clusteredExecDriven2x4, clusteredRandom2x4}) {
@@ -54,26 +51,10 @@ main(int argc, char **argv)
             machines.push_back(cfg);
         }
     }
+    Grid grid = runGrid(machines, workloads::workloadNames(), opt);
 
-    std::vector<SweepTask> tasks;
-    for (const uarch::SimConfig &cfg : machines)
-        for (const trace::TraceView &t : traces)
-            tasks.push_back({cfg, t});
-    RunOptions opt;
-    opt.jobs = jobs;
-    std::vector<uarch::SimStats> stats =
-        std::move(run(tasks, opt).stats);
-
-    // Instruction-weighted mean IPC of machine m over all workloads:
-    // merge the per-run registries and read the recomputed derived
-    // metric (total committed over total cycles).
-    auto meanIpc = [&](size_t m) {
-        auto first = stats.begin() +
-            static_cast<ptrdiff_t>(m * traces.size());
-        std::vector<uarch::SimStats> runs(
-            first, first + static_cast<ptrdiff_t>(traces.size()));
-        return mergedStats(runs).value("ipc");
-    };
+    // Instruction-weighted mean IPC of machine m over all workloads.
+    auto meanIpc = [&](size_t m) { return grid.merged(m).value("ipc"); };
 
     std::printf("ideal 1-cluster 8-way IPC: %.3f\n\n", meanIpc(0));
 

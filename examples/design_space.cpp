@@ -9,16 +9,15 @@
  * The (machine x workload) simulation matrix runs on the parallel
  * sweep engine; pass --jobs N to set the worker count (default: all
  * hardware threads). Results are identical for any thread count.
+ *
+ *   design_space [--jobs N]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
-#include "common/logging.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
-#include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "core/sweep.hpp"
 #include "vlsi/clock.hpp"
@@ -30,48 +29,27 @@ using namespace cesp::vlsi;
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = 0; // 0 = defaultJobs()
-    for (int i = 1; i < argc; ++i)
-        if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-        {
-            auto v = cesp::parseInt(argv[++i], 0, 65536);
-            if (!v)
-                cesp::fatal("invalid value '%s' for --jobs", argv[i]);
-            jobs = static_cast<unsigned>(*v);
+    core::RunOptions opt; // jobs 0 = defaultJobs()
+    for (int i = 1; i < argc; ++i) {
+        auto jobs = std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc
+            ? parseInt(argv[++i], 0, 65536)
+            : std::nullopt;
+        if (!jobs) {
+            std::fprintf(stderr, "usage: design_space [--jobs N]\n");
+            return 2;
         }
+        opt.jobs = static_cast<unsigned>(*jobs);
+    }
 
     ClockEstimator est(Process::um0_18);
 
-    // The sweep engine wants resolved trace views (mmap-backed when
-    // the disk cache has a valid v2 file — one page-cache copy per
-    // workload).
-    std::vector<trace::TraceView> traces;
-    for (const auto &w : workloads::allWorkloads())
-        traces.push_back(core::cachedWorkloadTraceView(w.name));
-
-    struct Variant
-    {
-        int iw;
-        bool fifo;
-        uarch::SimConfig cfg;
-    };
-    std::vector<Variant> variants;
-    for (int iw : {2, 4, 8})
-        for (bool fifo : {false, true})
-            variants.push_back({iw, fifo,
-                                fifo ? core::scaledDependence(iw)
-                                     : core::scaledBaseline(iw)});
-
-    // One task per (machine, workload) pair, grouped by machine so
-    // results[v * traces.size() + w] is variant v on workload w.
-    std::vector<core::SweepTask> tasks;
-    for (const Variant &v : variants)
-        for (const trace::TraceView &t : traces)
-            tasks.push_back({v.cfg, t});
-    core::RunOptions opt;
-    opt.jobs = jobs;
-    std::vector<uarch::SimStats> stats =
-        std::move(core::run(tasks, opt).stats);
+    std::vector<uarch::SimConfig> configs;
+    for (int iw : {2, 4, 8}) {
+        configs.push_back(core::scaledBaseline(iw));
+        configs.push_back(core::scaledDependence(iw));
+    }
+    core::Grid grid =
+        core::runGrid(configs, workloads::workloadNames(), opt);
 
     Table t("Complexity-effectiveness across issue widths (0.18um)");
     t.header({"machine", "IPC", "clock ps", "clock MHz", "BIPS",
@@ -79,31 +57,26 @@ main(int argc, char **argv)
 
     double best_bips = 0.0;
     std::string best;
-    for (size_t v = 0; v < variants.size(); ++v) {
+    for (size_t v = 0; v < configs.size(); ++v) {
         // Cycles-weighted mean IPC over all workloads.
-        uint64_t instrs = 0, cycles = 0;
-        for (size_t w = 0; w < traces.size(); ++w) {
-            const uarch::SimStats &s = stats[v * traces.size() + w];
-            instrs += s.committed();
-            cycles += s.cycles();
-        }
-        double ipc = static_cast<double>(instrs) /
-            static_cast<double>(cycles);
+        double ipc = grid.merged(v).value("ipc");
 
+        int iw = configs[v].issue_width;
         ClockConfig cc;
-        cc.org = variants[v].fifo ? IssueOrganization::DependenceFifos
-                                  : IssueOrganization::CentralWindow;
-        cc.issue_width = variants[v].iw;
-        cc.window_size = 8 * variants[v].iw;
-        cc.fifos_per_cluster = variants[v].iw;
+        cc.org = configs[v].style == uarch::IssueBufferStyle::Fifos
+            ? IssueOrganization::DependenceFifos
+            : IssueOrganization::CentralWindow;
+        cc.issue_width = iw;
+        cc.window_size = 8 * iw;
+        cc.fifos_per_cluster = iw;
         StageDelays d = est.delays(cc);
 
         double bips = ipc * d.clockMhz() / 1000.0;
         if (bips > best_bips) {
             best_bips = bips;
-            best = variants[v].cfg.name;
+            best = configs[v].name;
         }
-        t.row({variants[v].cfg.name, cell(ipc, 3),
+        t.row({configs[v].name, cell(ipc, 3),
                cell(d.criticalPs()), cell(d.clockMhz(), 0),
                cell(bips, 2), d.criticalStage()});
     }

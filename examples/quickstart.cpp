@@ -10,10 +10,10 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "func/emulator.hpp"
 #include "trace/trace.hpp"
+#include "uarch/pipeline.hpp"
 
 using namespace cesp;
 
@@ -62,11 +62,8 @@ main()
                 (unsigned long long)r.instructions, r.halted);
 
     // 2. Timing simulation on two machine organizations.
-    core::Machine window(core::baseline8Way());
-    core::Machine fifos(core::dependence8x8());
-
-    uarch::SimStats sw = window.runTrace(buf);
-    uarch::SimStats sf = fifos.runTrace(buf);
+    uarch::SimStats sw = uarch::simulate(core::baseline8Way(), buf);
+    uarch::SimStats sf = uarch::simulate(core::dependence8x8(), buf);
 
     // 3. Every run's statistics live in a self-describing registry;
     // statTable renders it, group().toJson()/toCsv() export it.

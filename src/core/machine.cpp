@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the machine facade.
+ * Implementation of the workload trace cache.
  */
 
 #include "core/machine.hpp"
@@ -14,41 +14,11 @@
 #include <mutex>
 
 #include "common/logging.hpp"
-#include "func/emulator.hpp"
 #include "trace/mmap_source.hpp"
 #include "trace/tracefile.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cesp::core {
-
-Machine::Machine(uarch::SimConfig cfg) : cfg_(std::move(cfg))
-{
-    cfg_.validate();
-}
-
-uarch::SimStats
-Machine::runWorkload(const std::string &name) const
-{
-    // A cursor over the cached view works for both backings and
-    // leaves the shared storage's position untouched.
-    trace::TraceCursor cursor(cachedWorkloadTraceView(name));
-    return runTrace(cursor);
-}
-
-uarch::SimStats
-Machine::runProgram(const std::string &source,
-                    uint64_t max_instructions) const
-{
-    trace::TraceBuffer buf;
-    func::runProgram(source, max_instructions, &buf);
-    return runTrace(buf);
-}
-
-uarch::SimStats
-Machine::runTrace(trace::TraceSource &src) const
-{
-    return uarch::simulate(cfg_, src);
-}
 
 namespace {
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * The top-level facade: configure a machine, point it at a workload
- * (named benchmark, assembly source, or prebuilt trace), and get
- * statistics back. This is the API the examples and benches use.
+ * The workload trace cache: every harness that simulates the named
+ * benchmark workloads resolves their traces here (core::runGrid does
+ * it for whole configurations x workloads experiments), then hands
+ * them to core::run or uarch::simulate.
  */
 
 #ifndef CESP_CORE_MACHINE_HPP
@@ -11,39 +12,8 @@
 #include <string>
 
 #include "trace/trace.hpp"
-#include "uarch/config.hpp"
-#include "uarch/pipeline.hpp"
 
 namespace cesp::core {
-
-/**
- * A configured machine. Each run constructs a fresh Pipeline, so a
- * Machine can be reused across workloads.
- */
-class Machine
-{
-  public:
-    explicit Machine(uarch::SimConfig cfg);
-
-    /** Simulate one of the registered benchmark workloads. */
-    uarch::SimStats runWorkload(const std::string &name) const;
-
-    /**
-     * Assemble and functionally execute @p source, then simulate the
-     * resulting trace.
-     */
-    uarch::SimStats runProgram(const std::string &source,
-                               uint64_t max_instructions = 10000000)
-        const;
-
-    /** Simulate a caller-provided trace. */
-    uarch::SimStats runTrace(trace::TraceSource &src) const;
-
-    const uarch::SimConfig &config() const { return cfg_; }
-
-  private:
-    uarch::SimConfig cfg_;
-};
 
 /**
  * Process-wide cache of workload traces: generating a trace runs the

@@ -8,10 +8,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "core/machine.hpp"
-#include "core/presets.hpp"
 #include "vlsi/clock.hpp"
-#include "workloads/workloads.hpp"
 
 namespace cesp::core {
 
@@ -47,8 +44,14 @@ SpeedupStudy::toGroup() const
 }
 
 SpeedupStudy
-runSpeedupStudy(vlsi::Process tech)
+speedupStudy(vlsi::Process tech, const Grid &grid)
 {
+    using uarch::IssueBufferStyle;
+    if (grid.configs.size() != 2 ||
+        grid.configs[0].style != IssueBufferStyle::CentralWindow ||
+        grid.configs[1].style != IssueBufferStyle::Fifos)
+        panic("speedupStudy: the grid must be {window machine, "
+              "dependence-based machine}");
     SpeedupStudy study;
     study.tech = tech;
 
@@ -57,16 +60,13 @@ runSpeedupStudy(vlsi::Process tech)
     // machine with half the width and half the window.
     study.clock_ratio = clock.dependenceClockRatio(8, 64);
 
-    Machine window(baseline8Way());
-    Machine dep(clusteredDependence2x4());
-
     double speedup_sum = 0.0;
     double ratio_sum = 0.0;
-    for (const auto &w : workloads::allWorkloads()) {
+    for (size_t w = 0; w < grid.workloads.size(); ++w) {
         SpeedupEntry e;
-        e.workload = w.name;
-        e.ipc_window = window.runWorkload(w.name).ipc();
-        e.ipc_dep = dep.runWorkload(w.name).ipc();
+        e.workload = grid.workloads[w];
+        e.ipc_window = grid.at(0, w).ipc();
+        e.ipc_dep = grid.at(1, w).ipc();
         e.clock_ratio = study.clock_ratio;
         e.speedup = e.ipcRatio() * e.clock_ratio;
         speedup_sum += e.speedup;

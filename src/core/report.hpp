@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sweep.hpp"
 #include "uarch/pipeline.hpp"
 #include "vlsi/technology.hpp"
 
@@ -53,11 +54,13 @@ struct SpeedupStudy
 };
 
 /**
- * Run the Section 5.5 study: simulate every registered workload on
- * the window-based and clustered dependence-based machines, compute
- * the clock ratio for @p tech from the delay models, and combine.
+ * Combine the Section 5.5 study from @p grid, whose configuration 0
+ * is the window-based machine and configuration 1 the clustered
+ * dependence-based one (panics on any other grid shape), with the
+ * clock ratio for @p tech from the delay models: one entry per
+ * workload of the grid.
  */
-SpeedupStudy runSpeedupStudy(vlsi::Process tech);
+SpeedupStudy speedupStudy(vlsi::Process tech, const Grid &grid);
 
 // ---------------------------------------------------------------------
 // Cross-run comparison (the cesp-sim --compare CI perf gate)

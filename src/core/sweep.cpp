@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "common/logging.hpp"
+#include "core/machine.hpp"
 
 namespace cesp::core {
 
@@ -190,6 +191,29 @@ defaultJobs()
 {
     unsigned n = std::thread::hardware_concurrency();
     return n ? n : 1;
+}
+
+StatGroup
+Grid::merged(size_t config) const
+{
+    auto first = stats.begin() +
+        static_cast<ptrdiff_t>(config * workloads.size());
+    return mergedStats(
+        {first, first + static_cast<ptrdiff_t>(workloads.size())});
+}
+
+Grid
+runGrid(std::vector<uarch::SimConfig> configs,
+        std::vector<std::string> workloads, const RunOptions &options)
+{
+    Grid g{std::move(configs), std::move(workloads), {}};
+    std::vector<SweepTask> tasks;
+    tasks.reserve(g.configs.size() * g.workloads.size());
+    for (const uarch::SimConfig &cfg : g.configs)
+        for (const std::string &w : g.workloads)
+            tasks.push_back({cfg, cachedWorkloadTraceView(w)});
+    g.stats = std::move(run(tasks, options).stats);
+    return g;
 }
 
 RunResult

@@ -4,8 +4,11 @@
  * across a pool of worker threads, optionally sharding each trace
  * into warmed-up windows. Design-space exploration is embarrassingly
  * parallel — every (configuration, trace) pair is an independent
- * simulation — so the harnesses (design_space, clustered_tradeoff,
- * cesp-sim sweeps) hand their task lists to core::run.
+ * simulation — so every harness hands its task list to core::run:
+ * cesp-sim's sweeps build theirs by hand, and the paper figures and
+ * ablations (bench/experiments), the design_space and
+ * clustered_tradeoff examples and the Section 5.5 study describe
+ * theirs as a configurations x workloads Grid (runGrid).
  *
  * Determinism: results are indexed by task position and each
  * simulation is a pure function of its (config, trace) pair, so the
@@ -20,6 +23,7 @@
 #define CESP_CORE_SWEEP_HPP
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -148,6 +152,39 @@ struct RunResult
  */
 RunResult run(const std::vector<SweepTask> &tasks,
               const RunOptions &options = {});
+
+/**
+ * The results of a configurations x workloads experiment — the shape
+ * of every paper figure and ablation. Runs are stored config-major.
+ */
+struct Grid
+{
+    std::vector<uarch::SimConfig> configs;
+    std::vector<std::string> workloads;
+    /** Every run in task order: configs[c] on workloads[w] is
+     *  stats[c * workloads.size() + w]. */
+    std::vector<uarch::SimStats> stats;
+
+    const uarch::SimStats &
+    at(size_t config, size_t workload) const
+    {
+        return stats[config * workloads.size() + workload];
+    }
+
+    /** mergedStats of configs[config]'s runs over every workload; its
+     *  derived "ipc" is the instruction-weighted mean IPC (total
+     *  committed over total cycles). */
+    StatGroup merged(size_t config) const;
+};
+
+/**
+ * Simulate every configuration on every named workload (traces from
+ * cachedWorkloadTraceView) as one core::run, one task per pair in
+ * config-major order.
+ */
+Grid runGrid(std::vector<uarch::SimConfig> configs,
+             std::vector<std::string> workloads,
+             const RunOptions &options = {});
 
 /**
  * Merge per-run statistics into one aggregate StatGroup: counters

@@ -12,7 +12,7 @@
  *    slot and priority is by slot position, so after issues create
  *    holes, priority is no longer strictly age order. The paper
  *    conjectures such a "restricted form of compacting" performs the
- *    same; bench/abl_window_compaction checks it.
+ *    same; `experiments abl_window_compaction` checks it.
  */
 
 #ifndef CESP_UARCH_WINDOW_HPP

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the core API layer: presets, the Machine facade, the
- * trace cache, and the speedup-study report.
+ * Tests for the core API layer: presets, simulating a program or a
+ * trace on a preset, the trace cache, and the speedup-study report.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,9 @@
 #include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "core/report.hpp"
+#include "func/emulator.hpp"
 #include "trace/synthetic.hpp"
+#include "workloads/workloads.hpp"
 
 using namespace cesp;
 using namespace cesp::core;
@@ -93,10 +95,24 @@ TEST(Presets, ScaledKeepsProportions)
     EXPECT_EQ(d.style, uarch::IssueBufferStyle::Fifos);
 }
 
+namespace {
+
+/** Assemble and functionally run @p source, then simulate the trace
+ *  on @p cfg. */
+uarch::SimStats
+simulateProgram(const uarch::SimConfig &cfg, const std::string &source)
+{
+    trace::TraceBuffer buf;
+    func::runProgram(source, 10000000, &buf);
+    return uarch::simulate(cfg, buf);
+}
+
+} // namespace
+
 TEST(Machine, RunProgramProducesStats)
 {
-    Machine m(baseline8Way());
-    auto s = m.runProgram("main: li t0, 1\n li t1, 2\n halt\n");
+    auto s = simulateProgram(baseline8Way(),
+                             "main: li t0, 1\n li t1, 2\n halt\n");
     EXPECT_EQ(s.committed(), 3u);
     EXPECT_GT(s.cycles(), 0u);
 }
@@ -109,8 +125,7 @@ TEST(Machine, RunTraceUsesConfigName)
     t.cls = isa::OpClass::IntAlu;
     t.dst = 1;
     buf.append(t);
-    Machine m(dependence8x8());
-    auto s = m.runTrace(buf);
+    auto s = uarch::simulate(dependence8x8(), buf);
     EXPECT_EQ(s.config_name(), "1-cluster.fifos.dispatch_steer");
 }
 
@@ -128,17 +143,37 @@ TEST(Machine, TraceCacheReturnsSameBuffer)
 
 TEST(Machine, ReusableAcrossRuns)
 {
-    Machine m(baseline8Way());
-    auto s1 = m.runProgram("main: li t0, 1\n halt\n");
-    auto s2 = m.runProgram("main: li t0, 1\n halt\n");
-    EXPECT_EQ(s1.cycles(), s2.cycles());
+    // A simulation is a pure function of (config, trace): two runs of
+    // one config agree on every registered metric.
+    const char *loop = "main: li t0, 0\n li t1, 100\n"
+                       "loop: addi t0, t0, 1\n blt t0, t1, loop\n"
+                       " halt\n";
+    auto s1 = simulateProgram(baseline8Way(), loop);
+    auto s2 = simulateProgram(baseline8Way(), loop);
+    EXPECT_GT(s1.committed(), 200u);
+    EXPECT_TRUE(s1.group().sameValues(s2.group()));
 }
+
+namespace {
+
+/** The Section 5.5 grid: the window machine, then the clustered
+ *  dependence-based machine, over every workload. */
+const Grid &
+speedupGrid()
+{
+    static const Grid g =
+        runGrid({baseline8Way(), clusteredDependence2x4()},
+                workloads::workloadNames());
+    return g;
+}
+
+} // namespace
 
 TEST(Report, SpeedupStudyShape)
 {
     // Shallow check here (full numeric assertions live in the
     // integration suite): structure and clock ratio.
-    SpeedupStudy s = runSpeedupStudy(vlsi::Process::um0_18);
+    SpeedupStudy s = speedupStudy(vlsi::Process::um0_18, speedupGrid());
     EXPECT_EQ(s.tech, vlsi::Process::um0_18);
     EXPECT_NEAR(s.clock_ratio, 1.2526, 0.001);
     ASSERT_EQ(s.entries.size(), 7u);
@@ -150,10 +185,23 @@ TEST(Report, SpeedupStudyShape)
     EXPECT_GT(s.mean_speedup, 0.9);
 }
 
+TEST(Report, SpeedupStudyRejectsMisorderedGrid)
+{
+    Grid reversed;
+    reversed.configs = {clusteredDependence2x4(), baseline8Way()};
+    EXPECT_DEATH(speedupStudy(vlsi::Process::um0_18, reversed),
+                 "window machine");
+    Grid extra;
+    extra.configs = {baseline8Way(), clusteredDependence2x4(),
+                     dependence8x8()};
+    EXPECT_DEATH(speedupStudy(vlsi::Process::um0_18, extra),
+                 "window machine");
+}
+
 TEST(Report, ClockRatioVariesByTechnology)
 {
-    SpeedupStudy s8 = runSpeedupStudy(vlsi::Process::um0_8);
-    SpeedupStudy s18 = runSpeedupStudy(vlsi::Process::um0_18);
+    SpeedupStudy s8 = speedupStudy(vlsi::Process::um0_8, speedupGrid());
+    SpeedupStudy s18 = speedupStudy(vlsi::Process::um0_18, speedupGrid());
     EXPECT_GT(s8.clock_ratio, 1.0);
     EXPECT_GT(s18.clock_ratio, 1.0);
 }

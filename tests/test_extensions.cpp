@@ -321,7 +321,7 @@ TEST(WidePresets, SixteenWideMachinesValidateAndRun)
     EXPECT_GT(sd.ipc(), 3.0);
     // Extra width never hurts IPC (and, per the paper's message,
     // barely helps: the win at 16 wide must come from the clock --
-    // see bench/abl_cluster_scaling).
+    // see `experiments abl_cluster_scaling`).
     uarch::SimConfig win8 = core::baseline8Way();
     win8.bpred.perfect = true;
     EXPECT_GE(sw.ipc() + 1e-9, simulate(win8, buf).ipc());

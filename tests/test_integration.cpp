@@ -9,11 +9,10 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
-#include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "core/report.hpp"
+#include "core/sweep.hpp"
+#include "func/emulator.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cesp;
@@ -35,7 +34,12 @@ class IntegrationData
     const uarch::SimStats &
     stats(const std::string &config, const std::string &workload) const
     {
-        return stats_.at(config).at(workload);
+        size_t c = 0, w = 0;
+        while (grid_.configs.at(c).name != config)
+            ++c;
+        while (grid_.workloads.at(w) != workload)
+            ++w;
+        return grid_.at(c, w);
     }
 
     double
@@ -63,15 +67,10 @@ class IntegrationData
     {
         std::vector<uarch::SimConfig> configs = figure17Configs();
         configs.push_back(dependence8x8());
-        for (const auto &cfg : configs) {
-            Machine m(cfg);
-            for (const auto &w : workloads::workloadNames())
-                stats_[cfg.name][w] = m.runWorkload(w);
-        }
+        grid_ = runGrid(configs, workloads::workloadNames());
     }
 
-    std::map<std::string, std::map<std::string, uarch::SimStats>>
-        stats_;
+    Grid grid_;
 };
 
 } // namespace
@@ -200,7 +199,10 @@ TEST(Integration, ClusteredVariantsDoNotBeatIdeal)
 
 TEST(Integration, Section55SpeedupStudy)
 {
-    SpeedupStudy s = runSpeedupStudy(vlsi::Process::um0_18);
+    SpeedupStudy s = speedupStudy(
+        vlsi::Process::um0_18,
+        runGrid({baseline8Way(), clusteredDependence2x4()},
+                workloads::workloadNames()));
     EXPECT_NEAR(s.clock_ratio, 1.2526, 0.001);
     ASSERT_EQ(s.entries.size(), 7u);
     // Paper: 10-22% speedup per benchmark, 16% average. Our IPC
@@ -236,14 +238,15 @@ TEST(Integration, CacheBehaviourIsSane)
 
 TEST(Integration, MachineRunProgramEndToEnd)
 {
-    Machine m(baseline8Way());
-    auto s = m.runProgram(R"(
+    trace::TraceBuffer buf;
+    func::runProgram(R"(
 main:   li  t0, 0
         li  t1, 100
 loop:   addi t0, t0, 1
         blt t0, t1, loop
         halt
-)");
+)", 10000000, &buf);
+    auto s = uarch::simulate(baseline8Way(), buf);
     EXPECT_GT(s.committed(), 200u);
     EXPECT_GT(s.ipc(), 0.5);
 }

@@ -12,6 +12,7 @@
 
 #include "core/machine.hpp"
 #include "core/presets.hpp"
+#include "core/sweep.hpp"
 #include "common/rng.hpp"
 #include "mem/cache.hpp"
 #include "trace/analysis.hpp"
@@ -192,7 +193,7 @@ TEST(MachineBound, NeverExceedsFiniteWindowDataflowIpc)
         lim.issue_width = 8;
         double bound = trace::dataflowSchedule(view, lim).ipc;
         double machine =
-            core::Machine(core::baseline8Way()).runWorkload(wname).ipc();
+            core::runGrid({core::baseline8Way()}, {wname}).at(0, 0).ipc();
         EXPECT_LE(machine, bound + 1e-9) << wname;
     }
 }
