@@ -1,7 +1,7 @@
 #!/bin/sh
-# CLI contract of the experiments runner: usage errors exit 2, and an
+# CLI contract of the experiments runner: usage errors exit 2, an
 # experiment's `--json -` export is the JSON document alone, which
-# loads back through cesp-sim --compare.
+# loads back through cesp-sim --compare, and Figure 12's chains hold.
 #
 #   experiments_cli_test.sh EXPERIMENTS CESP_SIM
 exp=$1
@@ -16,11 +16,33 @@ expect_usage() {
     fi
 }
 
+# Through stdout, so any human output ahead of the document breaks
+# the --compare load.
+expect_export() {
+    "$exp" "$1" --json - >exp.json || exit 1
+    if ! "$sim" --compare exp.json exp.json >/dev/null; then
+        echo "experiments $1 --json -: export does not load back" >&2
+        exit 1
+    fi
+}
+
 expect_usage no_such_experiment
 expect_usage abl_window_compaction --json
 expect_usage fig13_dependence_ipc abl_window_compaction --json exp.json
 
-# Through stdout, so any human output ahead of the document breaks
-# the --compare load.
-"$exp" abl_window_compaction --json - >exp.json || exit 1
-"$sim" --compare exp.json exp.json
+expect_export abl_window_compaction
+
+# The specs without a simulation grid take milliseconds each.
+for name in fig3_rename_delay fig5_wakeup_window fig6_wakeup_feature \
+            fig8_selection_delay fig12_steering_example \
+            tab1_bypass_delay tab2_overall_delay tab4_reservation_table \
+            abl_rename_cam abl_regfile_cache abl_transistors \
+            complexity_report; do
+    expect_export "$name"
+done
+
+"$exp" fig12_steering_example >fig12.txt || exit 1
+if grep MISMATCH fig12.txt >&2; then
+    echo "experiments fig12_steering_example: a chain split" >&2
+    exit 1
+fi

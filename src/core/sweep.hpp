@@ -5,10 +5,10 @@
  * into warmed-up windows. Design-space exploration is embarrassingly
  * parallel — every (configuration, trace) pair is an independent
  * simulation — so every harness hands its task list to core::run:
- * cesp-sim's sweeps build theirs by hand, and the paper figures and
- * ablations (bench/experiments), the design_space and
- * clustered_tradeoff examples and the Section 5.5 study describe
- * theirs as a configurations x workloads Grid (runGrid).
+ * cesp-sim's sweeps build theirs by hand, and the paper figures,
+ * ablations and studies (bench/experiments) and the Section 5.5
+ * study describe theirs as a configurations x workloads Grid
+ * (runGrid).
  *
  * Determinism: results are indexed by task position and each
  * simulation is a pure function of its (config, trace) pair, so the

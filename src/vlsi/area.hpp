@@ -17,7 +17,7 @@
  *
  * The punchline matches the delay view: the dependence-based window
  * logic is nearly an order of magnitude smaller than the CAM window
- * it replaces (bench/abl_transistors).
+ * it replaces (experiments abl_transistors).
  */
 
 #ifndef CESP_VLSI_AREA_HPP

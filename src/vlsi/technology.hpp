@@ -68,8 +68,10 @@ const Technology &technology(Process p);
 
 /**
  * Build a Technology for an arbitrary feature size (microns) by
- * scaling the calibrated 0.18 um process. Used by the design-space
- * exploration example to extrapolate below 0.18 um.
+ * scaling the calibrated 0.18 um process. The delay models and the
+ * ClockEstimator take a calibrated Process, so nothing in the
+ * library or the experiments reads a scaled Technology; it is kept
+ * as a tested model of the constant-wire-delay scaling rule.
  */
 Technology makeScaledTechnology(double feature_um);
 
