@@ -608,8 +608,9 @@ class Assembler
         if (m == "beqz" || m == "bnez") {
             Statement copy = st;
             copy.mnemonic = m == "beqz" ? "beq" : "bne";
-            copy.operands = {st.operands.at(0), "zero",
-                             st.operands.at(1)};
+            if (st.operands.size() < 2)
+                err(st.line, m + " needs 2 operands");
+            copy.operands = {st.operands[0], "zero", st.operands[1]};
             process(copy);
             return true;
         }

@@ -70,7 +70,7 @@ struct RunOptions
      *    total (summed) shard cycles — the sampled-simulation
      *    estimate of the monolithic IPC. The accuracy gap shrinks as
      *    warmup grows (see the test_shard convergence suite and
-     *    bench/shard_accuracy).
+     *    perfbench's core.shard_ipc_err_pct).
      *  - Merged committed is exact for any shards and warmup: the
      *    measured windows partition the trace. Warmup records are
      *    simulated by two shards but only ever measured by one.

@@ -26,6 +26,11 @@ SimConfig::validate() const
               fifos_per_cluster, fifo_depth);
     if (style != IssueBufferStyle::Fifos && window_size < 1)
         fatal("%s: window_size must be positive", name.c_str());
+    if ((style == IssueBufferStyle::Fifos
+             ? int64_t{fifos_per_cluster} * fifo_depth
+             : int64_t{window_size}) > kMaxBufferEntries)
+        fatal("%s: issue buffer over %lld entries per cluster",
+              name.c_str(), static_cast<long long>(kMaxBufferEntries));
     if (fus_per_cluster < 1 || ls_ports < 1)
         fatal("%s: execution resources must be positive",
               name.c_str());
@@ -46,6 +51,18 @@ SimConfig::validate() const
               name.c_str());
     if (frontend_latency < 0 || fetch_queue < fetch_width)
         fatal("%s: bad front-end shape", name.c_str());
+    // One instruction's slowest path (front end, wakeup loop, farthest
+    // bypass, a load missing to memory) must fit in half the no-commit
+    // watchdog; the other half covers the one-cycle stages around it.
+    int64_t path = int64_t{frontend_latency} + wakeup_select_stages +
+        fu_latency + local_bypass_extra + regfile_extra +
+        int64_t{kMaxClusters} * inter_cluster_extra +
+        dcache.hit_latency + dcache.miss_latency + l2.memory_latency;
+    if (path > static_cast<int64_t>(kNoCommitWatchdog / 2))
+        fatal("%s: latencies add up to %lld cycles, over half the "
+              "%llu-cycle no-commit watchdog", name.c_str(),
+              static_cast<long long>(path),
+              static_cast<unsigned long long>(kNoCommitWatchdog));
 
     bool steering_ok = false;
     switch (steering) {

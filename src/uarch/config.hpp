@@ -17,6 +17,20 @@ namespace cesp::uarch {
 /** Maximum clusters supported by the engine. */
 constexpr int kMaxClusters = 4;
 
+/**
+ * Cycles without a commit after which the pipeline reports a
+ * deadlock. SimConfig::validate() keeps every configured latency
+ * path well inside this window, so only a simulator bug trips it.
+ */
+constexpr uint64_t kNoCommitWatchdog = 100000;
+
+/**
+ * Largest issue buffer (window entries, or FIFO slots) per cluster.
+ * Far above any modeled machine; larger requests are config errors,
+ * not allocation failures.
+ */
+constexpr int64_t kMaxBufferEntries = 65536;
+
 /** Organization of the issue buffering. */
 enum class IssueBufferStyle
 {
@@ -81,7 +95,7 @@ struct BpredConfig
 /**
  * How the simulator finds ready instructions each cycle. Both models
  * are observationally identical (cycle- and statistic-exact); the
- * knob exists so tests and benchmarks can compare them.
+ * knob exists so tests can compare them.
  *
  *  - EventDriven (default): a ready-event calendar. When an
  *    instruction issues, its completion time is known, so a wakeup
@@ -96,7 +110,7 @@ struct BpredConfig
  *    of the full per-cycle candidate list.
  *  - LegacyScan: re-scan every buffered instruction every cycle,
  *    mirroring the broadcast-wakeup hardware of Section 4.2. Kept as
- *    the reference for equivalence tests and benchmarks.
+ *    the reference for equivalence tests.
  */
 enum class IssueModel
 {

@@ -959,9 +959,10 @@ Pipeline::run(const RunLimits &limits)
         if (stats_.committed() != last_committed) {
             last_committed = stats_.committed();
             last_progress_cycle = now_;
-        } else if (now_ - last_progress_cycle > 100000) {
-            panic("pipeline deadlock: no commit in 100000 cycles "
+        } else if (now_ - last_progress_cycle > kNoCommitWatchdog) {
+            panic("pipeline deadlock: no commit in %llu cycles "
                   "(config %s, cycle %llu, rob %zu)",
+                  (unsigned long long)kNoCommitWatchdog,
                   cfg_.name.c_str(), (unsigned long long)now_,
                   robSize());
         }

@@ -367,6 +367,18 @@ TEST(Assembler, DisassemblerRoundTripForDataOps)
     }
 }
 
+TEST(Assembler, ZeroBranchArityErrors)
+{
+    for (const char *src : {"main:\n  beqz\n", "main:\n  beqz t0\n",
+                            "main:\n  bnez\n", "main:\n  bnez t0\n"}) {
+        auto r = assemble(src);
+        ASSERT_FALSE(r.ok) << src;
+        EXPECT_NE(r.error.find("line 2"), std::string::npos) << r.error;
+        EXPECT_NE(r.error.find("needs 2 operands"), std::string::npos)
+            << r.error;
+    }
+}
+
 TEST(AssemblerDeathTest, AssembleOrDieExitsOnError)
 {
     EXPECT_EXIT(assembleOrDie("main: bogus\n"),

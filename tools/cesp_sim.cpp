@@ -346,15 +346,18 @@ main(int argc, char **argv)
     std::string metric = "ipc";
     double threshold = 0.0;
 
+    // Shape flags are capped like --shards; validate() checks --stages
+    // against the rest of the machine's latencies.
     struct Override
     {
         const char *flag;
-        int value;
+        int max;
+        int value = 0;
         bool set = false;
     };
-    Override window{"--window", 0}, fifos{"--fifos", 0},
-        depth{"--depth", 0}, issue{"--issue", 0}, stages{"--stages", 0},
-        seed{"--seed", 0};
+    Override window{"--window", 65536}, fifos{"--fifos", 65536},
+        depth{"--depth", 65536}, issue{"--issue", 65536},
+        stages{"--stages", 1000000000}, seed{"--seed", 1000000000};
     bool perfect = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -426,8 +429,8 @@ main(int argc, char **argv)
             for (Override *o :
                  {&window, &fifos, &depth, &issue, &stages, &seed}) {
                 if (a == o->flag) {
-                    o->value = static_cast<int>(
-                        intArg(a, next(), 0, 1000000000));
+                    o->value =
+                        static_cast<int>(intArg(a, next(), 0, o->max));
                     o->set = true;
                     matched = true;
                     break;
