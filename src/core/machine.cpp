@@ -84,81 +84,87 @@ diskCacheDir()
 }
 
 /**
- * Write @p buf to the cache file via write-then-rename (so parallel
- * harnesses never observe a half-written file), propagating any
- * write/flush/close failure. On failure the temporary is removed and
- * the published file is untouched.
+ * Emulate @p w straight into a temporary next to @p file, rename it
+ * into place (so parallel harnesses never observe a half-written
+ * file), and map it, verifying the CRC and every record as any other
+ * cache hit is. Null, with the temporary removed and a warning
+ * logged, when any step fails.
  */
-bool
-publishTrace(const trace::TraceBuffer &buf,
-             const std::filesystem::path &file)
+std::unique_ptr<trace::MmapTraceSource>
+streamAndPublish(const workloads::Workload &w,
+                 const std::filesystem::path &file)
 {
     std::filesystem::path tmp =
         file.string() + strprintf(".%d.tmp", getpid());
-    trace::TraceIoResult saved = trace::saveTrace(buf, tmp.string());
+    trace::TraceFileWriter writer;
+    trace::TraceIoResult result = writer.open(tmp.string());
+    if (result.ok()) {
+        workloads::streamTraceOf(w, writer);
+        result = writer.finish();
+    }
     std::error_code ec;
-    if (!saved.ok()) {
-        warn("trace cache: not publishing %s: %s (%s)",
-             file.string().c_str(),
-             trace::traceIoStatusName(saved.status),
-             saved.detail.c_str());
-        std::filesystem::remove(tmp, ec);
-        return false;
+    if (result.ok()) {
+        std::filesystem::rename(tmp, file, ec);
+        if (!ec) {
+            auto mmap = std::make_unique<trace::MmapTraceSource>();
+            result = mmap->open(file.string());
+            if (result.ok())
+                return mmap;
+        }
     }
-    std::filesystem::rename(tmp, file, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    std::string why = ec ? "rename failed: " + ec.message()
+                         : strprintf("%s (%s)",
+                                     trace::traceIoStatusName(
+                                         result.status),
+                                     result.detail.c_str());
+    warn("trace cache: cannot serve %s from disk: %s; keeping the "
+         "trace in memory",
+         file.string().c_str(), why.c_str());
+    std::filesystem::remove(tmp, ec);
+    return nullptr;
 }
 
 /**
  * Resolve a workload's trace: mmap the disk cache's v2 file when it
- * verifies, and otherwise regenerate (logging why the cached file was
- * rejected) and republish.
+ * verifies, and otherwise (logging why the cached file was rejected)
+ * emulate the kernel straight into a freshly published file and map
+ * that. The trace is held in a private buffer only when the disk
+ * cache is off or publishing fails, which re-emulates the kernel.
  */
 CachedTrace
 obtainTrace(const workloads::Workload &w)
 {
     CachedTrace entry;
     std::filesystem::path dir = diskCacheDir();
-    std::filesystem::path file;
     if (!dir.empty()) {
-        file = dir / strprintf("%s-%016llx.trc", w.name.c_str(),
-                               static_cast<unsigned long long>(
-                                   sourceHash(w.source)));
+        std::filesystem::path file =
+            dir / strprintf("%s-%016llx.trc", w.name.c_str(),
+                            static_cast<unsigned long long>(
+                                sourceHash(w.source)));
         auto mmap = std::make_unique<trace::MmapTraceSource>();
         trace::TraceIoResult opened = mmap->open(file.string());
-        if (opened.ok()) {
-            entry.view = mmap->view();
-            entry.mmap = std::move(mmap);
-            return entry;
+        if (!opened.ok()) {
+            if (opened.status != trace::TraceIoStatus::OpenFailed) {
+                // Missing file is the normal cold-cache case and
+                // stays quiet; anything else (a corrupt, foreign, or
+                // v1 file) says exactly what was wrong before we
+                // fall back.
+                warn("trace cache: %s: %s (%s); regenerating",
+                     file.string().c_str(),
+                     trace::traceIoStatusName(opened.status),
+                     opened.detail.c_str());
+            }
+            // Serving the published file shares its pages with every
+            // other process simulating this workload.
+            mmap = streamAndPublish(w, file);
         }
-        if (opened.status != trace::TraceIoStatus::OpenFailed) {
-            // Missing file is the normal cold-cache case and stays
-            // quiet; anything else (a corrupt, foreign, or v1 file)
-            // says exactly what was wrong before we fall back.
-            warn("trace cache: %s: %s (%s); regenerating",
-                 file.string().c_str(),
-                 trace::traceIoStatusName(opened.status),
-                 opened.detail.c_str());
-        }
-    }
-
-    trace::TraceBuffer buf = workloads::traceOf(w);
-
-    if (!file.empty() && publishTrace(buf, file)) {
-        // Prefer serving the published file: the mapping's pages are
-        // shared with every other process simulating this workload.
-        auto mmap = std::make_unique<trace::MmapTraceSource>();
-        if (mmap->open(file.string()).ok()) {
+        if (mmap) {
             entry.view = mmap->view();
             entry.mmap = std::move(mmap);
             return entry;
         }
     }
-    entry.buf = std::move(buf);
+    entry.buf = workloads::traceOf(w);
     entry.view = entry.buf;
     return entry;
 }

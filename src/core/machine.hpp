@@ -24,11 +24,13 @@ namespace cesp::core {
  * (CESP_TRACE_CACHE; see DESIGN.md §6). When a valid v2 file is on
  * disk the entry is served by an MmapTraceSource — records come
  * straight from the page cache, shared with every other process
- * mapping the same file, with zero decode. When the disk cache is
- * disabled, missing, or fails integrity checks (each failure is
- * logged with its distinct cause), the trace regenerates into a
- * private buffer and — where possible — is republished to disk and
- * remapped.
+ * mapping the same file, with zero decode. When the file is missing
+ * or fails integrity checks (each failure is logged with its distinct
+ * cause), the emulator streams the trace straight into a freshly
+ * published file, which is then mapped and verified like any other,
+ * so no whole trace is ever held in memory. Only when the disk cache
+ * is disabled, or publishing fails, does the trace regenerate into a
+ * private buffer.
  *
  * Safe to call from any thread: each entry is built exactly once,
  * under a lock, and never changes afterwards, so every caller gets

@@ -18,7 +18,9 @@ using isa::Opcode;
 using isa::OpClass;
 
 Emulator::Emulator(const assembler::Program &program)
-    : pc_(program.entry)
+    // Every slot starts as the (correct) decode of word 0.
+    : decode_cache_(kDecodeSlots, DecodeSlot{0, isa::decode(0)}),
+      pc_(program.entry)
 {
     mem_.loadProgram(program);
     regs_[29] = assembler::kStackTop; // sp
@@ -34,14 +36,24 @@ Emulator::setIntReg(int r, uint32_t v)
         regs_[r] = v;
 }
 
+const isa::Decoded &
+Emulator::decodeAt(uint32_t pc, uint32_t raw)
+{
+    DecodeSlot &slot = decode_cache_[(pc >> 2) & (kDecodeSlots - 1)];
+    if (slot.raw != raw) {
+        slot.raw = raw;
+        slot.d = isa::decode(raw);
+    }
+    return slot.d;
+}
+
 bool
 Emulator::step(trace::TraceSink *sink)
 {
     if (halted_)
         return false;
 
-    uint32_t raw = mem_.read32(pc_);
-    isa::Decoded d = isa::decode(raw);
+    const isa::Decoded d = decodeAt(pc_, mem_.read32(pc_));
 
     trace::TraceOp t;
     t.pc = pc_;
@@ -293,11 +305,11 @@ Emulator::run(uint64_t max_instructions, trace::TraceSink *sink)
 
 ExecResult
 runProgram(const std::string &source, uint64_t max_instructions,
-           trace::TraceBuffer *buf)
+           trace::TraceSink *sink)
 {
     assembler::Program p = assembler::assembleOrDie(source);
     Emulator emu(p);
-    return emu.run(max_instructions, buf);
+    return emu.run(max_instructions, sink);
 }
 
 } // namespace cesp::func

@@ -11,9 +11,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "asm/program.hpp"
 #include "func/memory.hpp"
+#include "isa/decode.hpp"
 #include "trace/trace.hpp"
 
 namespace cesp::func {
@@ -58,7 +60,24 @@ class Emulator
     uint64_t unalignedAccesses() const { return unaligned_; }
 
   private:
+    /** Decode of @p raw fetched at @p pc, through decode_cache_. */
+    const isa::Decoded &decodeAt(uint32_t pc, uint32_t raw);
+
+    /**
+     * A decoded instruction and the word it was decoded from. The
+     * cache is indexed by pc and hit only when the fetched word still
+     * equals @c raw, so a store over code (self-modifying code) is
+     * decoded afresh, never served stale.
+     */
+    struct DecodeSlot
+    {
+        uint32_t raw;
+        isa::Decoded d;
+    };
+    static constexpr uint32_t kDecodeSlots = 1024;
+
     Memory mem_;
+    std::vector<DecodeSlot> decode_cache_;
     uint32_t regs_[isa::kNumIntRegs] = {};
     float fregs_[isa::kNumFpRegs] = {};
     uint32_t pc_;
@@ -71,12 +90,12 @@ class Emulator
 
 /**
  * Convenience: assemble a source string, run it to completion (bounded
- * by @p max_instructions), and capture the trace into @p buf if
+ * by @p max_instructions), and append the trace to @p sink if
  * non-null. Fatal on assembly errors.
  */
 ExecResult runProgram(const std::string &source,
                       uint64_t max_instructions,
-                      trace::TraceBuffer *buf = nullptr);
+                      trace::TraceSink *sink = nullptr);
 
 } // namespace cesp::func
 

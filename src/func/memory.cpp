@@ -10,29 +10,27 @@ namespace cesp::func {
 const Memory::Page *
 Memory::findPage(uint32_t addr) const
 {
-    uint32_t key = addr >> kPageBits;
-    if (key == last_key_ && last_page_)
-        return last_page_;
-    auto it = pages_.find(key);
-    if (it == pages_.end())
+    const Table *table = dir_[addr >> (kPageBits + kTableBits)].get();
+    if (!table)
         return nullptr;
-    last_key_ = key;
-    last_page_ = &it->second;
-    return last_page_;
+    return (*table)[(addr >> kPageBits) & ((1u << kTableBits) - 1)]
+        .get();
 }
 
 Memory::Page &
 Memory::touchPage(uint32_t addr)
 {
-    uint32_t key = addr >> kPageBits;
-    auto it = pages_.find(key);
-    if (it == pages_.end()) {
-        it = pages_.emplace(key, Page{}).first;
-        // The lookaside may now dangle after a rehash.
-        last_key_ = 0xffffffff;
-        last_page_ = nullptr;
+    std::unique_ptr<Table> &table =
+        dir_[addr >> (kPageBits + kTableBits)];
+    if (!table)
+        table = std::make_unique<Table>();
+    std::unique_ptr<Page> &page =
+        (*table)[(addr >> kPageBits) & ((1u << kTableBits) - 1)];
+    if (!page) {
+        page = std::make_unique<Page>(); // value-initialised: zeros
+        ++resident_;
     }
-    return it->second;
+    return *page;
 }
 
 uint8_t

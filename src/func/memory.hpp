@@ -11,13 +11,19 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 
 #include "asm/program.hpp"
 
 namespace cesp::func {
 
-/** Sparse 32-bit byte-addressable memory. */
+/**
+ * Sparse 32-bit byte-addressable memory behind a two-level page table:
+ * the top kDirBits of an address pick a directory slot, the next
+ * kTableBits a page within that slot's table. Every access is two
+ * dependent loads, whatever page instruction fetch or the previous
+ * data access touched.
+ */
 class Memory
 {
   public:
@@ -36,18 +42,20 @@ class Memory
     void loadProgram(const assembler::Program &p);
 
     /** Number of resident pages (for tests / stats). */
-    size_t residentPages() const { return pages_.size(); }
+    size_t residentPages() const { return resident_; }
 
   private:
+    static constexpr uint32_t kTableBits = 10;
+    static constexpr uint32_t kDirBits = 32 - kPageBits - kTableBits;
+
     using Page = std::array<uint8_t, kPageSize>;
+    using Table = std::array<std::unique_ptr<Page>, 1u << kTableBits>;
 
     const Page *findPage(uint32_t addr) const;
     Page &touchPage(uint32_t addr);
 
-    std::unordered_map<uint32_t, Page> pages_;
-    /// One-entry lookaside for the hot page on reads.
-    mutable uint32_t last_key_ = 0xffffffff;
-    mutable const Page *last_page_ = nullptr;
+    std::array<std::unique_ptr<Table>, 1u << kDirBits> dir_;
+    size_t resident_ = 0;
 };
 
 } // namespace cesp::func

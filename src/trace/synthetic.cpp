@@ -6,23 +6,12 @@
 #include "trace/synthetic.hpp"
 
 #include <cmath>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 
 namespace cesp::trace {
-
-namespace {
-
-/** Per-branch-site outcome pattern state. */
-std::unordered_map<uint32_t, uint32_t> &
-siteCounters()
-{
-    thread_local std::unordered_map<uint32_t, uint32_t> counters;
-    return counters;
-}
-
-} // namespace
 
 SyntheticTrace::SyntheticTrace(const SyntheticParams &params,
                                uint64_t length)
@@ -47,7 +36,7 @@ SyntheticTrace::regenerate()
     branch_seq_ = 0;
     for (int i = 0; i < kRing; ++i)
         recent_dst_[i] = 1;
-    siteCounters().clear();
+    site_counts_.clear();
 }
 
 void
@@ -125,7 +114,7 @@ SyntheticTrace::make()
         ++branch_seq_;
         // Patterned sites repeat a short taken/not-taken sequence a
         // history predictor can learn; noisy sites flip randomly.
-        uint32_t &count = siteCounters()[t.pc];
+        uint32_t &count = site_counts_[t.pc];
         bool noisy =
             (t.pc * 2654435761u >> 16) % 1000 <
             static_cast<uint32_t>(params_.noisy_branch_frac * 1000);
@@ -167,11 +156,14 @@ SyntheticTrace::make()
 TraceBuffer
 generateSynthetic(const SyntheticParams &params, uint64_t length)
 {
-    TraceBuffer buf;
+    std::vector<TraceOp> ops;
+    ops.reserve(length);
     SyntheticTrace src(params, length);
     TraceOp op;
     while (src.next(op))
-        buf.append(op);
+        ops.push_back(op);
+    TraceBuffer buf;
+    buf.assign(std::move(ops));
     return buf;
 }
 

@@ -13,6 +13,8 @@
 #ifndef CESP_TRACE_SYNTHETIC_HPP
 #define CESP_TRACE_SYNTHETIC_HPP
 
+#include <unordered_map>
+
 #include "common/rng.hpp"
 #include "trace/trace.hpp"
 
@@ -83,6 +85,9 @@ class SyntheticTrace : public TraceSource
     int ring_pos_ = 0;
     int next_reg_ = 1;
     uint64_t branch_seq_ = 0;
+    // Per-branch-site outcome pattern state (this instance's only, so
+    // instances stepped alternately stay independent).
+    std::unordered_map<uint32_t, uint32_t> site_counts_;
 };
 
 /** Generate a full buffer (convenience for tests/benches). */

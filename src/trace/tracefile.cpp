@@ -1,8 +1,9 @@
 /**
  * @file
- * Implementation of the binary trace file format v2 (read/write, and
- * the shared validation used by MmapTraceSource). v1 files are
- * recognised by their magic and refused.
+ * Implementation of the binary trace file format v2 (the streaming
+ * writer, the buffered reader, and the shared validation used by
+ * MmapTraceSource). v1 files are recognised by their magic and
+ * refused.
  */
 
 #include "trace/tracefile.hpp"
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -121,33 +123,15 @@ fail(TraceIoStatus status, std::string detail)
     return {status, std::move(detail)};
 }
 
-/**
- * Flush and close a stream we wrote, reporting the failure mode:
- * this is where a full disk finally surfaces when every fwrite
- * landed in stdio's buffer.
- */
-TraceIoResult
-finishWrite(std::FILE *f, const std::string &path)
+/** A v2 header for @p count records whose payload CRC is @p crc. */
+void
+buildHeader(uint8_t *header, uint64_t count, uint32_t crc)
 {
-    if (std::fflush(f) != 0) {
-        std::fclose(f);
-        return fail(TraceIoStatus::FlushFailed,
-                    path + ": fflush failed");
-    }
-    if (std::fclose(f) != 0)
-        return fail(TraceIoStatus::CloseFailed,
-                    path + ": fclose failed");
-    return traceIoOk();
-}
-
-/** Serialize the trace as v2 payload bytes (big-endian hosts only). */
-std::vector<uint8_t>
-packPayload(const TraceBuffer &buf)
-{
-    std::vector<uint8_t> bytes(buf.size() * kTraceRecordBytes);
-    for (size_t i = 0; i < buf.size(); ++i)
-        pack(buf[i], bytes.data() + i * kTraceRecordBytes);
-    return bytes;
+    std::memset(header, 0, kTraceV2HeaderBytes);
+    std::memcpy(header, kMagicV2, sizeof(kMagicV2));
+    put64(header + 8, count);
+    put32(header + 16, kTraceRecordBytes);
+    put32(header + 20, crc);
 }
 
 TraceIoResult
@@ -290,7 +274,6 @@ traceIoStatusName(TraceIoStatus s)
       case TraceIoStatus::Ok: return "ok";
       case TraceIoStatus::OpenFailed: return "open-failed";
       case TraceIoStatus::ShortWrite: return "short-write";
-      case TraceIoStatus::FlushFailed: return "flush-failed";
       case TraceIoStatus::CloseFailed: return "close-failed";
       case TraceIoStatus::ShortRead: return "short-read";
       case TraceIoStatus::EmptyFile: return "empty-file";
@@ -306,40 +289,109 @@ traceIoStatusName(TraceIoStatus s)
     return "unknown";
 }
 
+TraceFileWriter::TraceFileWriter() : chunk_(kChunkBytes) {}
+
+TraceFileWriter::~TraceFileWriter()
+{
+    if (file_)
+        std::fclose(file_);
+}
+
+TraceIoResult
+TraceFileWriter::open(const std::string &path)
+{
+    if (file_)
+        std::fclose(file_);
+    path_ = path;
+    count_ = 0;
+    crc_ = 0;
+    error_ = traceIoOk();
+    file_ = std::fopen(path.c_str(), "wb");
+    if (!file_)
+        return error_ = fail(TraceIoStatus::OpenFailed,
+                             path + ": cannot open for writing");
+    // Unbuffered: each chunk reaches write() whole, at its aligned
+    // offset, instead of being split at stdio's buffer edge.
+    std::setvbuf(file_, nullptr, _IONBF, 0);
+    // Count and CRC are unknown until finish(); until then the
+    // header says zero records, which the payload contradicts.
+    buildHeader(chunk_.data(), 0, 0);
+    fill_ = payload_from_ = kTraceV2HeaderBytes;
+    return error_;
+}
+
+void
+TraceFileWriter::append(const TraceOp &op)
+{
+    const uint8_t *bytes = reinterpret_cast<const uint8_t *>(&op);
+    uint8_t packed[kTraceRecordBytes] = {};
+    if constexpr (!kLittleEndian) {
+        pack(op, packed);
+        bytes = packed;
+    }
+    ++count_;
+    if (kChunkBytes - fill_ > kTraceRecordBytes) {
+        std::memcpy(chunk_.data() + fill_, bytes, kTraceRecordBytes);
+        fill_ += kTraceRecordBytes;
+        return;
+    }
+    // The record reaches the chunk's end: fill it, write it, and
+    // start the next chunk with the rest of the record.
+    size_t head = kChunkBytes - fill_;
+    std::memcpy(chunk_.data() + fill_, bytes, head);
+    fill_ = kChunkBytes;
+    writeChunk();
+    std::memcpy(chunk_.data(), bytes + head, kTraceRecordBytes - head);
+    fill_ = kTraceRecordBytes - head;
+}
+
+void
+TraceFileWriter::writeChunk()
+{
+    crc_ = crc32(chunk_.data() + payload_from_, fill_ - payload_from_,
+                 crc_);
+    if (file_ && error_.ok() &&
+        std::fwrite(chunk_.data(), 1, fill_, file_) != fill_)
+        error_ = fail(TraceIoStatus::ShortWrite, path_ + ": short write");
+    fill_ = payload_from_ = 0;
+}
+
+TraceIoResult
+TraceFileWriter::finish()
+{
+    if (!file_)
+        return error_.ok() ? fail(TraceIoStatus::OpenFailed,
+                                  path_ + ": writer not open")
+                           : error_;
+    writeChunk();
+    std::FILE *f = std::exchange(file_, nullptr);
+    if (error_.ok()) {
+        uint8_t header[kTraceV2HeaderBytes];
+        buildHeader(header, count_, crc_);
+        if (std::fseek(f, 0, SEEK_SET) != 0 ||
+            std::fwrite(header, 1, sizeof(header), f) != sizeof(header))
+            error_ = fail(TraceIoStatus::ShortWrite,
+                          path_ + ": short write");
+    }
+    if (!error_.ok()) {
+        std::fclose(f);
+        return error_;
+    }
+    if (std::fclose(f) != 0)
+        error_ = fail(TraceIoStatus::CloseFailed,
+                      path_ + ": fclose failed");
+    return error_;
+}
+
 TraceIoResult
 saveTrace(const TraceBuffer &buf, const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return fail(TraceIoStatus::OpenFailed,
-                    path + ": cannot open for writing");
-
-    const uint8_t *payload;
-    std::vector<uint8_t> packed;
-    size_t payload_bytes = buf.size() * kTraceRecordBytes;
-    if constexpr (kLittleEndian) {
-        // The in-memory records are the file payload; no serialize
-        // pass at all.
-        payload = reinterpret_cast<const uint8_t *>(buf.ops().data());
-    } else {
-        packed = packPayload(buf);
-        payload = packed.data();
-    }
-
-    uint8_t header[kTraceV2HeaderBytes] = {};
-    std::memcpy(header, kMagicV2, sizeof(kMagicV2));
-    put64(header + 8, buf.size());
-    put32(header + 16, kTraceRecordBytes);
-    put32(header + 20, crc32(payload, payload_bytes));
-
-    if (std::fwrite(header, 1, sizeof(header), f) != sizeof(header) ||
-        (payload_bytes &&
-         std::fwrite(payload, 1, payload_bytes, f) != payload_bytes)) {
-        std::fclose(f);
-        return fail(TraceIoStatus::ShortWrite,
-                    path + ": short write");
-    }
-    return finishWrite(f, path);
+    TraceFileWriter writer;
+    if (TraceIoResult opened = writer.open(path); !opened.ok())
+        return opened;
+    for (const TraceOp &op : buf.ops())
+        writer.append(op);
+    return writer.finish();
 }
 
 TraceIoResult

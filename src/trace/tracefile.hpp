@@ -20,7 +20,7 @@
  * log line rather than reported as foreign.
  *
  * All I/O reports failures as a TraceIoResult instead of a bare
- * bool: short writes, a failed flush or close (the way a full disk
+ * bool: short writes, a failed close (the way a full disk
  * actually surfaces), bad magic, a bad checksum, and a count/size
  * mismatch are distinct outcomes, so callers can log what happened
  * and fall back to regeneration.
@@ -30,7 +30,9 @@
 #define CESP_TRACE_TRACEFILE_HPP
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "trace/trace.hpp"
 
@@ -42,7 +44,6 @@ enum class TraceIoStatus
     Ok,
     OpenFailed,     //!< cannot open the file at all
     ShortWrite,     //!< fwrite wrote fewer bytes than asked
-    FlushFailed,    //!< fflush reported an error
     CloseFailed,    //!< fclose reported an error (buffered data lost)
     ShortRead,      //!< file ends before header/payload does
     EmptyFile,      //!< zero-length file (torn create, not a trace)
@@ -81,10 +82,66 @@ constexpr size_t kTraceV2HeaderBytes = 32;
 constexpr size_t kTraceRecordBytes = 20;
 
 /**
- * Write a trace to @p path in format v2. The data is flushed and the
- * stream closed before success is reported, so a TraceIoResult with
- * ok() set means every byte reached the OS — a full disk surfaces as
- * ShortWrite, FlushFailed, or CloseFailed, never as silent success.
+ * Streaming v2 writer: a TraceSink that writes records to a file as
+ * they arrive, so a trace of any length is written in constant
+ * memory. The header and records form one byte stream, handed to the
+ * OS in chunks of kChunkBytes at file offsets that are multiples of
+ * kChunkBytes. finish() writes the last chunk and patches the
+ * header's record count and running CRC-32C in place. The bytes
+ * equal what one saveTrace of the same records writes.
+ *
+ * Why whole aligned 2 MiB writes: the page cache can then hold the
+ * file in 2 MiB folios, and a read-only mapping of it (MmapTraceSource)
+ * maps each with a single page-table entry. Small or misaligned writes
+ * leave 4 KB pages, which make every later open and every simulation
+ * reading the mapping take more faults and TLB misses.
+ *
+ * append() cannot fail: the first failed write is remembered, later
+ * records are dropped, and finish() reports it. Like saveTrace, a
+ * finish() that is ok() means every byte reached the OS — short
+ * writes and a failed close (the way a full disk surfaces) are
+ * ShortWrite and CloseFailed. A writer destroyed without finish()
+ * closes its file, leaving a header that no reader accepts as a
+ * complete trace.
+ */
+class TraceFileWriter final : public TraceSink
+{
+  public:
+    static constexpr size_t kChunkBytes = size_t{2} << 20;
+
+    TraceFileWriter();
+    ~TraceFileWriter() override;
+
+    TraceFileWriter(const TraceFileWriter &) = delete;
+    TraceFileWriter &operator=(const TraceFileWriter &) = delete;
+
+    /** Create (or truncate) @p path; the header is written with the
+     *  first chunk. */
+    TraceIoResult open(const std::string &path);
+
+    void append(const TraceOp &op) override;
+
+    /** Write what is buffered, patch the header, and close. */
+    TraceIoResult finish();
+
+  private:
+    void writeChunk();
+
+    std::FILE *file_ = nullptr;
+    std::string path_;
+    std::vector<uint8_t> chunk_;
+    size_t fill_ = 0;          //!< bytes of chunk_ in use
+    size_t payload_from_ = 0;  //!< first payload byte in chunk_
+    uint64_t count_ = 0;       //!< records appended
+    uint32_t crc_ = 0;         //!< CRC-32C of the payload written so far
+    TraceIoResult error_;      //!< first failure; later writes are skipped
+};
+
+/**
+ * Write a trace to @p path in format v2 (one TraceFileWriter pass).
+ * The stream is closed before success is reported, so a TraceIoResult
+ * with ok() set means every byte reached the OS — a full disk
+ * surfaces as ShortWrite or CloseFailed, never as silent success.
  */
 TraceIoResult saveTrace(const TraceBuffer &buf,
                         const std::string &path);

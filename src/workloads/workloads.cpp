@@ -86,12 +86,11 @@ workloadNames()
     return names;
 }
 
-trace::TraceBuffer
-traceOf(const Workload &w)
+void
+streamTraceOf(const Workload &w, trace::TraceSink &sink)
 {
-    trace::TraceBuffer buf;
     func::ExecResult r =
-        func::runProgram(w.source, w.max_instructions, &buf);
+        func::runProgram(w.source, w.max_instructions, &sink);
     if (!r.halted)
         fatal("workload %s did not halt within %llu instructions",
               w.name.c_str(),
@@ -101,6 +100,13 @@ traceOf(const Workload &w)
         fatal("workload %s checksum mismatch: got '%s', want '%s'",
               w.name.c_str(), r.console.c_str(),
               w.expected_console.c_str());
+}
+
+trace::TraceBuffer
+traceOf(const Workload &w)
+{
+    trace::TraceBuffer buf;
+    streamTraceOf(w, buf);
     return buf;
 }
 

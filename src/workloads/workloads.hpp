@@ -64,10 +64,15 @@ const std::vector<Workload> &extraWorkloads();
 const Workload &workload(const std::string &name);
 
 /**
- * Execute a workload on the functional emulator and return its
- * dynamic trace. Fatal if the kernel does not halt within its
- * instruction bound or its checksum does not match the golden value.
+ * Execute a workload on the functional emulator, appending every
+ * retired instruction to @p sink as it retires (nothing is buffered
+ * here, so the sink decides what the trace costs in memory). Fatal if
+ * the kernel does not halt within its instruction bound or its
+ * checksum does not match the golden value.
  */
+void streamTraceOf(const Workload &w, trace::TraceSink &sink);
+
+/** streamTraceOf into a TraceBuffer: the whole trace in memory. */
 trace::TraceBuffer traceOf(const Workload &w);
 
 /** Names only, for harness iteration. */

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "asm/assembler.hpp"
 #include "func/emulator.hpp"
 #include "workloads/workloads.hpp"
@@ -346,6 +348,87 @@ TEST(Memory, LittleEndianLayout)
     m.write32(0x100, 0x11223344u);
     EXPECT_EQ(m.read8(0x100), 0x44u);
     EXPECT_EQ(m.read8(0x103), 0x11u);
+}
+
+TEST(Memory, UnmappedReadsZeroAndFirstWriteZeroesItsPage)
+{
+    Memory m;
+    for (uint32_t a : {0x0u, 0x12345678u, 0xfffffffcu})
+        EXPECT_EQ(m.read32(a), 0u) << a;
+    EXPECT_EQ(m.read8(0xffffffffu), 0u);
+    EXPECT_EQ(m.residentPages(), 0u) << "reads must not allocate";
+
+    const uint32_t addr = 0x12345678u;
+    m.write8(addr, 0xab);
+    const uint32_t base = addr & ~(Memory::kPageSize - 1);
+    for (uint32_t off = 0; off < Memory::kPageSize; ++off)
+        EXPECT_EQ(m.read8(base + off), base + off == addr ? 0xab : 0)
+            << off;
+}
+
+TEST(Memory, WordAccessesAcrossPageAndTableBoundaries)
+{
+    // A page edge, the edge of one page-table's 4 MB span, and the top
+    // of the address space (which wraps to address 0).
+    for (uint32_t edge : {Memory::kPageSize, 0x00400000u, 0u}) {
+        for (uint32_t back = 1; back <= 3; ++back) {
+            Memory m;
+            const uint32_t a = edge - back;
+            m.write32(a, 0xa1b2c3d4u);
+            EXPECT_EQ(m.read32(a), 0xa1b2c3d4u) << a;
+            EXPECT_EQ(m.read8(a), 0xd4u) << a;
+            EXPECT_EQ(m.read8(a + 3), 0xa1u) << a;
+            EXPECT_EQ(m.residentPages(), 2u) << a;
+        }
+    }
+}
+
+TEST(Memory, ResidentPagesCountsTouchedPages)
+{
+    Memory m;
+    m.write32(0x1000, 1);
+    m.write32(0x1ffc, 2); // same page
+    EXPECT_EQ(m.residentPages(), 1u);
+    m.write8(0x2000, 3);
+    m.write16(0x7fff0000u, 4); // another page table
+    m.write32(0xfffff000u, 5); // the last page
+    EXPECT_EQ(m.residentPages(), 4u);
+    m.read32(0x40000000u); // reads never allocate
+    EXPECT_EQ(m.residentPages(), 4u);
+    EXPECT_EQ(m.read32(0x1ffc), 2u);
+    EXPECT_EQ(m.read16(0x7fff0000u), 4u);
+    EXPECT_EQ(m.read32(0xfffff000u), 5u);
+}
+
+TEST(Emulator, SelfModifyingCodeRunsTheNewWord)
+{
+    // patch runs once as `addi a0, zero, 1`, then the program copies
+    // the word at tmpl over it and runs it again: the second run must
+    // execute (and trace) the new word, not a stale decode.
+    assembler::Program p = assembler::assembleOrDie(R"(
+main:   li   s2, 0
+patch:  addi a0, zero, 1
+        bnez s2, done
+        li   s2, 1
+        la   s0, patch
+        la   s1, tmpl
+        lw   t0, 0(s1)
+        sw   t0, 0(s0)
+        j    patch
+done:   halt
+tmpl:   ori  a0, zero, 42
+)");
+    Emulator emu(p);
+    trace::TraceBuffer buf;
+    ExecResult r = emu.run(1000, &buf);
+    ASSERT_TRUE(r.halted);
+    EXPECT_EQ(emu.intReg(4), 42u); // a0
+    std::vector<isa::Opcode> at_patch;
+    for (const trace::TraceOp &op : buf.ops())
+        if (op.pc == buf[1].pc)
+            at_patch.push_back(op.op);
+    EXPECT_EQ(at_patch, (std::vector<isa::Opcode>{isa::Opcode::ADDI,
+                                                  isa::Opcode::ORI}));
 }
 
 TEST(Emulator, UnalignedAccessesCounted)

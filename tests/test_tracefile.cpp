@@ -194,6 +194,103 @@ TEST(TraceFileV2, SaveReportsUnwritablePath)
     EXPECT_FALSE(r.detail.empty());
 }
 
+namespace {
+
+/**
+ * The v2 bytes of @p buf as the one-shot writer laid them out before
+ * the streaming writer existed: the 32-byte header (magic, count,
+ * record size, CRC-32C of the payload, zero padding), then the raw
+ * records.
+ */
+std::vector<uint8_t>
+oneShotV2Bytes(const trace::TraceBuffer &buf)
+{
+    const auto *payload =
+        reinterpret_cast<const uint8_t *>(buf.ops().data());
+    const size_t payload_bytes = buf.size() * trace::kTraceRecordBytes;
+    std::vector<uint8_t> bytes(trace::kTraceV2HeaderBytes, 0);
+    std::memcpy(bytes.data(), "CESPTRC2", 8);
+    auto put = [&](size_t at, uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    };
+    put(8, buf.size(), 8);
+    put(16, trace::kTraceRecordBytes, 4);
+    put(20, crc32(payload, payload_bytes), 4);
+    bytes.insert(bytes.end(), payload, payload + payload_bytes);
+    return bytes;
+}
+
+} // namespace
+
+TEST(TraceFileWriter, ByteIdenticalToOneShotLayoutAtChunkEdges)
+{
+    // k records fill the first chunk exactly (it also holds the
+    // header); 2k + 2 puts a record across the second chunk's edge.
+    constexpr size_t k =
+        (trace::TraceFileWriter::kChunkBytes - trace::kTraceV2HeaderBytes) /
+        trace::kTraceRecordBytes;
+    for (size_t n : {size_t{0}, size_t{1}, k - 1, k, k + 1, 2 * k + 2}) {
+        SCOPED_TRACE(n);
+        trace::TraceBuffer buf = sampleTrace(n);
+        ASSERT_EQ(buf.size(), n);
+        const std::vector<uint8_t> expect = oneShotV2Bytes(buf);
+
+        const std::string streamed = scratchFile("streamed.trc");
+        trace::TraceFileWriter writer;
+        ASSERT_TRUE(writer.open(streamed).ok());
+        for (const trace::TraceOp &op : buf.ops())
+            writer.append(op);
+        trace::TraceIoResult done = writer.finish();
+        ASSERT_TRUE(done.ok()) << done.detail;
+        EXPECT_EQ(readAll(streamed), expect);
+
+        const std::string saved = scratchFile("saved.trc");
+        ASSERT_TRUE(trace::saveTrace(buf, saved).ok());
+        EXPECT_EQ(readAll(saved), expect);
+
+        trace::TraceBuffer loaded;
+        ASSERT_TRUE(trace::loadTrace(streamed, loaded).ok());
+        EXPECT_TRUE(sameRecords(buf, loaded));
+        trace::MmapTraceSource src;
+        trace::TraceIoResult opened = src.open(streamed);
+        ASSERT_TRUE(opened.ok()) << opened.detail;
+        EXPECT_TRUE(sameRecords(buf, src.view()));
+    }
+}
+
+TEST(TraceFileWriter, ReportsOpenAndWriteFailures)
+{
+    trace::TraceFileWriter missing;
+    EXPECT_EQ(missing.open((g_dir / "no-such-dir" / "x.trc").string())
+                  .status,
+              TraceIoStatus::OpenFailed);
+    missing.append(trace::TraceOp{}); // dropped, never a crash
+    EXPECT_EQ(missing.finish().status, TraceIoStatus::OpenFailed);
+
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    // A full device accepts the open and fails a later write or the
+    // close; whichever it is, the writer must say so.
+    const size_t two_chunks =
+        2 * trace::TraceFileWriter::kChunkBytes / trace::kTraceRecordBytes;
+    for (size_t n : {size_t{0}, two_chunks}) {
+        SCOPED_TRACE(n);
+        trace::TraceBuffer buf = sampleTrace(n);
+        trace::TraceFileWriter full;
+        trace::TraceIoResult r = full.open("/dev/full");
+        if (r.ok()) {
+            for (const trace::TraceOp &op : buf.ops())
+                full.append(op);
+            r = full.finish();
+        }
+        EXPECT_TRUE(r.status == TraceIoStatus::ShortWrite ||
+                    r.status == TraceIoStatus::CloseFailed)
+            << trace::traceIoStatusName(r.status) << ": " << r.detail;
+        EXPECT_FALSE(r.detail.empty());
+    }
+}
+
 TEST(TraceFileV1, BothReadersRefuseLegacyVersion)
 {
     // A hand-written v1 file: the 16-byte header (magic, record
@@ -533,4 +630,48 @@ TEST(TraceCacheRecovery, UpgradesV1FileInPlace)
     trace::TraceIoResult r = check.open(file.string());
     EXPECT_TRUE(r.ok()) << r.detail;
     EXPECT_EQ(check.size(), golden.size());
+}
+
+TEST(TraceCachePublish, StreamedFileEqualsSaveTrace)
+{
+    // The cold path emulates straight into the published file; its
+    // bytes must be exactly what saving the buffered trace writes.
+    core::clearTraceCache();
+    std::error_code ec;
+    std::filesystem::remove(cachedFileFor("li"), ec);
+    ASSERT_GT(core::cachedWorkloadTraceView("li").count, 0u);
+    std::filesystem::path file = cachedFileFor("li");
+    ASSERT_FALSE(file.empty()) << "cache did not publish a v2 file";
+
+    const std::string ref = scratchFile("li-saved.trc");
+    ASSERT_TRUE(trace::saveTrace(
+                    workloads::traceOf(workloads::workload("li")), ref)
+                    .ok());
+    EXPECT_EQ(readAll(file.string()), readAll(ref));
+}
+
+TEST(TraceCacheRecovery, FailedPublishFallsBackToMemory)
+{
+    core::clearTraceCache();
+    ASSERT_GT(core::cachedWorkloadTraceView("li").count, 0u);
+    std::filesystem::path file = cachedFileFor("li");
+    ASSERT_FALSE(file.empty());
+
+    // A directory where the published file belongs: it cannot be
+    // mapped, and renaming the streamed file over it fails.
+    core::clearTraceCache();
+    std::filesystem::remove(file);
+    std::filesystem::create_directory(file);
+
+    trace::TraceView view = core::cachedWorkloadTraceView("li");
+    trace::TraceBuffer fresh =
+        workloads::traceOf(workloads::workload("li"));
+    EXPECT_TRUE(sameRecords(view, fresh));
+    EXPECT_TRUE(std::filesystem::is_directory(file));
+    for (const auto &e : std::filesystem::directory_iterator(g_dir))
+        EXPECT_NE(e.path().extension(), ".tmp")
+            << "failed publish left " << e.path();
+
+    core::clearTraceCache();
+    std::filesystem::remove_all(file);
 }

@@ -68,6 +68,9 @@ using namespace cesp;
 
 namespace {
 
+/** Emulation bound for --asm programs. */
+constexpr unsigned long long kAsmInstructionLimit = 100000000ULL;
+
 struct PresetEntry
 {
     const char *name;
@@ -111,7 +114,9 @@ usage()
         "windows\n"
         "  --warmup N             per-shard warmup records (stats "
         "discarded)\n"
-        "  --asm FILE             assemble and run FILE\n"
+        "  --asm FILE             assemble and run FILE (it must "
+        "halt\n"
+        "                         within 100000000 instructions)\n"
         "  --synthetic N          run an N-instruction synthetic "
         "trace\n"
         "  --tech F               clock estimate feature size "
@@ -738,7 +743,13 @@ main(int argc, char **argv)
         std::stringstream ss;
         ss << in.rdbuf();
         trace::TraceBuffer buf;
-        func::runProgram(ss.str(), 100000000ULL, &buf);
+        // A sink-less first pass proves the program halts before a
+        // single record is buffered: a runaway loop would otherwise
+        // fill memory with the instruction limit's worth of records.
+        if (!func::runProgram(ss.str(), kAsmInstructionLimit).halted)
+            fatal("%s did not halt within %llu instructions",
+                  asm_file.c_str(), kAsmInstructionLimit);
+        func::runProgram(ss.str(), kAsmInstructionLimit, &buf);
         runOne(buf, asm_file);
         return 0;
     }

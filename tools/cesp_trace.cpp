@@ -32,6 +32,9 @@ using namespace cesp;
 
 namespace {
 
+/** Emulation bound for --capture-asm programs. */
+constexpr unsigned long long kAsmInstructionLimit = 100000000ULL;
+
 [[noreturn]] void
 usage()
 {
@@ -39,7 +42,9 @@ usage()
         "usage: cesp-trace [options]\n"
         "       cesp-trace verify FILE\n"
         "  --capture NAME      capture a built-in workload's trace\n"
-        "  --capture-asm FILE  assemble and capture FILE's trace\n"
+        "  --capture-asm FILE  assemble and capture FILE's trace (it\n"
+        "                      must halt within 100000000\n"
+        "                      instructions)\n"
         "  --out FILE          where to write the .trc (default\n"
         "                      trace.trc)\n"
         "  --analyze FILE      analyze an existing .trc\n"
@@ -282,7 +287,13 @@ main(int argc, char **argv)
                 fatal("cannot open '%s'", capture_asm.c_str());
             std::stringstream ss;
             ss << in.rdbuf();
-            func::runProgram(ss.str(), 100000000ULL, &buf);
+            // A sink-less first pass proves the program halts before a
+            // single record is buffered: a runaway loop would otherwise
+            // fill memory with the instruction limit's worth of records.
+            if (!func::runProgram(ss.str(), kAsmInstructionLimit).halted)
+                fatal("%s did not halt within %llu instructions",
+                      capture_asm.c_str(), kAsmInstructionLimit);
+            func::runProgram(ss.str(), kAsmInstructionLimit, &buf);
         }
         trace::TraceIoResult saved = trace::saveTrace(buf, out);
         if (!saved.ok())
