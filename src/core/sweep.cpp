@@ -55,67 +55,22 @@ struct WorkerQueue
     }
 };
 
-/** Internal observation hooks threaded through the worker pool. */
-struct PoolHooks
-{
-    /** Called after a task's stats are final (inside the worker's
-     *  try: a throwing hook aborts the run like a failing task). */
-    std::function<void(size_t, const uarch::SimStats &)> on_done;
-    uint64_t sample_every = 0;
-    std::function<void(size_t, const uarch::StatSnapshot &)>
-        on_snapshot;
-};
-
-void
-runTask(const SweepTask &t, size_t index, uarch::SimStats &out,
-        const PoolHooks &hooks)
-{
-    if (detail::sweep_task_hook)
-        detail::sweep_task_hook(index);
-    trace::TraceCursor cursor(t.trace);
-    uarch::RunLimits limits;
-    limits.warmup = t.warmup;
-    if (hooks.sample_every && hooks.on_snapshot) {
-        limits.sample_every = hooks.sample_every;
-        limits.sampler = [&](const uarch::StatSnapshot &s) {
-            hooks.on_snapshot(index, s);
-        };
-    }
-    out = uarch::simulate(t.cfg, cursor, limits);
-}
-
 /**
- * The work-stealing pool all run modes share. Results land in
- * @p results by task index; a null @p results discards each task's
- * stats after on_done sees them (the streaming O(1)-memory mode).
+ * The work-stealing pool: call @p runOne(i) once for every i in
+ * [0, count), on up to @p jobs worker threads (inline on the caller
+ * when jobs <= 1).
  */
 void
-runPool(const std::vector<SweepTask> &tasks, unsigned jobs,
-        std::vector<uarch::SimStats> *results, const PoolHooks &hooks)
+runPool(size_t count, unsigned jobs,
+        const std::function<void(size_t)> &runOne)
 {
-    for (const SweepTask &t : tasks) {
-        if (!t.trace.records && t.trace.count)
-            panic("core::run: task with null trace");
-        t.cfg.validate();
-    }
-
-    if (results)
-        results->resize(tasks.size());
     if (jobs == 0)
         jobs = defaultJobs();
-    if (jobs > tasks.size())
-        jobs = static_cast<unsigned>(tasks.size());
-
-    auto runOne = [&](size_t idx) {
-        uarch::SimStats local;
-        uarch::SimStats &slot = results ? (*results)[idx] : local;
-        runTask(tasks[idx], idx, slot, hooks);
-        if (hooks.on_done)
-            hooks.on_done(idx, slot);
-    };
+    if (jobs > count)
+        jobs = static_cast<unsigned>(count);
 
     if (jobs <= 1) {
-        for (size_t i = 0; i < tasks.size(); ++i)
+        for (size_t i = 0; i < count; ++i)
             runOne(i);
         return;
     }
@@ -128,7 +83,7 @@ runPool(const std::vector<SweepTask> &tasks, unsigned jobs,
     queues.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w)
         queues.push_back(std::make_unique<WorkerQueue>());
-    for (size_t i = 0; i < tasks.size(); ++i)
+    for (size_t i = 0; i < count; ++i)
         queues[i % jobs]->tasks.push_back(i);
 
     // A throw inside a worker must not unwind off the thread (that
@@ -219,117 +174,106 @@ runGrid(std::vector<uarch::SimConfig> configs,
 RunResult
 run(const std::vector<SweepTask> &tasks, const RunOptions &opt)
 {
-    RunResult r;
-    const bool sharded = opt.shards > 1 || opt.warmup > 0;
-    PoolHooks hooks;
-    hooks.sample_every = opt.sample_every;
-
-    if (!sharded) {
-        if (opt.on_snapshot)
-            hooks.on_snapshot = [&](size_t task,
-                                    const uarch::StatSnapshot &s) {
-                opt.on_snapshot(task, 0, s);
-            };
-        if (opt.on_result || opt.on_shard)
-            hooks.on_done = [&](size_t task,
-                                const uarch::SimStats &s) {
-                if (opt.on_shard)
-                    opt.on_shard(task, 0, s);
-                if (opt.on_result) {
-                    StatGroup g = s.group();
-                    g.label() = tasks[task].cfg.name;
-                    opt.on_result(task, g);
-                }
-            };
-        runPool(tasks, opt.jobs,
-                opt.collect_results ? &r.stats : nullptr, hooks);
-        if (opt.collect_results) {
-            r.groups.reserve(tasks.size());
-            for (size_t i = 0; i < tasks.size(); ++i) {
-                r.groups.push_back(r.stats[i].group());
-                r.groups.back().label() = tasks[i].cfg.name;
-            }
-        }
-        return r;
+    for (const SweepTask &t : tasks) {
+        if (!t.trace.records && t.trace.count)
+            panic("core::run: task with null trace");
+        t.cfg.validate();
     }
 
-    // Sharded: expand every task via planShards into one flat list so
-    // shards of different tasks load-balance against each other.
-    struct FlatRef
+    // Expand every task into its shard plan, as one flat list so
+    // shards of different tasks load-balance against each other. An
+    // unsharded task is a one-shard plan that keeps its own warmup.
+    const bool sharded = opt.shards > 1 || opt.warmup > 0;
+    struct FlatShard
     {
         size_t task;
-        size_t shard;
+        ShardSpec spec;
     };
-    std::vector<SweepTask> flat;
-    std::vector<FlatRef> ref;
+    std::vector<FlatShard> flat;
+    flat.reserve(tasks.size());
     std::vector<size_t> first(tasks.size() + 1, 0);
     for (size_t p = 0; p < tasks.size(); ++p) {
-        std::vector<ShardSpec> plan =
-            planShards(tasks[p].trace.count, opt.shards, opt.warmup);
-        for (size_t s = 0; s < plan.size(); ++s) {
-            flat.push_back({tasks[p].cfg,
-                            tasks[p].trace.slice(
-                                plan[s].begin,
-                                plan[s].end - plan[s].begin),
-                            plan[s].warmup});
-            ref.push_back({p, s});
+        if (sharded) {
+            for (const ShardSpec &spec : planShards(
+                     tasks[p].trace.count, opt.shards, opt.warmup))
+                flat.push_back({p, spec});
+        } else {
+            flat.push_back(
+                {p, {0, tasks[p].trace.count, tasks[p].warmup}});
         }
         first[p + 1] = flat.size();
     }
 
-    if (opt.collect_results)
-        r.groups.assign(tasks.size(), StatGroup());
-    // In streaming mode each task's in-flight shard stats live in a
-    // per-task buffer released as soon as the task merges.
-    std::vector<std::vector<uarch::SimStats>> shard_buf;
-    if (!opt.collect_results) {
-        shard_buf.resize(tasks.size());
-        for (size_t p = 0; p < tasks.size(); ++p)
-            shard_buf[p].resize(first[p + 1] - first[p]);
+    RunResult r;
+    if (opt.collect_results) {
+        r.stats.resize(flat.size());
+        r.groups.resize(tasks.size());
     }
+    // In streaming mode a task's finished shards wait in a buffer
+    // allocated when its first shard finishes and freed when it
+    // merges, so memory follows the shards in flight, not the plan.
+    std::mutex buf_mu;
+    std::vector<std::unique_ptr<std::vector<uarch::SimStats>>> shard_buf(
+        sharded && !opt.collect_results ? tasks.size() : 0);
     std::vector<std::atomic<size_t>> remaining(tasks.size());
     for (size_t p = 0; p < tasks.size(); ++p)
         remaining[p].store(first[p + 1] - first[p],
                            std::memory_order_relaxed);
 
-    if (opt.on_snapshot)
-        hooks.on_snapshot = [&](size_t flat_idx,
-                                const uarch::StatSnapshot &s) {
-            opt.on_snapshot(ref[flat_idx].task, ref[flat_idx].shard,
-                            s);
-        };
-    hooks.on_done = [&](size_t flat_idx, const uarch::SimStats &s) {
-        const FlatRef &fr = ref[flat_idx];
+    runPool(flat.size(), opt.jobs, [&](size_t i) {
+        if (detail::sweep_task_hook)
+            detail::sweep_task_hook(i);
+        const size_t task = flat[i].task;
+        const ShardSpec &spec = flat[i].spec;
+        const size_t shard = i - first[task];
+        const size_t shards = first[task + 1] - first[task];
+
+        trace::TraceCursor cursor(
+            tasks[task].trace.slice(spec.begin, spec.end - spec.begin));
+        uarch::RunLimits limits;
+        limits.warmup = spec.warmup;
+        if (opt.sample_every && opt.on_snapshot) {
+            limits.sample_every = opt.sample_every;
+            limits.sampler = [&](const uarch::StatSnapshot &snap) {
+                opt.on_snapshot(task, shard, snap);
+            };
+        }
+        uarch::SimStats local;
+        uarch::SimStats &s = opt.collect_results ? r.stats[i] : local;
+        s = uarch::simulate(tasks[task].cfg, cursor, limits);
         if (opt.on_shard)
-            opt.on_shard(fr.task, fr.shard, s);
-        if (!opt.collect_results)
-            shard_buf[fr.task][fr.shard] = s;
+            opt.on_shard(task, shard, s);
+
+        if (shards > 1 && !opt.collect_results) {
+            std::lock_guard<std::mutex> lock(buf_mu);
+            if (!shard_buf[task])
+                shard_buf[task] =
+                    std::make_unique<std::vector<uarch::SimStats>>(
+                        shards);
+            (*shard_buf[task])[shard] = s;
+        }
         // acq_rel: the worker that decrements to zero must observe
         // every other worker's writes to this task's shard slots.
-        if (remaining[fr.task].fetch_sub(
-                1, std::memory_order_acq_rel) != 1)
+        if (remaining[task].fetch_sub(1, std::memory_order_acq_rel) != 1)
             return;
         StatGroup g;
-        if (opt.collect_results) {
-            std::vector<uarch::SimStats> slice(
-                r.stats.begin() +
-                    static_cast<ptrdiff_t>(first[fr.task]),
-                r.stats.begin() +
-                    static_cast<ptrdiff_t>(first[fr.task + 1]));
-            g = mergedStats(slice);
+        if (shards == 1) {
+            g = s.group();
+        } else if (opt.collect_results) {
+            g = mergedStats(
+                {r.stats.begin() + static_cast<ptrdiff_t>(first[task]),
+                 r.stats.begin() +
+                     static_cast<ptrdiff_t>(first[task + 1])});
         } else {
-            g = mergedStats(shard_buf[fr.task]);
-            std::vector<uarch::SimStats>().swap(shard_buf[fr.task]);
+            g = mergedStats(*shard_buf[task]);
+            shard_buf[task].reset();
         }
-        g.label() = tasks[fr.task].cfg.name;
+        g.label() = tasks[task].cfg.name;
         if (opt.on_result)
-            opt.on_result(fr.task, g);
+            opt.on_result(task, g);
         if (opt.collect_results)
-            r.groups[fr.task] = std::move(g);
-    };
-
-    runPool(flat, opt.jobs, opt.collect_results ? &r.stats : nullptr,
-            hooks);
+            r.groups[task] = std::move(g);
+    });
     return r;
 }
 

@@ -112,9 +112,9 @@ struct RunOptions
 
     /** When false, RunResult comes back empty and results exist only
      *  as callback invocations — the O(1)-memory mode that lets a
-     *  million-point sweep stream to disk. (Sharded runs still
-     *  buffer each task's in-flight shard stats until the task
-     *  completes.) */
+     *  million-point sweep stream to disk. (A sharded task buffers
+     *  its finished shards' stats only from its first finished shard
+     *  until it merges.) */
     bool collect_results = true;
 };
 
@@ -139,11 +139,12 @@ struct RunResult
  * machine next to a 2-way one) still load-balance. Results are
  * deterministic (bit-identical) for any jobs count.
  *
- * With shards > 1 or warmup > 0, every task's trace is split via
- * planShards and the whole expansion runs as one flat task list on
+ * Every task becomes a shard plan — with shards > 1 or warmup > 0
+ * its trace is split via planShards, otherwise it is one shard of
+ * the whole trace — and the whole expansion runs as one flat list on
  * the pool (shards of different tasks load-balance against each
- * other), then merges per task — see RunOptions::shards for the
- * measurement contract.
+ * other), then merges per task in shard order — see
+ * RunOptions::shards for the measurement contract.
  *
  * If a simulation (or callback) throws, the first exception is
  * captured, the remaining tasks are drained without running, all

@@ -1,6 +1,8 @@
 /**
  * @file
- * Implementation of the memory-mapped trace source.
+ * Implementation of the memory-mapped trace source: the one reader
+ * of the v2 trace file format, with all of its header and payload
+ * validation. v1 files are recognised by their magic and refused.
  */
 
 #include "trace/mmap_source.hpp"
@@ -10,20 +12,144 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 
+#include "common/crc32.hpp"
 #include "common/logging.hpp"
 
 namespace cesp::trace {
 
 namespace {
 
+constexpr char kMagicV1[8] = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1'};
+constexpr bool kLittleEndian =
+    std::endian::native == std::endian::little;
+
 TraceIoResult
 fail(TraceIoStatus status, std::string detail)
 {
     return {status, std::move(detail)};
+}
+
+uint32_t
+get32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+        (static_cast<uint32_t>(p[1]) << 8) |
+        (static_cast<uint32_t>(p[2]) << 16) |
+        (static_cast<uint32_t>(p[3]) << 24);
+}
+
+uint64_t
+get64(const uint8_t *p)
+{
+    return get32(p) | (static_cast<uint64_t>(get32(p + 4)) << 32);
+}
+
+/**
+ * True if the record's enum bytes are in range. The CRC proves a v2
+ * payload holds the bytes the writer produced, but a writer bug (or
+ * a file from a future opcode set) could still smuggle an impossible
+ * instruction into the simulator; this is the last gate.
+ */
+bool
+recordValid(const uint8_t *p)
+{
+    return p[12] < static_cast<uint8_t>(isa::Opcode::NUM_OPCODES) &&
+        p[13] <= static_cast<uint8_t>(isa::OpClass::Nop);
+}
+
+/** Decode one verified little-endian record into native order. */
+void
+unpack(const uint8_t *p, TraceOp &op)
+{
+    op.pc = get32(p);
+    op.next_pc = get32(p + 4);
+    op.mem_addr = get32(p + 8);
+    op.op = static_cast<isa::Opcode>(p[12]);
+    op.cls = static_cast<isa::OpClass>(p[13]);
+    op.dst = static_cast<int8_t>(p[14]);
+    op.src1 = static_cast<int8_t>(p[15]);
+    op.src2 = static_cast<int8_t>(p[16]);
+    op.mem_size = p[17];
+    op.taken = p[18] != 0;
+    op.pad = 0;
+}
+
+/** LegacyVersion if @p header starts with the retired v1 magic. */
+TraceIoResult
+refuseV1Header(const uint8_t *header, const std::string &path)
+{
+    if (std::memcmp(header, kMagicV1, sizeof(kMagicV1)) == 0)
+        return fail(TraceIoStatus::LegacyVersion,
+                    path + ": v1 is no longer supported; regenerate");
+    return traceIoOk();
+}
+
+/**
+ * Validate a v2 header (magic, record size) and extract the record
+ * count and payload CRC.
+ */
+TraceIoResult
+parseV2Header(const uint8_t *header, const std::string &path,
+              uint64_t &count_out, uint32_t &crc_out)
+{
+    if (std::memcmp(header, kTraceMagicV2, sizeof(kTraceMagicV2)) != 0)
+        return fail(TraceIoStatus::BadMagic, path + ": not a v2 header");
+    uint32_t record_bytes = get32(header + 16);
+    if (record_bytes != kTraceRecordBytes)
+        return fail(TraceIoStatus::BadRecordSize,
+                    path + ": record size " +
+                        std::to_string(record_bytes) + " != " +
+                        std::to_string(kTraceRecordBytes));
+    count_out = get64(header + 8);
+    crc_out = get32(header + 20);
+    return traceIoOk();
+}
+
+/**
+ * Verify @p count records of raw v2 payload: CRC against the header
+ * value, then enum-range validity of every record.
+ */
+TraceIoResult
+verifyV2Payload(const uint8_t *payload, uint64_t count,
+                uint32_t expect_crc, const std::string &path)
+{
+    // Checksum and record validation interleave in blocks small
+    // enough to stay cache-resident, so a multi-hundred-MB payload
+    // streams from memory once, not twice. The chained-seed CRC of
+    // the blocks equals the one-shot CRC of the whole payload.
+    constexpr uint64_t kBlockRecords = 8192; // 160 KB per block
+    uint32_t actual = 0;
+    uint64_t bad_record = UINT64_MAX;
+    for (uint64_t base = 0; base < count; base += kBlockRecords) {
+        uint64_t n = std::min(kBlockRecords, count - base);
+        actual = crc32(payload + base * kTraceRecordBytes,
+                       n * kTraceRecordBytes, actual);
+        if (bad_record != UINT64_MAX)
+            continue;
+        for (uint64_t i = base; i < base + n; ++i) {
+            if (!recordValid(payload + i * kTraceRecordBytes)) {
+                bad_record = i;
+                break;
+            }
+        }
+    }
+    // The CRC verdict comes first: if the bytes aren't the writer's
+    // bytes, a "record out of range" would blame the wrong layer.
+    if (actual != expect_crc)
+        return fail(TraceIoStatus::CrcMismatch,
+                    path + ": payload CRC " + strprintf("%08x", actual) +
+                        " != header CRC " +
+                        strprintf("%08x", expect_crc));
+    if (bad_record != UINT64_MAX)
+        return fail(TraceIoStatus::BadRecord,
+                    path + ": record " + std::to_string(bad_record) +
+                        " out of range");
+    return traceIoOk();
 }
 
 /**
@@ -67,6 +193,7 @@ MmapTraceSource::reset()
     map_bytes_ = 0;
     records_ = nullptr;
     count_ = 0;
+    decoded_.clear();
     path_.clear();
 }
 
@@ -74,14 +201,6 @@ TraceIoResult
 MmapTraceSource::open(const std::string &path)
 {
     reset();
-
-    if constexpr (std::endian::native != std::endian::little) {
-        // The zero-copy contract is "the bytes on disk are the
-        // records in memory", which only holds on little-endian
-        // hosts; big-endian callers must use the buffered loader.
-        return fail(TraceIoStatus::Unsupported,
-                    path + ": zero-copy mmap requires little-endian");
-    }
 
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
@@ -137,13 +256,12 @@ MmapTraceSource::open(const std::string &path)
         return r;
     };
 
-    if (TraceIoResult v1 = detail::refuseV1Header(bytes, path); !v1)
+    if (TraceIoResult v1 = refuseV1Header(bytes, path); !v1)
         return reject(v1);
 
     uint64_t count = 0;
     uint32_t crc = 0;
-    TraceIoResult hdr =
-        detail::parseV2Header(bytes, path, count, crc);
+    TraceIoResult hdr = parseV2Header(bytes, path, count, crc);
     if (!hdr.ok())
         return reject(hdr);
 
@@ -158,15 +276,25 @@ MmapTraceSource::open(const std::string &path)
                 " bytes does not match header count " +
                 std::to_string(count)));
 
-    TraceIoResult payload = detail::verifyV2Payload(
+    TraceIoResult payload = verifyV2Payload(
         bytes + kTraceV2HeaderBytes, count, crc, path);
     if (!payload.ok())
         return reject(payload);
 
     map_base_ = base;
     map_bytes_ = file_bytes;
-    records_ = reinterpret_cast<const TraceOp *>(
-        bytes + kTraceV2HeaderBytes);
+    if constexpr (kLittleEndian) {
+        records_ = reinterpret_cast<const TraceOp *>(
+            bytes + kTraceV2HeaderBytes);
+    } else {
+        // The payload is TraceOp's little-endian layout; decode each
+        // verified record into native order.
+        decoded_.resize(count);
+        for (size_t i = 0; i < decoded_.size(); ++i)
+            unpack(bytes + kTraceV2HeaderBytes + i * kTraceRecordBytes,
+                   decoded_[i]);
+        records_ = decoded_.data();
+    }
     count_ = static_cast<size_t>(count);
     path_ = path;
     return traceIoOk();

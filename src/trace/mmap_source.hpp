@@ -1,14 +1,17 @@
 /**
  * @file
- * Zero-copy trace source over a memory-mapped v2 trace file.
+ * Zero-copy trace source over a memory-mapped v2 trace file — the
+ * one reader of the format (the trace cache, `cesp-trace` and the
+ * tests all open .trc files here).
  *
- * A v2 file's payload is TraceOp's in-memory layout verbatim, so
- * once the header and CRC check out the mapping itself is the record
- * array: no decode pass, no private TraceBuffer, no per-record copy.
- * Every process that maps the same cached workload trace shares one
- * page-cache copy — N sweep workers in N processes read the same
- * physical pages, where the buffered loader gave each process its
- * own tens-of-MB decoded vector.
+ * A v2 file's payload is TraceOp's little-endian in-memory layout
+ * verbatim, so once the header and CRC check out the mapping itself
+ * is the record array: no decode pass, no private TraceBuffer, no
+ * per-record copy. Every process that maps the same cached workload
+ * trace shares one page-cache copy — N sweep workers in N processes
+ * read the same physical pages. On a big-endian host (selected at
+ * build time) open() instead decodes the verified mapping into an
+ * owned vector, field by field, and serves that.
  *
  * Integrity: open() refuses to serve a file whose magic, record
  * size, count-vs-file-size, CRC-32, or record contents are wrong,
@@ -27,6 +30,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "trace/tracefile.hpp"
 
@@ -87,6 +91,7 @@ class MmapTraceSource
         std::swap(count_, other.count_);
         std::swap(map_base_, other.map_base_);
         std::swap(map_bytes_, other.map_bytes_);
+        decoded_.swap(other.decoded_);
         std::swap(path_, other.path_);
     }
 
@@ -94,6 +99,7 @@ class MmapTraceSource
     size_t count_ = 0;
     void *map_base_ = nullptr;
     size_t map_bytes_ = 0;
+    std::vector<TraceOp> decoded_; //!< the records, big-endian hosts only
     std::string path_;
 };
 

@@ -19,11 +19,12 @@ TraceView::slice(size_t offset, size_t n) const
 }
 
 TraceMix
-computeMix(const TraceBuffer &buf)
+computeMix(TraceView trace)
 {
     TraceMix m;
-    m.total = buf.size();
-    for (const TraceOp &op : buf.ops()) {
+    m.total = trace.count;
+    for (size_t i = 0; i < trace.count; ++i) {
+        const TraceOp &op = trace[i];
         switch (op.cls) {
           case isa::OpClass::Load:
             ++m.loads;

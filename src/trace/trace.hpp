@@ -227,8 +227,8 @@ struct TraceMix
     }
 };
 
-/** Classify every op in a buffer. */
-TraceMix computeMix(const TraceBuffer &buf);
+/** Classify every op of a trace. */
+TraceMix computeMix(TraceView trace);
 
 } // namespace cesp::trace
 

@@ -11,11 +11,14 @@
  * in-memory layout verbatim, 20 bytes per record. Because the file
  * layout IS the memory layout, a file can be memory-mapped and
  * served with zero decode and zero copy (see MmapTraceSource); the
- * CRC lets every reader prove the payload intact before a simulation
+ * CRC lets the reader prove the payload intact before a simulation
  * consumes it.
  *
+ * The one reader is MmapTraceSource (mmap_source.hpp); the trace
+ * cache, `cesp-trace` and the tests all open files through it.
+ *
  * The retired v1 format ("CESPTRC1", packed records, no checksum) is
- * no longer read. Both readers still recognise its magic and return
+ * no longer read. The reader still recognises its magic and returns
  * LegacyVersion, so a stale cache file is regenerated with a clear
  * log line rather than reported as foreign.
  *
@@ -54,7 +57,6 @@ enum class TraceIoStatus
     CrcMismatch,    //!< payload bytes fail the header checksum
     BadRecord,      //!< a record decodes to an impossible instruction
     MmapFailed,     //!< the mmap syscall itself failed
-    Unsupported,    //!< zero-copy I/O unavailable on this platform
 };
 
 /** Human-readable name of a status (stable, for logs and tests). */
@@ -77,7 +79,9 @@ traceIoOk()
     return {};
 }
 
-/** On-disk sizes, shared by the writer, reader, and mmap source. */
+/** On-disk layout, shared by TraceFileWriter and MmapTraceSource. */
+constexpr char kTraceMagicV2[8] = {'C', 'E', 'S', 'P',
+                                   'T', 'R', 'C', '2'};
 constexpr size_t kTraceV2HeaderBytes = 32;
 constexpr size_t kTraceRecordBytes = 20;
 
@@ -145,41 +149,6 @@ class TraceFileWriter final : public TraceSink
  */
 TraceIoResult saveTrace(const TraceBuffer &buf,
                         const std::string &path);
-
-/**
- * Read a v2 trace from @p path into @p out (replacing its contents),
- * verifying the payload checksum. On failure @p out is untouched.
- */
-TraceIoResult loadTrace(const std::string &path, TraceBuffer &out);
-
-namespace detail {
-
-/**
- * LegacyVersion if @p header starts with the retired v1 magic
- * ("CESPTRC1"), Ok otherwise. Shared by the buffered reader and the
- * mmap source, so both refuse v1 the same way.
- */
-TraceIoResult refuseV1Header(const uint8_t *header,
-                             const std::string &path);
-
-/**
- * Validate a v2 header (magic, record size) and extract the record
- * count and payload CRC. Shared by the buffered reader and the mmap
- * source.
- */
-TraceIoResult parseV2Header(const uint8_t *header,
-                            const std::string &path,
-                            uint64_t &count_out, uint32_t &crc_out);
-
-/**
- * Verify @p count records of raw v2 payload: CRC against the header
- * value, then enum-range validity of every record.
- */
-TraceIoResult verifyV2Payload(const uint8_t *payload, uint64_t count,
-                              uint32_t expect_crc,
-                              const std::string &path);
-
-} // namespace detail
 
 } // namespace cesp::trace
 

@@ -1,17 +1,14 @@
 /**
  * @file
  * Tests for the trace-analysis module (dataflow scheduling,
- * dependence statistics) and the binary trace file format.
+ * dependence statistics). The binary trace file format is tested in
+ * test_tracefile.cpp.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "trace/analysis.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/tracefile.hpp"
 
 using namespace cesp;
 using namespace cesp::trace;
@@ -190,80 +187,4 @@ TEST(AnalyzeDependences, SyntheticMeanTracksParameter)
     TraceBuffer buf = generateSynthetic(sp, 30000);
     auto d = analyzeDependences(buf);
     EXPECT_NEAR(d.distance.mean(), 8.0, 2.0);
-}
-
-// ---- trace file I/O ----------------------------------------------------------
-
-TEST(TraceFile, RoundTripsAllFields)
-{
-    SyntheticParams sp;
-    TraceBuffer buf = generateSynthetic(sp, 5000);
-    std::string path =
-        (std::filesystem::temp_directory_path() /
-         "cesp_test_trace.trc").string();
-    ASSERT_TRUE(saveTrace(buf, path));
-
-    TraceBuffer loaded;
-    ASSERT_TRUE(loadTrace(path, loaded));
-    ASSERT_EQ(loaded.size(), buf.size());
-    for (size_t i = 0; i < buf.size(); ++i) {
-        EXPECT_EQ(loaded[i].pc, buf[i].pc) << i;
-        EXPECT_EQ(loaded[i].next_pc, buf[i].next_pc) << i;
-        EXPECT_EQ(loaded[i].mem_addr, buf[i].mem_addr) << i;
-        EXPECT_EQ(loaded[i].op, buf[i].op) << i;
-        EXPECT_EQ(loaded[i].cls, buf[i].cls) << i;
-        EXPECT_EQ(loaded[i].dst, buf[i].dst) << i;
-        EXPECT_EQ(loaded[i].src1, buf[i].src1) << i;
-        EXPECT_EQ(loaded[i].src2, buf[i].src2) << i;
-        EXPECT_EQ(loaded[i].mem_size, buf[i].mem_size) << i;
-        EXPECT_EQ(loaded[i].taken, buf[i].taken) << i;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, MissingFileFails)
-{
-    TraceBuffer out;
-    EXPECT_FALSE(loadTrace("/nonexistent/path/x.trc", out));
-}
-
-TEST(TraceFile, CorruptMagicFails)
-{
-    std::string path =
-        (std::filesystem::temp_directory_path() /
-         "cesp_bad_trace.trc").string();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("NOTATRACE-------", f);
-    std::fclose(f);
-    TraceBuffer out;
-    EXPECT_FALSE(loadTrace(path, out));
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, TruncatedFileFails)
-{
-    SyntheticParams sp;
-    TraceBuffer buf = generateSynthetic(sp, 100);
-    std::string path =
-        (std::filesystem::temp_directory_path() /
-         "cesp_trunc_trace.trc").string();
-    ASSERT_TRUE(saveTrace(buf, path));
-    std::filesystem::resize_file(path, 16 + 50 * 20 - 3);
-    TraceBuffer out;
-    EXPECT_FALSE(loadTrace(path, out));
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, EmptyTraceRoundTrips)
-{
-    TraceBuffer buf;
-    std::string path =
-        (std::filesystem::temp_directory_path() /
-         "cesp_empty_trace.trc").string();
-    ASSERT_TRUE(saveTrace(buf, path));
-    TraceBuffer out;
-    ASSERT_TRUE(loadTrace(path, out));
-    EXPECT_EQ(out.size(), 0u);
-    std::remove(path.c_str());
 }

@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "core/presets.hpp"
 #include "core/report.hpp"
@@ -45,7 +49,9 @@ synthetic(uint64_t seed, uint64_t n)
     return trace::generateSynthetic(sp, n);
 }
 
-/** Private scratch directory, removed when the suite exits. */
+/** Private scratch directory, removed when the suite exits. It is
+ *  per process: ctest runs each test as its own process, in
+ *  parallel, and every process removes its directory on exit. */
 std::filesystem::path g_dir;
 
 class ScratchEnv : public ::testing::Environment
@@ -55,7 +61,7 @@ class ScratchEnv : public ::testing::Environment
     SetUp() override
     {
         g_dir = std::filesystem::temp_directory_path() /
-            "cesp_streaming_test";
+            strprintf("cesp-streaming-test-%d", getpid());
         std::filesystem::create_directories(g_dir);
     }
     void
@@ -423,36 +429,87 @@ TEST(RunStreaming, ShardAndSnapshotCallbacksCoverThePlan)
 TEST(RunStreaming, ThousandRunStreamingModeIsExactWithoutBuffering)
 {
     // The O(1)-memory acceptance test: stream >1000 tiny runs with
-    // collect_results off; every task index arrives exactly once and
-    // carries exactly the stats the buffered mode would have
-    // returned.
+    // collect_results off, unsharded and in two shards; every task
+    // index arrives exactly once and carries exactly the stats the
+    // buffered mode would have returned.
     trace::TraceBuffer buf = synthetic(64, 300);
     uarch::SimConfig cfg = core::baseline8Way();
     std::vector<SweepTask> tasks(1200, SweepTask{cfg, buf});
 
-    core::RunOptions batch_opt;
-    batch_opt.jobs = 4;
-    core::RunResult batch = core::run(tasks, batch_opt);
-    ASSERT_EQ(batch.groups.size(), tasks.size());
+    for (unsigned shards : {1u, 2u}) {
+        SCOPED_TRACE(shards);
+        core::RunOptions batch_opt;
+        batch_opt.jobs = 4;
+        batch_opt.shards = shards;
+        core::RunResult batch = core::run(tasks, batch_opt);
+        ASSERT_EQ(batch.groups.size(), tasks.size());
 
-    std::vector<int> seen(tasks.size(), 0);
-    size_t mismatches = 0;
-    std::mutex mu;
+        std::vector<int> seen(tasks.size(), 0);
+        size_t mismatches = 0;
+        std::mutex mu;
+        core::RunOptions opt = batch_opt;
+        opt.collect_results = false;
+        opt.on_result = [&](size_t task, const StatGroup &g) {
+            std::lock_guard<std::mutex> lock(mu);
+            ++seen[task];
+            if (!g.sameValues(batch.groups[task]))
+                ++mismatches;
+        };
+        core::RunResult r = core::run(tasks, opt);
+        EXPECT_TRUE(r.stats.empty());
+        EXPECT_TRUE(r.groups.empty());
+        EXPECT_EQ(mismatches, 0u);
+        for (size_t i = 0; i < seen.size(); ++i)
+            EXPECT_EQ(seen[i], 1) << "task " << i;
+    }
+}
+
+namespace {
+
+/** Peak resident set of this process so far, in MB. */
+double
+peakRssMb()
+{
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0; // KB on Linux
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+constexpr bool kSanitized = __has_feature(address_sanitizer) ||
+    __has_feature(thread_sanitizer);
+#else
+constexpr bool kSanitized = false;
+#endif
+
+} // namespace
+
+TEST(RunStreaming, ShardedStreamingHoldsOnlyInFlightShards)
+{
+    // A streamed sharded task buffers its shard stats (about 9 KB
+    // each) only while it is in flight. Sized up front for every
+    // task, 10,000 two-shard tasks would grow the peak RSS by about
+    // 180 MB.
+    trace::TraceBuffer buf = synthetic(67, 200);
+    std::vector<SweepTask> tasks(10000,
+                                 SweepTask{core::baseline8Way(), buf});
     core::RunOptions opt;
-    opt.jobs = 4;
+    opt.jobs = 1;
+    opt.shards = 2;
     opt.collect_results = false;
-    opt.on_result = [&](size_t task, const StatGroup &g) {
-        std::lock_guard<std::mutex> lock(mu);
-        ++seen[task];
-        if (!g.sameValues(batch.groups[task]))
-            ++mismatches;
-    };
-    core::RunResult r = core::run(tasks, opt);
-    EXPECT_TRUE(r.stats.empty());
-    EXPECT_TRUE(r.groups.empty());
-    EXPECT_EQ(mismatches, 0u);
-    for (size_t i = 0; i < seen.size(); ++i)
-        EXPECT_EQ(seen[i], 1) << "task " << i;
+    size_t merged = 0;
+    opt.on_result = [&](size_t, const StatGroup &) { ++merged; };
+
+    const double before = peakRssMb();
+    core::run(tasks, opt);
+    const double grown = peakRssMb() - before;
+    EXPECT_EQ(merged, tasks.size());
+    // Sanitizer shadow memory and quarantine swamp the measurement.
+    if (!kSanitized) {
+        EXPECT_LT(grown, 48.0) << "peak RSS grew " << grown << " MB";
+    }
 }
 
 TEST(RunStreaming, ThrowingCallbackAbortsLikeAFailingTask)

@@ -121,24 +121,17 @@ sameRecords(const trace::TraceView &a, const trace::TraceView &b)
                     a.count * sizeof(trace::TraceOp)) == 0;
 }
 
-/** Both readers on one injected corruption, each status checked. */
+/** The reader on one injected corruption: exactly @p status. */
 void
-expectCorrupt(const std::string &path, TraceIoStatus load_status,
-              TraceIoStatus mmap_status)
+expectCorrupt(const std::string &path, TraceIoStatus status)
 {
-    trace::TraceBuffer out;
-    trace::TraceIoResult loaded = trace::loadTrace(path, out);
-    EXPECT_EQ(loaded.status, load_status)
-        << "loadTrace: " << loaded.detail;
-    EXPECT_TRUE(out.empty()) << "failed load must not emit records";
-    EXPECT_FALSE(loaded.detail.empty())
-        << "failure must carry logged detail";
-
     trace::MmapTraceSource src;
     trace::TraceIoResult opened = src.open(path);
-    EXPECT_EQ(opened.status, mmap_status)
-        << "mmap: " << opened.detail;
+    EXPECT_EQ(opened.status, status) << opened.detail;
+    EXPECT_FALSE(opened.detail.empty())
+        << "failure must carry logged detail";
     EXPECT_FALSE(src.mapped());
+    EXPECT_EQ(src.size(), 0u) << "failed open must serve no records";
 }
 
 std::string
@@ -155,8 +148,8 @@ TEST(TraceFileV2, RoundTripPreservesEveryField)
     const std::string path = scratchFile("roundtrip.trc");
     ASSERT_TRUE(trace::saveTrace(buf, path).ok());
 
-    trace::TraceBuffer loaded;
-    trace::TraceIoResult r = trace::loadTrace(path, loaded);
+    trace::MmapTraceSource loaded;
+    trace::TraceIoResult r = loaded.open(path);
     ASSERT_TRUE(r.ok()) << r.detail;
     ASSERT_TRUE(sameRecords(buf, loaded));
 
@@ -174,10 +167,6 @@ TEST(TraceFileV2, EmptyTraceRoundTrips)
     const std::string path = scratchFile("empty.trc");
     ASSERT_TRUE(trace::saveTrace(empty, path).ok());
     EXPECT_EQ(readAll(path).size(), trace::kTraceV2HeaderBytes);
-
-    trace::TraceBuffer loaded = sampleTrace(10);
-    ASSERT_TRUE(trace::loadTrace(path, loaded).ok());
-    EXPECT_TRUE(loaded.empty());
 
     trace::MmapTraceSource src;
     ASSERT_TRUE(src.open(path).ok());
@@ -249,9 +238,6 @@ TEST(TraceFileWriter, ByteIdenticalToOneShotLayoutAtChunkEdges)
         ASSERT_TRUE(trace::saveTrace(buf, saved).ok());
         EXPECT_EQ(readAll(saved), expect);
 
-        trace::TraceBuffer loaded;
-        ASSERT_TRUE(trace::loadTrace(streamed, loaded).ok());
-        EXPECT_TRUE(sameRecords(buf, loaded));
         trace::MmapTraceSource src;
         trace::TraceIoResult opened = src.open(streamed);
         ASSERT_TRUE(opened.ok()) << opened.detail;
@@ -294,21 +280,19 @@ TEST(TraceFileWriter, ReportsOpenAndWriteFailures)
 TEST(TraceFileV1, BothReadersRefuseLegacyVersion)
 {
     // A hand-written v1 file: the 16-byte header (magic, record
-    // count) and one packed record. v1 is no longer read; both
-    // readers must name it LegacyVersion rather than a foreign file.
+    // count) and one packed record. v1 is no longer read; the
+    // reader must name it LegacyVersion rather than a foreign file.
     std::vector<uint8_t> bytes = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1',
                                   1, 0, 0, 0, 0, 0, 0, 0};
     bytes.resize(bytes.size() + trace::kTraceRecordBytes, 0);
     const std::string path = scratchFile("legacy.trc");
     writeAll(path, bytes);
 
-    trace::TraceBuffer loaded;
-    trace::TraceIoResult r = trace::loadTrace(path, loaded);
+    trace::MmapTraceSource src;
+    trace::TraceIoResult r = src.open(path);
     EXPECT_EQ(r.status, TraceIoStatus::LegacyVersion);
     EXPECT_NE(r.detail.find("no longer supported"), std::string::npos)
         << r.detail;
-    trace::MmapTraceSource src;
-    EXPECT_EQ(src.open(path).status, TraceIoStatus::LegacyVersion);
 }
 
 TEST(TraceFileFaults, TruncatedHeader)
@@ -321,21 +305,19 @@ TEST(TraceFileFaults, TruncatedHeader)
     for (size_t keep : {7u, 15u, 16u, 31u}) {
         writeAll(path, std::vector<uint8_t>(bytes.begin(),
                                             bytes.begin() + keep));
-        expectCorrupt(path, TraceIoStatus::ShortRead,
-                      TraceIoStatus::ShortRead);
+        expectCorrupt(path, TraceIoStatus::ShortRead);
     }
 }
 
 TEST(TraceFileFaults, ZeroLengthFileIsItsOwnStatus)
 {
     // A zero-length file is the torn-create artifact (open(O_CREAT),
-    // crash, nothing written) — not a truncated trace. Both readers
-    // report EmptyFile, distinct from ShortRead, and mmap must
-    // reject it before the map attempt (mmap of length 0 is EINVAL).
+    // crash, nothing written) — not a truncated trace. The reader
+    // reports EmptyFile, distinct from ShortRead, and must reject it
+    // before the map attempt (mmap of length 0 is EINVAL).
     const std::string path = scratchFile("empty.trc");
     writeAll(path, {});
-    expectCorrupt(path, TraceIoStatus::EmptyFile,
-                  TraceIoStatus::EmptyFile);
+    expectCorrupt(path, TraceIoStatus::EmptyFile);
     EXPECT_STREQ(traceIoStatusName(TraceIoStatus::EmptyFile),
                  "empty-file");
 }
@@ -392,19 +374,16 @@ TEST(TraceFileFaults, TruncatedPayload)
     ASSERT_TRUE(trace::saveTrace(buf, path).ok());
     std::vector<uint8_t> bytes = readAll(path);
 
-    // Chop mid-record: the stream reader hits EOF early; the mmap
-    // reader sees a size that cannot hold the header's count.
+    // Chop mid-record: the file size cannot hold the header's count.
     writeAll(path, std::vector<uint8_t>(bytes.begin(),
                                         bytes.end() - 13));
-    expectCorrupt(path, TraceIoStatus::ShortRead,
-                  TraceIoStatus::CountMismatch);
+    expectCorrupt(path, TraceIoStatus::CountMismatch);
 
-    // Chop whole records: both see a header/size disagreement.
+    // Chop whole records: still a header/size disagreement.
     writeAll(path, std::vector<uint8_t>(
                        bytes.begin(),
                        bytes.end() - 5 * trace::kTraceRecordBytes));
-    expectCorrupt(path, TraceIoStatus::ShortRead,
-                  TraceIoStatus::CountMismatch);
+    expectCorrupt(path, TraceIoStatus::CountMismatch);
 }
 
 TEST(TraceFileFaults, BadMagic)
@@ -415,14 +394,12 @@ TEST(TraceFileFaults, BadMagic)
     std::vector<uint8_t> bytes = readAll(path);
     bytes[0] = 'X';
     writeAll(path, bytes);
-    expectCorrupt(path, TraceIoStatus::BadMagic,
-                  TraceIoStatus::BadMagic);
+    expectCorrupt(path, TraceIoStatus::BadMagic);
 
     // A file of a plausible future version is also not ours.
     std::memcpy(bytes.data(), "CESPTRC9", 8);
     writeAll(path, bytes);
-    expectCorrupt(path, TraceIoStatus::BadMagic,
-                  TraceIoStatus::BadMagic);
+    expectCorrupt(path, TraceIoStatus::BadMagic);
 }
 
 TEST(TraceFileFaults, FlippedPayloadByteFailsCrc)
@@ -438,8 +415,7 @@ TEST(TraceFileFaults, FlippedPayloadByteFailsCrc)
         std::vector<uint8_t> mut = bytes;
         mut[pos] ^= 0x01;
         writeAll(path, mut);
-        expectCorrupt(path, TraceIoStatus::CrcMismatch,
-                      TraceIoStatus::CrcMismatch);
+        expectCorrupt(path, TraceIoStatus::CrcMismatch);
     }
 }
 
@@ -454,8 +430,7 @@ TEST(TraceFileFaults, HeaderCountDisagreesWithFileSize)
     std::vector<uint8_t> longer = bytes;
     longer.insert(longer.end(), trace::kTraceRecordBytes, 0);
     writeAll(path, longer);
-    expectCorrupt(path, TraceIoStatus::CountMismatch,
-                  TraceIoStatus::CountMismatch);
+    expectCorrupt(path, TraceIoStatus::CountMismatch);
 
     // A header count larger than the payload (fabricated, with a
     // huge value that would overflow a naive size computation).
@@ -463,8 +438,7 @@ TEST(TraceFileFaults, HeaderCountDisagreesWithFileSize)
     for (int i = 0; i < 8; ++i)
         lying[8 + i] = 0xff;
     writeAll(path, lying);
-    expectCorrupt(path, TraceIoStatus::ShortRead,
-                  TraceIoStatus::CountMismatch);
+    expectCorrupt(path, TraceIoStatus::CountMismatch);
 }
 
 TEST(TraceFileFaults, ForeignRecordSize)
@@ -475,8 +449,7 @@ TEST(TraceFileFaults, ForeignRecordSize)
     std::vector<uint8_t> bytes = readAll(path);
     bytes[16] = 24; // some other build's TraceOp
     writeAll(path, bytes);
-    expectCorrupt(path, TraceIoStatus::BadRecordSize,
-                  TraceIoStatus::BadRecordSize);
+    expectCorrupt(path, TraceIoStatus::BadRecordSize);
 }
 
 TEST(TraceFileFaults, ImpossibleOpcodeWithValidCrc)
@@ -493,8 +466,7 @@ TEST(TraceFileFaults, ImpossibleOpcodeWithValidCrc)
           12] = 0xff;
     recomputeCrc(bytes);
     writeAll(path, bytes);
-    expectCorrupt(path, TraceIoStatus::BadRecord,
-                  TraceIoStatus::BadRecord);
+    expectCorrupt(path, TraceIoStatus::BadRecord);
 }
 
 TEST(MmapParity, RecordExactForEveryWorkload)

@@ -103,16 +103,16 @@ verifyCommand(const std::string &path)
  * conventions (and JSON/CSV exporters) as the simulator's group.
  */
 StatGroup
-analysisGroup(const trace::TraceBuffer &buf, int window, int issue,
+analysisGroup(trace::TraceView trace, int window, int issue,
               const std::string &label)
 {
-    trace::TraceMix mix = trace::computeMix(buf);
-    trace::DependenceStats dep = trace::analyzeDependences(buf);
-    auto unlimited = trace::dataflowSchedule(buf);
+    trace::TraceMix mix = trace::computeMix(trace);
+    trace::DependenceStats dep = trace::analyzeDependences(trace);
+    auto unlimited = trace::dataflowSchedule(trace);
     trace::ScheduleLimits lim;
     lim.window = window;
     lim.issue_width = issue;
-    auto limited = trace::dataflowSchedule(buf, lim);
+    auto limited = trace::dataflowSchedule(trace, lim);
 
     StatGroup g("cesp.trace_analysis", label);
     g.addCounter("instructions", "instructions",
@@ -163,49 +163,52 @@ analysisGroup(const trace::TraceBuffer &buf, int window, int issue,
     return g;
 }
 
+/** Print the analysis tables of @p g (an analysisGroup of @p trace)
+ *  and the first @p list records of @p trace. */
 void
-analyze(const trace::TraceBuffer &buf, int window, int issue,
-        int list)
+printAnalysis(const StatGroup &g, trace::TraceView trace, int window,
+              int issue, int list)
 {
-    trace::TraceMix mix = trace::computeMix(buf);
+    const uint64_t total = g.counter("instructions");
+    auto pct = [&](const char *name) {
+        uint64_t n = g.counter(name);
+        return cell(100.0 * (total ? static_cast<double>(n) /
+                                         static_cast<double>(total)
+                                   : 0.0));
+    };
     Table m("Instruction mix");
     m.header({"class", "count", "%"});
-    m.row({"loads", cell(mix.loads), cell(100.0 * mix.frac(mix.loads))});
-    m.row({"stores", cell(mix.stores),
-           cell(100.0 * mix.frac(mix.stores))});
-    m.row({"cond branches", cell(mix.cond_branches),
-           cell(100.0 * mix.frac(mix.cond_branches))});
-    m.row({"uncond control", cell(mix.uncond),
-           cell(100.0 * mix.frac(mix.uncond))});
-    m.row({"int alu", cell(mix.int_alu),
-           cell(100.0 * mix.frac(mix.int_alu))});
-    m.row({"other", cell(mix.other),
-           cell(100.0 * mix.frac(mix.other))});
+    m.row({"loads", cell(g.counter("loads")), pct("loads")});
+    m.row({"stores", cell(g.counter("stores")), pct("stores")});
+    m.row({"cond branches", cell(g.counter("cond_branches")),
+           pct("cond_branches")});
+    m.row({"uncond control", cell(g.counter("uncond_control")),
+           pct("uncond_control")});
+    m.row({"int alu", cell(g.counter("int_alu")), pct("int_alu")});
+    m.row({"other", cell(g.counter("other")), pct("other")});
     m.print();
 
-    trace::DependenceStats dep = trace::analyzeDependences(buf);
-    auto unlimited = trace::dataflowSchedule(buf);
-    trace::ScheduleLimits lim;
-    lim.window = window;
-    lim.issue_width = issue;
-    auto limited = trace::dataflowSchedule(buf, lim);
-
+    const std::string limited =
+        strprintf("dataflow_ipc_w%d_i%d", window, issue);
     Table a("Dependence / ILP analysis");
     a.header({"quantity", "value"});
-    a.row({"instructions", cell(dep.instructions)});
-    a.row({"mean dependence distance", cell(dep.distance.mean(), 2)});
-    a.row({"adjacent-producer %",
-           cell(100.0 * dep.adjacent_frac)});
-    a.row({"independent %", cell(100.0 * dep.independent_frac)});
-    a.row({"critical path (ops)", cell(dep.critical_path)});
-    a.row({"dataflow IPC (unbounded)", cell(unlimited.ipc, 2)});
+    a.row({"instructions", cell(total)});
+    a.row({"mean dependence distance",
+           cell(g.sampleAt(g.find("dependence_distance")->store)
+                    .mean(),
+                2)});
+    a.row({"adjacent-producer %", cell(g.value("adjacent_pct"))});
+    a.row({"independent %", cell(g.value("independent_pct"))});
+    a.row({"critical path (ops)", cell(g.counter("critical_path"))});
+    a.row({"dataflow IPC (unbounded)",
+           cell(g.value("dataflow_ipc_unbounded"), 2)});
     a.row({strprintf("dataflow IPC (win=%d, iw=%d)", window, issue),
-           cell(limited.ipc, 2)});
+           cell(g.value(limited), 2)});
     a.print();
 
-    for (int i = 0; i < list && i < static_cast<int>(buf.size());
+    for (int i = 0; i < list && i < static_cast<int>(trace.count);
          ++i) {
-        const trace::TraceOp &op = buf[static_cast<size_t>(i)];
+        const trace::TraceOp &op = trace[static_cast<size_t>(i)];
         std::printf("%6d  %08x  %-8s%s%s\n", i, op.pc,
                     isa::opInfo(op.op).mnemonic,
                     op.isCondBranch()
@@ -260,71 +263,77 @@ main(int argc, char **argv)
             usage();
     }
 
-    // A stdout export must stay machine-parseable: suppress the
-    // human-facing tables and progress lines.
-    const bool quiet = json_path == "-" || csv_path == "-";
-    auto exportAnalysis = [&](const trace::TraceBuffer &buf,
-                              const std::string &label) {
-        if (json_path.empty() && csv_path.empty())
-            return;
-        StatGroup g = analysisGroup(buf, window, issue, label);
-        std::string err;
-        if (!json_path.empty() &&
-            !writeTextOutput(json_path, g.toJson(), &err))
-            fatal("%s", err.c_str());
-        if (!csv_path.empty() &&
-            !writeTextOutput(csv_path, g.toCsv(), &err))
-            fatal("%s", err.c_str());
-    };
-
-    if (!capture.empty() || !capture_asm.empty()) {
-        trace::TraceBuffer buf;
+    std::string trc = analyze_file, label = analyze_file;
+    const bool capturing = !capture.empty() || !capture_asm.empty();
+    if (capturing) {
+        trc = out;
+        label = capture.empty() ? capture_asm : capture;
+        // Stream the trace straight into the file, as the trace cache
+        // does: no whole trace is held in memory.
+        const workloads::Workload *w = nullptr;
+        std::string program;
         if (!capture.empty()) {
-            buf = workloads::traceOf(workloads::workload(capture));
+            w = &workloads::workload(capture);
         } else {
             std::ifstream in(capture_asm);
             if (!in)
                 fatal("cannot open '%s'", capture_asm.c_str());
             std::stringstream ss;
             ss << in.rdbuf();
-            // A sink-less first pass proves the program halts before a
-            // single record is buffered: a runaway loop would otherwise
-            // fill memory with the instruction limit's worth of records.
-            if (!func::runProgram(ss.str(), kAsmInstructionLimit).halted)
+            program = ss.str();
+            // A sink-less first pass proves the program halts before
+            // the output file is created: a runaway loop would
+            // otherwise write the instruction limit's worth of
+            // records.
+            if (!func::runProgram(program, kAsmInstructionLimit).halted)
                 fatal("%s did not halt within %llu instructions",
                       capture_asm.c_str(), kAsmInstructionLimit);
-            func::runProgram(ss.str(), kAsmInstructionLimit, &buf);
         }
-        trace::TraceIoResult saved = trace::saveTrace(buf, out);
+        trace::TraceFileWriter writer;
+        trace::TraceIoResult saved = writer.open(out);
+        if (saved.ok()) {
+            if (w)
+                workloads::streamTraceOf(*w, writer);
+            else
+                func::runProgram(program, kAsmInstructionLimit,
+                                 &writer);
+            saved = writer.finish();
+        }
         if (!saved.ok())
             fatal("cannot write '%s': %s (%s)", out.c_str(),
                   trace::traceIoStatusName(saved.status),
                   saved.detail.c_str());
-        if (!quiet) {
-            std::printf("wrote %zu instructions to %s\n", buf.size(),
-                        out.c_str());
-            analyze(buf, window, issue, list);
-        }
-        exportAnalysis(buf,
-                       capture.empty() ? capture_asm : capture);
-        return 0;
+    } else if (analyze_file.empty()) {
+        usage();
     }
 
-    if (!analyze_file.empty()) {
-        trace::TraceBuffer buf;
-        trace::TraceIoResult loaded =
-            trace::loadTrace(analyze_file, buf);
-        if (!loaded.ok())
-            fatal("cannot read '%s': %s (%s)", analyze_file.c_str(),
-                  trace::traceIoStatusName(loaded.status),
-                  loaded.detail.c_str());
-        if (!quiet) {
-            std::printf("%s: %zu instructions\n",
-                        analyze_file.c_str(), buf.size());
-            analyze(buf, window, issue, list);
-        }
-        exportAnalysis(buf, analyze_file);
-        return 0;
+    // Analyse the file through the reader every simulation uses, so a
+    // capture reports exactly the bytes it wrote and verified.
+    trace::MmapTraceSource src;
+    trace::TraceIoResult opened = src.open(trc);
+    if (!opened.ok())
+        fatal("cannot read '%s': %s (%s)", trc.c_str(),
+              trace::traceIoStatusName(opened.status),
+              opened.detail.c_str());
+    StatGroup g = analysisGroup(src, window, issue, label);
+
+    // A stdout export must stay machine-parseable: suppress the
+    // human-facing tables and progress lines.
+    if (json_path != "-" && csv_path != "-") {
+        if (capturing)
+            std::printf("wrote %zu instructions to %s\n", src.size(),
+                        out.c_str());
+        else
+            std::printf("%s: %zu instructions\n", trc.c_str(),
+                        src.size());
+        printAnalysis(g, src, window, issue, list);
     }
-    usage();
+    std::string err;
+    if (!json_path.empty() &&
+        !writeTextOutput(json_path, g.toJson(), &err))
+        fatal("%s", err.c_str());
+    if (!csv_path.empty() &&
+        !writeTextOutput(csv_path, g.toCsv(), &err))
+        fatal("%s", err.c_str());
+    return 0;
 }
