@@ -109,8 +109,10 @@ struct BpredConfig
  *    the oldest *unready* instruction, so both are defined in terms
  *    of the full per-cycle candidate list.
  *  - LegacyScan: re-scan every buffered instruction every cycle,
- *    mirroring the broadcast-wakeup hardware of Section 4.2. Kept as
- *    the reference for equivalence tests.
+ *    mirroring the broadcast-wakeup hardware of Section 4.2. The
+ *    candidates come from the ROB in age order (slot order for a
+ *    slot-priority window). Kept as the reference for equivalence
+ *    tests.
  */
 enum class IssueModel
 {

@@ -133,16 +133,6 @@ FifoSet::remove(int fifo, uint64_t seq)
         recycle(fifo);
 }
 
-std::vector<uint64_t>
-FifoSet::headSeqs() const
-{
-    std::vector<uint64_t> heads;
-    for (const Fifo &f : fifos_)
-        if (f.count != 0)
-            heads.push_back(entry(f, 0));
-    return heads;
-}
-
 int
 FifoSet::freeCount(int cluster) const
 {

@@ -17,7 +17,8 @@
  *
  * Storage is dense: every FIFO is a fixed-depth ring inside one flat
  * array, and the free pools are rings sized to their cluster's FIFO
- * count, so no operation allocates.
+ * count, so no operation allocates. Age order across FIFOs is not
+ * kept here: the pipeline reads it from the ROB.
  */
 
 #ifndef CESP_UARCH_FIFOS_HPP
@@ -108,9 +109,6 @@ class FifoSet
     {
         return allocate([](int) { return true; });
     }
-
-    /** Ids of the current head instructions across allocated FIFOs. */
-    std::vector<uint64_t> headSeqs() const;
 
     /** Instructions buffered across all FIFOs (O(1), maintained). */
     size_t totalEntries() const { return total_entries_; }

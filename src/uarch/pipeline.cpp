@@ -296,6 +296,9 @@ Pipeline::loadLatency(DynInst &inst)
 void
 Pipeline::removeFromBuffer(DynInst &inst)
 {
+    if (!inst.in_buffer)
+        panic("issue of seq %llu, which is not buffered",
+              (unsigned long long)inst.seq);
     switch (cfg_.style) {
       case IssueBufferStyle::CentralWindow:
         windows_[0].remove(inst.seq);
@@ -629,23 +632,21 @@ Pipeline::maybeSkipIdle()
 void
 Pipeline::doIssueScan()
 {
-    // Gather this cycle's selection candidates, oldest first.
+    // Gather this cycle's selection candidates in priority order:
+    // slot order for a slot-priority window, otherwise age order,
+    // which is the ROB's (only FIFO heads may issue).
     std::vector<uint64_t> candidates;
-    switch (cfg_.style) {
-      case IssueBufferStyle::CentralWindow:
-        candidates = windows_[0].entries();
-        break;
-      case IssueBufferStyle::PerClusterWindow: {
-        for (const auto &w : windows_)
-            candidates.insert(candidates.end(), w.entries().begin(),
-                              w.entries().end());
-        std::sort(candidates.begin(), candidates.end());
-        break;
-      }
-      case IssueBufferStyle::Fifos:
-        candidates = fifos_->headSeqs();
-        std::sort(candidates.begin(), candidates.end());
-        break;
+    if (slot_keyed_) {
+        for (int slot = 0; slot < cfg_.window_size; ++slot)
+            if (uint64_t s = windows_[0].seqAt(slot); s != kNoSeq)
+                candidates.push_back(s);
+    } else {
+        const bool heads_only = cfg_.style == IssueBufferStyle::Fifos;
+        for (uint64_t s = rob_head_; s < rob_tail_; ++s) {
+            const DynInst &d = rob_[s & rob_mask_];
+            if (d.in_buffer && (!heads_only || fifos_->head(d.fifo) == s))
+                candidates.push_back(s);
+        }
     }
 
     // Selection-policy ordering (Section 4.3; default oldest-first).

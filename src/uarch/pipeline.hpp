@@ -23,6 +23,10 @@
  * cycle- and statistic-exact against each other (enforced by
  * tests/test_event_sched.cpp).
  *
+ * The ROB is the one record of in-flight age order: both models read
+ * age from it, and the issue buffers only hold capacity (and, for a
+ * slot-priority window, slot positions; for FIFOs, chain order).
+ *
  * The hot-path state is dense and, once a run warms up,
  * allocation-free: the ROB is a power-of-two ring indexed by
  * seq & mask, dispatch builds each DynInst directly in its ROB slot

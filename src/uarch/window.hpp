@@ -7,7 +7,8 @@
  *  - AgeCompacted: the window compacts toward the high-priority end
  *    every time instructions issue, so position priority equals age
  *    (oldest-first) — the policy the paper adopts from the HP
- *    PA-8000.
+ *    PA-8000. Age order is the ROB's order (the pipeline reads it
+ *    there), so this window is only an occupancy count.
  *  - SlotPriority: no compaction. Dispatch fills the lowest free
  *    slot and priority is by slot position, so after issues create
  *    holes, priority is no longer strictly age order. The paper
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "uarch/dyninst.hpp"
 
 namespace cesp::uarch {
 
@@ -43,13 +45,12 @@ class IssueWindow
     int size() const { return size_; }
     bool full() const { return size_ >= capacity_; }
     bool empty() const { return size_ == 0; }
-    WindowOrder order() const { return order_; }
 
     /**
-     * Insert a dispatched instruction (must be youngest so far).
-     * Returns the slot index that determines the instruction's
-     * selection priority for SlotPriority windows, -1 for
-     * AgeCompacted windows (whose priority is age, i.e. seq).
+     * Insert a dispatched instruction. Returns the slot index that
+     * determines the instruction's selection priority for
+     * SlotPriority windows, -1 for AgeCompacted windows (whose
+     * priority is age, i.e. seq).
      */
     int insert(uint64_t seq);
 
@@ -57,7 +58,7 @@ class IssueWindow
     void remove(uint64_t seq);
 
     /** Instruction in slot @p slot of a SlotPriority window
-     *  (UINT64_MAX when the slot is free). */
+     *  (kNoSeq when the slot is free). */
     uint64_t
     seqAt(int slot) const
     {
@@ -66,40 +67,11 @@ class IssueWindow
         return slots_[static_cast<size_t>(slot)];
     }
 
-    /**
-     * Waiting instructions in selection-priority order: ascending
-     * age for AgeCompacted, slot order for SlotPriority. Built on
-     * each call (the reference scan's view; the event-driven
-     * pipeline never needs it).
-     */
-    const std::vector<uint64_t> &entries() const;
-
-    void clear();
-
   private:
-    static constexpr uint64_t kEmptySlot = UINT64_MAX;
-
-    /** Re-home the AgeCompacted ring at a size holding @p span seqs. */
-    void growAged(uint64_t span);
-
     int capacity_;
     WindowOrder order_;
     int size_ = 0;
-    std::vector<uint64_t> slots_;           //!< SlotPriority storage
-    /**
-     * AgeCompacted storage, indexed by seq: aged_[seq & aged_mask_]
-     * holds seq while it waits and kEmptySlot otherwise, so insert
-     * and remove are O(1) and age order is index order. The waiting
-     * seqs lie in [oldest_, newest_], both kept on live entries; the
-     * ring doubles when that span outgrows it (issued instructions
-     * leave holes, so the span is bounded by the in-flight
-     * instructions, not by the capacity).
-     */
-    std::vector<uint64_t> aged_;
-    uint64_t aged_mask_ = 0;
-    uint64_t oldest_ = 0;
-    uint64_t newest_ = 0;
-    mutable std::vector<uint64_t> scratch_; //!< entries() cache
+    std::vector<uint64_t> slots_; //!< SlotPriority storage
 };
 
 } // namespace cesp::uarch

@@ -67,8 +67,9 @@ TEST(EventSched, ExactAcrossPresetsAndSeeds)
             expectExact(cfg, seed);
 }
 
-/** Every select policy on windows and FIFOs (Random falls back to
- *  the scan internally; equality must still hold). */
+/** Every select policy on windows and FIFOs. Random selection never
+ *  runs event-driven, so its rows compare the scan with itself;
+ *  ScanOnlyMachinesMatchRecordedCycles pins their results. */
 TEST(EventSched, ExactAcrossSelectPolicies)
 {
     for (SelectPolicy pol : {SelectPolicy::OldestFirst,
@@ -130,12 +131,48 @@ TEST(EventSched, ExactWithDelayedWakeupAndBypass)
     expectExact(b, 13);
 }
 
-/** In-order issue uses the scan internally; results must not move. */
+/** In-order issue never runs event-driven, so this compares the scan
+ *  with itself; ScanOnlyMachinesMatchRecordedCycles pins its
+ *  results. */
 TEST(EventSched, ExactForInOrderIssue)
 {
     SimConfig c = core::baseline8Way();
     c.in_order_issue = true;
     expectExact(c, 17);
+}
+
+/** Random selection and in-order issue run the scan under either
+ *  issue model, so equality with the event path pins nothing for
+ *  them. Their cycle counts on 20,000-record synthetic traces are
+ *  recorded instead: the scan's candidate order (ascending seq, and
+ *  with it Random's draws) must not move. */
+TEST(EventSched, ScanOnlyMachinesMatchRecordedCycles)
+{
+    struct Row
+    {
+        SimConfig cfg;
+        uint64_t seed;
+        uint64_t cycles;
+    };
+    auto random = [](SimConfig c) {
+        c.select_policy = SelectPolicy::Random;
+        return c;
+    };
+    auto in_order = [](SimConfig c) {
+        c.in_order_issue = true;
+        return c;
+    };
+    const Row rows[] = {
+        {random(core::baseline8Way()), 3, 12309},
+        {random(core::dependence8x8()), 3, 12325},
+        {random(core::clusteredWindows2x4()), 3, 12821},
+        {in_order(core::baseline8Way()), 17, 14443},
+        {in_order(core::scaledBaseline(4)), 17, 14869},
+    };
+    for (const Row &r : rows)
+        EXPECT_EQ(runWith(r.cfg, IssueModel::EventDriven, r.seed).cycles(),
+                  r.cycles)
+            << "config " << r.cfg.name << " trace seed " << r.seed;
 }
 
 /** Idle-cycle skipping around long memory latencies: an L2-backed

@@ -49,6 +49,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -70,6 +71,9 @@ namespace {
 
 /** Emulation bound for --asm programs. */
 constexpr unsigned long long kAsmInstructionLimit = 100000000ULL;
+
+/** Largest --synthetic trace (records; 20 bytes each in memory). */
+constexpr long long kSyntheticLimit = 1000000000LL;
 
 struct PresetEntry
 {
@@ -180,6 +184,37 @@ findTech(const std::string &f)
     if (f == "0.18")
         return vlsi::Process::um0_18;
     fatal("unknown technology '%s' (0.8, 0.35, or 0.18)", f.c_str());
+}
+
+/** The --synthetic trace; running out of memory for it is a usage
+ *  error, not an abort. */
+trace::TraceBuffer
+syntheticTrace(uint64_t seed, uint64_t records)
+{
+    trace::SyntheticParams sp;
+    sp.seed = seed;
+    try {
+        return trace::generateSynthetic(sp, records);
+    } catch (const std::bad_alloc &) {
+        fatal("cannot allocate a %llu-record synthetic trace",
+              (unsigned long long)records);
+    }
+}
+
+/** The delay model's view of a simulated machine. */
+vlsi::ClockConfig
+clockConfig(const uarch::SimConfig &cfg)
+{
+    vlsi::ClockConfig cc;
+    cc.org = cfg.style == uarch::IssueBufferStyle::Fifos
+        ? vlsi::IssueOrganization::DependenceFifos
+        : vlsi::IssueOrganization::CentralWindow;
+    cc.issue_width = cfg.issue_width;
+    cc.window_size = cfg.window_size;
+    cc.num_clusters = cfg.num_clusters;
+    cc.fifos_per_cluster = cfg.fifos_per_cluster;
+    cc.phys_regs = cfg.phys_int_regs;
+    return cc;
 }
 
 /**
@@ -395,7 +430,7 @@ main(int argc, char **argv)
             tech = next();
         } else if (a == "--synthetic") {
             synthetic = static_cast<uint64_t>(
-                intArg(a, next(), 1, 1000000000000LL));
+                intArg(a, next(), 1, kSyntheticLimit));
         } else if (a == "--all-workloads") {
             all = true;
         } else if (a == "--sweep") {
@@ -554,14 +589,21 @@ main(int argc, char **argv)
             applyOverrides(c);
             machines.push_back(c);
         }
+        // Per-preset clock estimates: each run gets the clock/BIPS
+        // gauges, as under --all-workloads.
+        std::vector<double> clock_mhz(machines.size(), 0.0);
+        if (!tech.empty()) {
+            vlsi::ClockEstimator est(findTech(tech));
+            for (size_t m = 0; m < machines.size(); ++m)
+                clock_mhz[m] =
+                    est.delays(clockConfig(machines[m])).clockMhz();
+        }
 
         trace::TraceBuffer synth;
         std::vector<std::string> names;
         std::vector<trace::TraceView> traces;
         if (synthetic > 0) {
-            trace::SyntheticParams sp;
-            sp.seed = machines[0].random_seed;
-            synth = trace::generateSynthetic(sp, synthetic);
+            synth = syntheticTrace(machines[0].random_seed, synthetic);
             names.push_back("synthetic");
             traces.push_back(synth);
         } else {
@@ -612,7 +654,7 @@ main(int argc, char **argv)
                 row.push_back(cell(g.value("ipc"), 3));
                 runs.push_back(runGroup(
                     g, std::string(kPresets[m].name) + " / " +
-                           names[w], 0.0));
+                           names[w], clock_mhz[m]));
                 if (w > 0)
                     agg.merge(g);
             }
@@ -633,15 +675,7 @@ main(int argc, char **argv)
     double clock_mhz = 0.0;
     if (!tech.empty()) {
         vlsi::ClockEstimator est(findTech(tech));
-        vlsi::ClockConfig cc;
-        cc.org = cfg.style == uarch::IssueBufferStyle::Fifos
-            ? vlsi::IssueOrganization::DependenceFifos
-            : vlsi::IssueOrganization::CentralWindow;
-        cc.issue_width = cfg.issue_width;
-        cc.window_size = cfg.window_size;
-        cc.num_clusters = cfg.num_clusters;
-        cc.fifos_per_cluster = cfg.fifos_per_cluster;
-        cc.phys_regs = cfg.phys_int_regs;
+        vlsi::ClockConfig cc = clockConfig(cfg);
         vlsi::StageDelays d = est.delays(cc);
         clock_mhz = d.clockMhz();
         if (!quiet)
@@ -754,11 +788,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (synthetic > 0) {
-        trace::SyntheticParams sp;
-        sp.seed = cfg.random_seed;
-        trace::TraceBuffer buf =
-            trace::generateSynthetic(sp, synthetic);
-        runOne(buf, "synthetic");
+        runOne(syntheticTrace(cfg.random_seed, synthetic), "synthetic");
         return 0;
     }
     usage();
