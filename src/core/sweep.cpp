@@ -228,8 +228,6 @@ run(const std::vector<SweepTask> &tasks, const RunOptions &opt)
         const size_t shard = i - first[task];
         const size_t shards = first[task + 1] - first[task];
 
-        trace::TraceCursor cursor(
-            tasks[task].trace.slice(spec.begin, spec.end - spec.begin));
         uarch::RunLimits limits;
         limits.warmup = spec.warmup;
         if (opt.sample_every && opt.on_snapshot) {
@@ -240,7 +238,10 @@ run(const std::vector<SweepTask> &tasks, const RunOptions &opt)
         }
         uarch::SimStats local;
         uarch::SimStats &s = opt.collect_results ? r.stats[i] : local;
-        s = uarch::simulate(tasks[task].cfg, cursor, limits);
+        s = uarch::simulate(
+            tasks[task].cfg,
+            tasks[task].trace.slice(spec.begin, spec.end - spec.begin),
+            limits);
         if (opt.on_shard)
             opt.on_shard(task, shard, s);
 

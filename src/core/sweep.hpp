@@ -33,8 +33,8 @@
 namespace cesp::core {
 
 /** One simulation in a sweep. The trace is shared, not owned, and
- *  must outlive the core::run call; workers read it through private
- *  TraceCursors. A TraceView converts implicitly from a TraceBuffer
+ *  must outlive the core::run call; any number of workers read it
+ *  concurrently. A TraceView converts implicitly from a TraceBuffer
  *  and from an MmapTraceSource, so tasks can mix buffer-backed and
  *  mmap-backed traces freely. warmup discards the stats of the
  *  leading instructions (see Pipeline::run): the machine state warms

@@ -20,9 +20,8 @@
  * regeneration (see core::cachedWorkloadTraceView).
  *
  * Concurrency: the mapping is read-only and MAP_PRIVATE; any number
- * of TraceCursors from any number of threads may walk view()
- * concurrently. The source must outlive every cursor and view taken
- * from it.
+ * of simulations on any number of threads may read view()
+ * concurrently. The source must outlive every view taken from it.
  */
 
 #ifndef CESP_TRACE_MMAP_SOURCE_HPP
@@ -69,7 +68,7 @@ class MmapTraceSource
      */
     TraceIoResult open(const std::string &path);
 
-    /** Unmap; views and cursors into this source become invalid. */
+    /** Unmap; views into this source become invalid. */
     void reset();
 
     bool mapped() const { return map_base_ != nullptr; }
@@ -79,9 +78,6 @@ class MmapTraceSource
     /** The records, served directly from the page cache. */
     TraceView view() const { return {records_, count_}; }
     /*implicit*/ operator TraceView() const { return view(); }
-
-    /** A private cursor over the mapping (caller owns position). */
-    TraceCursor cursor() const { return TraceCursor(view()); }
 
   private:
     void

@@ -6,57 +6,46 @@
 #include "trace/synthetic.hpp"
 
 #include <cmath>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 
 namespace cesp::trace {
 
-SyntheticTrace::SyntheticTrace(const SyntheticParams &params,
-                               uint64_t length)
-    : params_(params), length_(length), rng_(params.seed)
-{
-    if (params.load_frac + params.store_frac + params.branch_frac >=
-        1.0)
-        fatal("synthetic trace: instruction-mix fractions sum to >= 1");
-    if (params.mean_dep_distance < 1.0)
-        fatal("synthetic trace: mean dependence distance must be >= 1");
-    regenerate();
-}
+namespace {
 
-void
-SyntheticTrace::regenerate()
+/** The generator's state for one trace, from the seed on. */
+class Generator
 {
-    produced_ = 0;
-    rng_ = Rng(params_.seed);
-    pc_ = 0x00010000;
-    ring_pos_ = 0;
-    next_reg_ = 1;
-    branch_seq_ = 0;
-    for (int i = 0; i < kRing; ++i)
-        recent_dst_[i] = 1;
-    site_counts_.clear();
-}
+  public:
+    explicit Generator(const SyntheticParams &params)
+        : params_(params), rng_(params.seed)
+    {
+        for (int i = 0; i < kRing; ++i)
+            recent_dst_[i] = 1;
+    }
 
-void
-SyntheticTrace::rewind()
-{
-    regenerate();
-}
+    TraceOp make();
 
-bool
-SyntheticTrace::next(TraceOp &out)
-{
-    if (produced_ >= length_)
-        return false;
-    out = make();
-    ++produced_;
-    return true;
-}
+  private:
+    const SyntheticParams &params_;
+    Rng rng_;
+    uint32_t pc_ = 0x00010000;
+    // Ring of the most recent architectural destination registers,
+    // used to realize dependence distances.
+    static constexpr int kRing = 64;
+    int recent_dst_[kRing] = {};
+    int ring_pos_ = 0;
+    int next_reg_ = 1;
+    // Per-branch-site outcome pattern state.
+    std::unordered_map<uint32_t, uint32_t> site_counts_;
+};
 
 TraceOp
-SyntheticTrace::make()
+Generator::make()
 {
     TraceOp t;
     t.pc = pc_;
@@ -111,7 +100,6 @@ SyntheticTrace::make()
         t.src1 = dep_src();
         if (rng_.chance(params_.two_src_frac))
             t.src2 = dep_src();
-        ++branch_seq_;
         // Patterned sites repeat a short taken/not-taken sequence a
         // history predictor can learn; noisy sites flip randomly.
         uint32_t &count = site_counts_[t.pc];
@@ -153,15 +141,21 @@ SyntheticTrace::make()
     return t;
 }
 
+} // namespace
+
 TraceBuffer
 generateSynthetic(const SyntheticParams &params, uint64_t length)
 {
+    if (params.load_frac + params.store_frac + params.branch_frac >=
+        1.0)
+        fatal("synthetic trace: instruction-mix fractions sum to >= 1");
+    if (params.mean_dep_distance < 1.0)
+        fatal("synthetic trace: mean dependence distance must be >= 1");
     std::vector<TraceOp> ops;
     ops.reserve(length);
-    SyntheticTrace src(params, length);
-    TraceOp op;
-    while (src.next(op))
-        ops.push_back(op);
+    Generator gen(params);
+    for (uint64_t i = 0; i < length; ++i)
+        ops.push_back(gen.make());
     TraceBuffer buf;
     buf.assign(std::move(ops));
     return buf;

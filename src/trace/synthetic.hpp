@@ -13,9 +13,6 @@
 #ifndef CESP_TRACE_SYNTHETIC_HPP
 #define CESP_TRACE_SYNTHETIC_HPP
 
-#include <unordered_map>
-
-#include "common/rng.hpp"
 #include "trace/trace.hpp"
 
 namespace cesp::trace {
@@ -58,39 +55,8 @@ struct SyntheticParams
     double mean_block = 6.0;
 };
 
-/** Replayable synthetic trace source. */
-class SyntheticTrace : public TraceSource
-{
-  public:
-    SyntheticTrace(const SyntheticParams &params, uint64_t length);
-
-    bool next(TraceOp &out) override;
-    void rewind() override;
-
-    uint64_t length() const { return length_; }
-
-  private:
-    void regenerate();
-    TraceOp make();
-
-    SyntheticParams params_;
-    uint64_t length_;
-    uint64_t produced_ = 0;
-    Rng rng_;
-    uint32_t pc_ = 0x00010000;
-    // Ring of the most recent architectural destination registers,
-    // used to realize dependence distances.
-    static constexpr int kRing = 64;
-    int recent_dst_[kRing] = {};
-    int ring_pos_ = 0;
-    int next_reg_ = 1;
-    uint64_t branch_seq_ = 0;
-    // Per-branch-site outcome pattern state (this instance's only, so
-    // instances stepped alternately stay independent).
-    std::unordered_map<uint32_t, uint32_t> site_counts_;
-};
-
-/** Generate a full buffer (convenience for tests/benches). */
+/** Generate a trace of @p length records; fatal on parameters out of
+ *  range. The same parameters always give the same records. */
 TraceBuffer generateSynthetic(const SyntheticParams &params,
                               uint64_t length);
 

@@ -82,21 +82,9 @@ class TraceSink
     virtual void append(const TraceOp &op) = 0;
 };
 
-/** Producer interface for the timing simulator. */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-
-    /** Fetch the next dynamic instruction; false at end of trace. */
-    virtual bool next(TraceOp &out) = 0;
-
-    /** Restart from the beginning (used to replay across configs). */
-    virtual void rewind() = 0;
-};
-
-/** In-memory trace: both a sink and a replayable source. */
-class TraceBuffer : public TraceSink, public TraceSource
+/** In-memory trace: a sink whose records are read back by index or
+ *  through a TraceView. */
+class TraceBuffer : public TraceSink
 {
   public:
     void
@@ -105,25 +93,9 @@ class TraceBuffer : public TraceSink, public TraceSource
         ops_.push_back(op);
     }
 
-    bool
-    next(TraceOp &out) override
-    {
-        if (pos_ >= ops_.size())
-            return false;
-        out = ops_[pos_++];
-        return true;
-    }
-
-    void rewind() override { pos_ = 0; }
-
     /** Replace the contents wholesale (bulk-load path: file I/O
      *  reads records straight into a vector, no append loop). */
-    void
-    assign(std::vector<TraceOp> ops)
-    {
-        ops_ = std::move(ops);
-        pos_ = 0;
-    }
+    void assign(std::vector<TraceOp> ops) { ops_ = std::move(ops); }
 
     size_t size() const { return ops_.size(); }
     bool empty() const { return ops_.empty(); }
@@ -132,7 +104,6 @@ class TraceBuffer : public TraceSink, public TraceSource
 
   private:
     std::vector<TraceOp> ops_;
-    size_t pos_ = 0;
 };
 
 /**
@@ -169,44 +140,10 @@ struct TraceView
     TraceView slice(size_t offset, size_t n) const;
 };
 
-/**
- * Read-only cursor over records someone else owns. A TraceBuffer is
- * itself a TraceSource, but its cursor is part of the buffer, so two
- * simulations cannot share one buffer concurrently. Each TraceCursor
- * carries its own position and only reads the underlying storage —
- * any number of cursors may walk the same view from different
- * threads, which is what the sweep runner does.
- */
-class TraceCursor : public TraceSource
-{
-  public:
-    explicit TraceCursor(TraceView view) : view_(view) {}
-
-    bool
-    next(TraceOp &out) override
-    {
-        if (pos_ >= view_.count)
-            return false;
-        out = view_[pos_++];
-        return true;
-    }
-
-    void rewind() override { pos_ = 0; }
-
-    /** Jump to record @p pos; positions at or past the end make the
-     *  next next() return false (an exhausted cursor, not an error). */
-    void seek(size_t pos) { pos_ = pos; }
-
-    /** Index of the record the next next() returns. */
-    size_t position() const { return pos_; }
-
-    /** The records this cursor walks. */
-    TraceView view() const { return view_; }
-
-  private:
-    TraceView view_;
-    size_t pos_ = 0;
-};
+/** Former name of a view, kept only because the perfbench harness
+ *  still wraps a view in a "cursor" before handing it to the
+ *  pipeline. New code says TraceView. */
+using TraceCursor = TraceView;
 
 /** Summary statistics of a trace (used by tests and reports). */
 struct TraceMix

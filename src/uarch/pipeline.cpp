@@ -99,8 +99,8 @@ SimStats::SimStats(int num_clusters)
 #undef CESP_ADD_DERIVED
 }
 
-Pipeline::Pipeline(const SimConfig &cfg, trace::TraceSource &src)
-    : cfg_(cfg), src_(src), bpred_(bpred::makePredictor(cfg.bpred)),
+Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
+    : cfg_(cfg), trace_(trace), bpred_(bpred::makePredictor(cfg.bpred)),
       dcache_(cfg.dcache), rename_(cfg),
       select_rng_(cfg.random_seed ^ 0x5e1ec7ULL),
       stats_(cfg.num_clusters)
@@ -278,6 +278,25 @@ Pipeline::chooseExecCluster(const DynInst &inst, isa::OpClass cls,
 }
 
 int
+Pipeline::cacheAccess(uint32_t addr, bool is_store)
+{
+    mem::Cache::Access l1 = dcache_.access(addr, is_store);
+    ++stats_.dcache_accesses();
+    if (l1.hit)
+        return l1.latency;
+    ++stats_.dcache_misses();
+    if (!l2_)
+        return l1.latency;
+    // L1 miss with an L2 behind it: the L2 hit costs the Table 3
+    // miss latency; an L2 miss goes all the way to memory.
+    mem::Cache::Access l2 = l2_->access(addr, is_store);
+    ++stats_.l2_accesses();
+    if (!l2.hit)
+        ++stats_.l2_misses();
+    return l2.latency;
+}
+
+int
 Pipeline::loadLatency(DynInst &inst)
 {
     if (stq_.forwardFrom(inst.seq, inst.op.mem_addr,
@@ -285,12 +304,7 @@ Pipeline::loadLatency(DynInst &inst)
         ++stats_.store_forwards();
         return cfg_.dcache.hit_latency;
     }
-    mem::Cache::Access l1 = dcache_.access(inst.op.mem_addr, false);
-    if (l1.hit || !l2_)
-        return l1.latency;
-    // L1 miss with an L2 behind it: the L2 hit costs the Table 3
-    // miss latency; an L2 miss goes all the way to memory.
-    return l2_->access(inst.op.mem_addr, false).latency;
+    return cacheAccess(inst.op.mem_addr, false);
 }
 
 void
@@ -626,6 +640,7 @@ Pipeline::maybeSkipIdle()
     stats_.buffer_occupancy().add(static_cast<double>(bufferedCount()),
                                 skipped);
     stats_.issue_sizes().add(0.0, skipped);
+    stats_.cycles() += skipped;
     now_ = target;
 }
 
@@ -701,10 +716,7 @@ Pipeline::doCommit()
             if (ls_ports_used_ >= cfg_.ls_ports)
                 break; // no cache port this cycle; retry next cycle
             ++ls_ports_used_;
-            mem::Cache::Access l1 =
-                dcache_.access(head.op.mem_addr, true);
-            if (!l1.hit && l2_)
-                l2_->access(head.op.mem_addr, true);
+            cacheAccess(head.op.mem_addr, true);
             stq_.commit(head.seq);
             ++stats_.stores();
         } else if (head.op.isLoad()) {
@@ -733,13 +745,6 @@ void
 Pipeline::beginMeasurement()
 {
     warmup_pending_ = false;
-    measure_start_cycle_ = now_;
-    dcache_acc_base_ = dcache_.accesses();
-    dcache_miss_base_ = dcache_.misses();
-    if (l2_) {
-        l2_acc_base_ = l2_->accesses();
-        l2_miss_base_ = l2_->misses();
-    }
     stats_.group().reset();
     next_sample_ = sample_every_;
     sample_index_ = 0;
@@ -749,24 +754,13 @@ Pipeline::beginMeasurement()
 void
 Pipeline::emitSnapshot()
 {
-    // Copy the stats and apply the same cycle/cache rebasing the end
-    // of run() performs, so each snapshot is a self-consistent
-    // mid-run view of the measured region. The live registry is
-    // never written: final stats are bit-identical with sampling on
-    // or off.
-    SimStats s = stats_;
-    s.cycles() = now_ - measure_start_cycle_;
-    s.dcache_accesses() = dcache_.accesses() - dcache_acc_base_;
-    s.dcache_misses() = dcache_.misses() - dcache_miss_base_;
-    if (l2_) {
-        s.l2_accesses() = l2_->accesses() - l2_acc_base_;
-        s.l2_misses() = l2_->misses() - l2_miss_base_;
-    }
+    // The live registry is only read: final stats are bit-identical
+    // with sampling on or off.
     StatSnapshot snap;
     snap.index = sample_index_++;
-    snap.committed = s.committed();
-    snap.cycles = s.cycles();
-    snap.cumulative = s.group();
+    snap.committed = stats_.committed();
+    snap.cycles = stats_.cycles();
+    snap.cumulative = stats_.group();
     snap.delta = have_sample_prev_
         ? snap.cumulative.deltaSince(sample_prev_)
         : snap.cumulative;
@@ -896,20 +890,19 @@ Pipeline::doFetch()
         if (static_cast<int>(fetch_q_.size()) >= cfg_.fetch_queue)
             return;
 
-        // Read the record straight into its fetch-queue slot.
-        FetchEntry &fe = fetch_q_.append();
-        if (!src_.next(fe.op)) {
-            fetch_q_.pop_back();
+        if (next_record_ == trace_.count) {
             trace_done_ = true;
             return;
         }
+        // Copy the record straight into its fetch-queue slot.
+        FetchEntry &fe = fetch_q_.append();
+        fe.op = trace_[next_record_++];
         const trace::TraceOp &op = fe.op;
         fe.seq = next_seq_++;
         fe.frontend_exit =
             now_ + static_cast<uint64_t>(cfg_.frontend_latency);
         fe.mispredicted = false;
         ++stats_.fetched();
-        ++fetched_total_;
 
         if (op.isCondBranch()) {
             ++stats_.cond_branches();
@@ -937,7 +930,8 @@ Pipeline::run(const RunLimits &limits)
 {
     if (now_ != 0)
         panic("Pipeline::run is single-use; construct a new Pipeline");
-    src_.rewind();
+    if (limits.max_instructions < trace_.count)
+        trace_ = trace_.slice(0, limits.max_instructions);
     warmup_target_ = limits.warmup;
     warmup_pending_ = limits.warmup > 0;
     sampler_ = limits.sampler;
@@ -952,10 +946,9 @@ Pipeline::run(const RunLimits &limits)
         doCommit();
         doIssue();
         doDispatch();
-        if (fetched_total_ >= limits.max_instructions)
-            trace_done_ = true;
         doFetch();
         ++now_;
+        ++stats_.cycles();
 
         if (stats_.committed() != last_committed) {
             last_committed = stats_.committed();
@@ -974,22 +967,14 @@ Pipeline::run(const RunLimits &limits)
     // reset at drain so the caller sees zeros, not warmup noise.
     if (warmup_pending_)
         beginMeasurement();
-
-    stats_.cycles() = now_ - measure_start_cycle_;
-    stats_.dcache_accesses() = dcache_.accesses() - dcache_acc_base_;
-    stats_.dcache_misses() = dcache_.misses() - dcache_miss_base_;
-    if (l2_) {
-        stats_.l2_accesses() = l2_->accesses() - l2_acc_base_;
-        stats_.l2_misses() = l2_->misses() - l2_miss_base_;
-    }
     return stats_;
 }
 
 SimStats
-simulate(const SimConfig &cfg, trace::TraceSource &src,
+simulate(const SimConfig &cfg, trace::TraceView trace,
          const RunLimits &limits)
 {
-    Pipeline p(cfg, src);
+    Pipeline p(cfg, trace);
     return p.run(limits);
 }
 

@@ -233,8 +233,7 @@ struct StatSnapshot
     uint64_t index = 0;     //!< 0-based interval number
     uint64_t committed = 0; //!< measured commits so far (cumulative)
     uint64_t cycles = 0;    //!< measured cycles so far (cumulative)
-    /** Registry totals since the measurement boundary, with cycle
-     *  and cache counters rebased exactly as at end of run. */
+    /** Registry totals since the measurement boundary. */
     StatGroup cumulative;
     /** cumulative.deltaSince(previous snapshot); equals cumulative
      *  for the first interval. Sample min/max stay cumulative (see
@@ -248,14 +247,15 @@ struct StatSnapshot
  */
 struct RunLimits
 {
-    /** Stop fetching after this many instructions (warmup included). */
+    /** Simulate only the first this-many records of the trace
+     *  (warmup included). */
     uint64_t max_instructions = UINT64_MAX;
     /**
      * Discard the measurement prefix: the machine state (branch
      * predictor, caches, rename map, in-flight instructions) warms
      * up normally, but when the warmup-th instruction commits the
-     * statistics registry is reset (StatGroup::reset()) and
-     * cycle/cache accounting rebases, so the returned stats cover
+     * statistics registry, which counts cycles and cache traffic too,
+     * is reset (StatGroup::reset()), so the returned stats cover
      * only the instructions committed after the boundary. This is
      * the measurement contract trace sharding depends on
      * (core::run with shards): a shard simulates its warmup prefix
@@ -289,16 +289,19 @@ class Pipeline
   public:
     /**
      * @param cfg machine configuration (validated here)
-     * @param src trace source; rewound at the start of run()
+     * @param trace the records to simulate; their storage must
+     *        outlive run()
      */
-    Pipeline(const SimConfig &cfg, trace::TraceSource &src);
+    Pipeline(const SimConfig &cfg, trace::TraceView trace);
+    // A temporary buffer would die before run() reads it.
+    Pipeline(const SimConfig &cfg, trace::TraceBuffer &&) = delete;
     // Steering and the ROB lookup hold pointers into this object.
     Pipeline(const Pipeline &) = delete;
     Pipeline &operator=(const Pipeline &) = delete;
 
     /**
-     * Simulate until the trace ends (or limits.max_instructions have
-     * been fetched) and the machine drains. Returns the statistics;
+     * Simulate until the trace (cut to limits.max_instructions
+     * records) ends and the machine drains. Returns the statistics;
      * see RunLimits for the warmup and sampling contracts.
      */
     SimStats run(const RunLimits &limits = {});
@@ -355,6 +358,9 @@ class Pipeline
     int bypassHops(int from, int to) const;
     void completeIssue(DynInst &inst, int cluster, int latency);
     void removeFromBuffer(DynInst &inst);
+    /** Access the L1 (and on a miss the L2, if any), count the
+     *  traffic in the stats, and return the access latency. */
+    int cacheAccess(uint32_t addr, bool is_store);
     int loadLatency(DynInst &inst);
 
     // Event-driven wakeup machinery (no-ops under LegacyScan).
@@ -378,8 +384,8 @@ class Pipeline
     /** Jump over cycles that provably perform no work. */
     void maybeSkipIdle();
 
-    /** Cross the warmup boundary: reset the stats registry and
-     *  rebase cycle and cache accounting at the current commit. */
+    /** Cross the warmup boundary: reset the stats registry at the
+     *  current commit. */
     void beginMeasurement();
 
     /** Emit one interval snapshot (cumulative + delta) to the
@@ -392,7 +398,8 @@ class Pipeline
     bool robFull() const;
 
     SimConfig cfg_;
-    trace::TraceSource &src_;
+    trace::TraceView trace_;
+    size_t next_record_ = 0; //!< index of the next record to fetch
 
     std::unique_ptr<bpred::BranchPredictor> bpred_;
     mem::Cache dcache_;
@@ -428,16 +435,9 @@ class Pipeline
     uint64_t next_seq_ = 0;
     bool trace_done_ = false;
 
-    // Warmup measurement boundary (see run()). fetched_total_ counts
-    // every fetched instruction across the whole run — the registry's
-    // fetched() counter rebases at the boundary, but the
-    // max_instructions bound must not.
+    // Warmup measurement boundary (see run()).
     bool warmup_pending_ = false;
     uint64_t warmup_target_ = 0;
-    uint64_t measure_start_cycle_ = 0;
-    uint64_t fetched_total_ = 0;
-    uint64_t dcache_acc_base_ = 0, dcache_miss_base_ = 0;
-    uint64_t l2_acc_base_ = 0, l2_miss_base_ = 0;
 
     // Interval sampling (see RunLimits). next_sample_ is the measured
     // commit count that triggers the next snapshot; the boundary
@@ -481,7 +481,7 @@ class Pipeline
 };
 
 /** Convenience: build, run with @p limits, and return statistics. */
-SimStats simulate(const SimConfig &cfg, trace::TraceSource &src,
+SimStats simulate(const SimConfig &cfg, trace::TraceView trace,
                   const RunLimits &limits = {});
 
 } // namespace cesp::uarch

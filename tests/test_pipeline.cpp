@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "trace/synthetic.hpp"
 #include "uarch/pipeline.hpp"
@@ -130,6 +131,13 @@ runWithIssueCycles(const SimConfig &cfg, TraceBuffer &buf,
 }
 
 } // namespace
+
+// A Pipeline holds a view of its trace: constructing one from a
+// temporary buffer would leave it reading freed records.
+static_assert(!std::is_constructible_v<Pipeline, const SimConfig &,
+                                       TraceBuffer &&>);
+static_assert(std::is_constructible_v<Pipeline, const SimConfig &,
+                                      TraceBuffer &>);
 
 TEST(Pipeline, EmptyTraceTerminates)
 {
@@ -516,8 +524,7 @@ TEST(Pipeline, MaxInstructionCapRespected)
     RunLimits limits;
     limits.max_instructions = 40;
     SimStats s = simulate(windowCfg(), tb.buf(), limits);
-    EXPECT_LE(s.committed(), 48u); // cap checked at fetch granularity
-    EXPECT_GE(s.committed(), 40u);
+    EXPECT_EQ(s.committed(), 40u);
 }
 
 TEST(Pipeline, StatsAccountingConsistent)

@@ -41,10 +41,9 @@ SimStats
 monolithic(const uarch::SimConfig &cfg, trace::TraceView tv,
            uint64_t warmup = 0)
 {
-    trace::TraceCursor cur(tv);
     uarch::RunLimits lim;
     lim.warmup = warmup;
-    return uarch::simulate(cfg, cur, lim);
+    return uarch::simulate(cfg, tv, lim);
 }
 
 /** One (cfg, trace) pair sharded K ways through core::run: stats
@@ -160,21 +159,6 @@ TEST(TraceViewSlice, OutOfRangeIsFatal)
     EXPECT_DEATH(whole.slice(0, 11), "outside");
     EXPECT_DEATH(whole.slice(11, 0), "outside");
     EXPECT_DEATH(whole.slice(6, 5), "outside");
-}
-
-TEST(TraceCursor, SeekAndPosition)
-{
-    trace::TraceBuffer buf = synthetic(3, 50);
-    trace::TraceCursor cur{trace::TraceView(buf)};
-    trace::TraceOp op;
-    ASSERT_TRUE(cur.next(op));
-    EXPECT_EQ(cur.position(), 1u);
-    cur.seek(49);
-    ASSERT_TRUE(cur.next(op));
-    EXPECT_EQ(op.pc, buf[49].pc);
-    EXPECT_FALSE(cur.next(op));
-    cur.seek(1000); // past the end: exhausted, not an error
-    EXPECT_FALSE(cur.next(op));
 }
 
 // ---------------------------------------------------------------------

@@ -111,15 +111,13 @@ TEST(Sampling, FinalStatsBitIdenticalWithSamplingOnOrOff)
     for (const uarch::SimConfig &cfg :
          {core::baseline8Way(), core::dependence8x8(),
           core::clusteredDependence2x4()}) {
-        trace::TraceCursor plain_cur(buf);
-        SimStats plain = uarch::simulate(cfg, plain_cur);
+        SimStats plain = uarch::simulate(cfg, buf);
 
         size_t snapshots = 0;
         RunLimits lim;
         lim.sample_every = 1000;
         lim.sampler = [&](const StatSnapshot &) { ++snapshots; };
-        trace::TraceCursor sampled_cur(buf);
-        SimStats sampled = uarch::simulate(cfg, sampled_cur, lim);
+        SimStats sampled = uarch::simulate(cfg, buf, lim);
 
         EXPECT_EQ(snapshots, 20u) << cfg.name;
         // The acceptance contract: sampling only observes. sameValues
@@ -137,8 +135,7 @@ TEST(Sampling, SnapshotSeriesIsConsistent)
     RunLimits lim;
     lim.sample_every = 1500;
     lim.sampler = [&](const StatSnapshot &s) { snaps.push_back(s); };
-    trace::TraceCursor cur(buf);
-    SimStats final = uarch::simulate(core::baseline8Way(), cur, lim);
+    SimStats final = uarch::simulate(core::baseline8Way(), buf, lim);
 
     // 10000 commits / 1500 = 6 full intervals; the trailing partial
     // interval emits no snapshot (the end-of-run stats cover it).
@@ -173,8 +170,7 @@ TEST(Sampling, CountsOnlyMeasuredCommitsAfterWarmup)
     lim.warmup = 3000;
     lim.sample_every = 2000;
     lim.sampler = [&](const StatSnapshot &s) { snaps.push_back(s); };
-    trace::TraceCursor cur(buf);
-    SimStats s = uarch::simulate(core::baseline8Way(), cur, lim);
+    SimStats s = uarch::simulate(core::baseline8Way(), buf, lim);
 
     // 5000 measured commits -> snapshots at 2000 and 4000.
     ASSERT_EQ(snaps.size(), 2u);
@@ -182,11 +178,10 @@ TEST(Sampling, CountsOnlyMeasuredCommitsAfterWarmup)
     EXPECT_EQ(snaps[1].committed, 4000u);
     EXPECT_EQ(s.committed(), 5000u);
     // And the warmup contract itself still holds bit-for-bit.
-    trace::TraceCursor plain_cur(buf);
     RunLimits plain_lim;
     plain_lim.warmup = 3000;
     SimStats plain =
-        uarch::simulate(core::baseline8Way(), plain_cur, plain_lim);
+        uarch::simulate(core::baseline8Way(), buf, plain_lim);
     EXPECT_TRUE(s.group().sameValues(plain.group()));
 }
 

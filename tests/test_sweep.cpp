@@ -107,32 +107,10 @@ TEST(Sweep, MatchesDirectSimulation)
 
     ASSERT_EQ(swept.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
-        trace::TraceCursor cur(buf);
-        SimStats direct = uarch::simulate(configs[i], cur);
+        SimStats direct = uarch::simulate(configs[i], buf);
         EXPECT_EQ(fingerprint(swept[i]), fingerprint(direct))
             << configs[i].name;
     }
-}
-
-TEST(Sweep, CursorDoesNotDisturbOwningBuffer)
-{
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 1000);
-
-    // Partially consume the buffer's own cursor, run a simulation
-    // through a TraceCursor view, and check the buffer's position is
-    // untouched.
-    trace::TraceOp op;
-    ASSERT_TRUE(buf.next(op));
-    ASSERT_TRUE(buf.next(op));
-    const uint32_t third_pc = buf[2].pc;
-
-    trace::TraceCursor view(buf);
-    uarch::SimStats s = uarch::simulate(core::baseline8Way(), view);
-    EXPECT_EQ(s.committed(), 1000u);
-
-    ASSERT_TRUE(buf.next(op));
-    EXPECT_EQ(op.pc, third_pc);
 }
 
 TEST(Sweep, MoreJobsThanTasks)

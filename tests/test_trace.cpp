@@ -7,15 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
 
 using namespace cesp;
 using namespace cesp::trace;
 
-TEST(TraceBuffer, AppendNextRewind)
+TEST(TraceBuffer, AppendKeepsOrder)
 {
     TraceBuffer buf;
     EXPECT_TRUE(buf.empty());
@@ -25,18 +23,9 @@ TEST(TraceBuffer, AppendNextRewind)
     b.pc = 8;
     buf.append(a);
     buf.append(b);
-    EXPECT_EQ(buf.size(), 2u);
-
-    TraceOp out;
-    ASSERT_TRUE(buf.next(out));
-    EXPECT_EQ(out.pc, 4u);
-    ASSERT_TRUE(buf.next(out));
-    EXPECT_EQ(out.pc, 8u);
-    EXPECT_FALSE(buf.next(out));
-
-    buf.rewind();
-    ASSERT_TRUE(buf.next(out));
-    EXPECT_EQ(out.pc, 4u);
+    ASSERT_EQ(buf.size(), 2u);
+    EXPECT_EQ(buf[0].pc, 4u);
+    EXPECT_EQ(buf[1].pc, 8u);
 }
 
 TEST(TraceOp, Predicates)
@@ -70,50 +59,6 @@ TEST(Synthetic, DeterministicForSameSeed)
         EXPECT_EQ(a[i].cls, b[i].cls) << i;
         EXPECT_EQ(a[i].taken, b[i].taken) << i;
     }
-}
-
-TEST(Synthetic, InterleavedInstancesStayIndependent)
-{
-    // Two generators stepped alternately on one thread: each must
-    // produce exactly its own seed's stream (branch-site pattern
-    // state belongs to the instance).
-    SyntheticParams pa, pb;
-    pa.seed = 3;
-    pb.seed = 4;
-    constexpr uint64_t n = 5000;
-    const TraceBuffer want_a = generateSynthetic(pa, n);
-    const TraceBuffer want_b = generateSynthetic(pb, n);
-    SyntheticTrace a(pa, n), b(pb, n);
-    size_t diff_a = 0, diff_b = 0;
-    TraceOp op;
-    for (uint64_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(a.next(op));
-        diff_a += std::memcmp(&op, &want_a[i], sizeof(op)) != 0;
-        ASSERT_TRUE(b.next(op));
-        diff_b += std::memcmp(&op, &want_b[i], sizeof(op)) != 0;
-    }
-    EXPECT_EQ(diff_a, 0u);
-    EXPECT_EQ(diff_b, 0u);
-}
-
-TEST(Synthetic, RewindReproducesStream)
-{
-    SyntheticParams p;
-    SyntheticTrace src(p, 1000);
-    std::vector<TraceOp> first;
-    TraceOp op;
-    while (src.next(op))
-        first.push_back(op);
-    EXPECT_EQ(first.size(), 1000u);
-
-    src.rewind();
-    size_t i = 0;
-    while (src.next(op)) {
-        EXPECT_EQ(op.pc, first[i].pc) << i;
-        EXPECT_EQ(op.cls, first[i].cls) << i;
-        ++i;
-    }
-    EXPECT_EQ(i, 1000u);
 }
 
 TEST(Synthetic, MixMatchesParameters)
@@ -200,11 +145,11 @@ TEST(Synthetic, BadParametersFatal)
     SyntheticParams p;
     p.load_frac = 0.6;
     p.store_frac = 0.5;
-    EXPECT_EXIT(SyntheticTrace(p, 10), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(generateSynthetic(p, 10), ::testing::ExitedWithCode(1),
                 "mix");
     SyntheticParams q;
     q.mean_dep_distance = 0.5;
-    EXPECT_EXIT(SyntheticTrace(q, 10), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(generateSynthetic(q, 10), ::testing::ExitedWithCode(1),
                 "dependence");
 }
 

@@ -496,10 +496,8 @@ TEST(MmapParity, StatisticExactForEveryPreset)
         core::baseline16Way(),         core::clusteredDependence4x4(),
     };
     for (const uarch::SimConfig &cfg : presets) {
-        trace::TraceCursor from_buf(buf);
-        trace::TraceCursor from_map(src.view());
-        uarch::SimStats a = uarch::simulate(cfg, from_buf);
-        uarch::SimStats b = uarch::simulate(cfg, from_map);
+        uarch::SimStats a = uarch::simulate(cfg, buf);
+        uarch::SimStats b = uarch::simulate(cfg, src.view());
         EXPECT_EQ(fingerprint(a), fingerprint(b)) << cfg.name;
     }
 }

@@ -44,6 +44,7 @@
  * (e.g. '2%'), 2 on load/schema errors — a CI perf gate.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -259,7 +260,9 @@ writeExport(const std::string &path, const std::string &text)
 
 /**
  * Parse a --threshold argument: a fraction ("0.02") or a percentage
- * with a trailing % ("2%"). Usage error on anything else.
+ * with a trailing % ("2%"). Usage error on anything else, including
+ * nan and inf: a NaN threshold would make every regression test
+ * false and so switch the gate off.
  */
 double
 thresholdArg(const std::string &value)
@@ -272,7 +275,8 @@ thresholdArg(const std::string &value)
     }
     char *end = nullptr;
     double v = std::strtod(num.c_str(), &end);
-    if (num.empty() || end != num.c_str() + num.size() || v < 0.0)
+    if (num.empty() || end != num.c_str() + num.size() ||
+        !std::isfinite(v) || v < 0.0)
         fatal("invalid value '%s' for --threshold (expected a "
               "non-negative fraction or percentage, e.g. 0.02 or 2%%)",
               value.c_str());
