@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32C (Castagnoli, polynomial 0x1EDC6F41) over byte buffers. Used
- * by the v2 trace file format to detect payload corruption before a
+ * by the trace file format to detect payload corruption before a
  * simulation consumes a cached trace. Castagnoli rather than the
  * IEEE 802.3 polynomial because x86 has carried a crc32 instruction
  * for it since SSE4.2: the hardware path (runtime-dispatched, with a

@@ -125,7 +125,7 @@ streamAndPublish(const workloads::Workload &w,
 }
 
 /**
- * Resolve a workload's trace: mmap the disk cache's v2 file when it
+ * Resolve a workload's trace: mmap the disk cache's file when it
  * verifies, and otherwise (logging why the cached file was rejected)
  * emulate the kernel straight into a freshly published file and map
  * that. The trace is held in a private buffer only when the disk
@@ -137,18 +137,22 @@ obtainTrace(const workloads::Workload &w)
     CachedTrace entry;
     std::filesystem::path dir = diskCacheDir();
     if (!dir.empty()) {
+        // The format version is part of the name: builds of two
+        // formats sharing the directory would otherwise overwrite
+        // each other's file, and regenerate it, on every run.
         std::filesystem::path file =
-            dir / strprintf("%s-%016llx.trc", w.name.c_str(),
+            dir / strprintf("%s-%016llx-v%u.trc", w.name.c_str(),
                             static_cast<unsigned long long>(
-                                sourceHash(w.source)));
+                                sourceHash(w.source)),
+                            trace::kTraceFormatVersion);
         auto mmap = std::make_unique<trace::MmapTraceSource>();
         trace::TraceIoResult opened = mmap->open(file.string());
         if (!opened.ok()) {
             if (opened.status != trace::TraceIoStatus::OpenFailed) {
                 // Missing file is the normal cold-cache case and
                 // stays quiet; anything else (a corrupt, foreign, or
-                // v1 file) says exactly what was wrong before we
-                // fall back.
+                // retired-format file) says exactly what was wrong
+                // before we fall back.
                 warn("trace cache: %s: %s (%s); regenerating",
                      file.string().c_str(),
                      trace::traceIoStatusName(opened.status),

@@ -21,7 +21,7 @@ namespace cesp::core {
  * over the same benchmarks reuse one copy per workload.
  *
  * Backing storage depends on the cross-process disk cache
- * (CESP_TRACE_CACHE; see DESIGN.md §6). When a valid v2 file is on
+ * (CESP_TRACE_CACHE; see DESIGN.md §6). When a valid file is on
  * disk the entry is served by an MmapTraceSource — records come
  * straight from the page cache, shared with every other process
  * mapping the same file, with zero decode. When the file is missing

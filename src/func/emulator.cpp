@@ -280,7 +280,6 @@ Emulator::step(trace::TraceSink *sink)
     }
 
     regs_[0] = 0;
-    t.next_pc = next;
     pc_ = next;
     ++icount_;
     if (sink)

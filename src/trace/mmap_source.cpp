@@ -1,8 +1,9 @@
 /**
  * @file
  * Implementation of the memory-mapped trace source: the one reader
- * of the v2 trace file format, with all of its header and payload
- * validation. v1 files are recognised by their magic and refused.
+ * of the trace file format, with all of its header and payload
+ * validation. Files of a retired version are recognised by their
+ * magic and refused.
  */
 
 #include "trace/mmap_source.hpp"
@@ -24,7 +25,6 @@ namespace cesp::trace {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1'};
 constexpr bool kLittleEndian =
     std::endian::native == std::endian::little;
 
@@ -50,7 +50,7 @@ get64(const uint8_t *p)
 }
 
 /**
- * True if the record's enum bytes are in range. The CRC proves a v2
+ * True if the record's enum bytes are in range. The CRC proves a
  * payload holds the bytes the writer produced, but a writer bug (or
  * a file from a future opcode set) could still smuggle an impossible
  * instruction into the simulator; this is the last gate.
@@ -58,8 +58,8 @@ get64(const uint8_t *p)
 bool
 recordValid(const uint8_t *p)
 {
-    return p[12] < static_cast<uint8_t>(isa::Opcode::NUM_OPCODES) &&
-        p[13] <= static_cast<uint8_t>(isa::OpClass::Nop);
+    return p[8] < static_cast<uint8_t>(isa::Opcode::NUM_OPCODES) &&
+        p[9] <= static_cast<uint8_t>(isa::OpClass::Nop);
 }
 
 /** Decode one verified little-endian record into native order. */
@@ -67,38 +67,39 @@ void
 unpack(const uint8_t *p, TraceOp &op)
 {
     op.pc = get32(p);
-    op.next_pc = get32(p + 4);
-    op.mem_addr = get32(p + 8);
-    op.op = static_cast<isa::Opcode>(p[12]);
-    op.cls = static_cast<isa::OpClass>(p[13]);
-    op.dst = static_cast<int8_t>(p[14]);
-    op.src1 = static_cast<int8_t>(p[15]);
-    op.src2 = static_cast<int8_t>(p[16]);
-    op.mem_size = p[17];
-    op.taken = p[18] != 0;
+    op.mem_addr = get32(p + 4);
+    op.op = static_cast<isa::Opcode>(p[8]);
+    op.cls = static_cast<isa::OpClass>(p[9]);
+    op.dst = static_cast<int8_t>(p[10]);
+    op.src1 = static_cast<int8_t>(p[11]);
+    op.src2 = static_cast<int8_t>(p[12]);
+    op.mem_size = p[13];
+    op.taken = p[14] != 0;
     op.pad = 0;
 }
 
-/** LegacyVersion if @p header starts with the retired v1 magic. */
-TraceIoResult
-refuseV1Header(const uint8_t *header, const std::string &path)
-{
-    if (std::memcmp(header, kMagicV1, sizeof(kMagicV1)) == 0)
-        return fail(TraceIoStatus::LegacyVersion,
-                    path + ": v1 is no longer supported; regenerate");
-    return traceIoOk();
-}
-
 /**
- * Validate a v2 header (magic, record size) and extract the record
- * count and payload CRC.
+ * Validate a header (magic, record size) and extract the record
+ * count and payload CRC. The magic of every retired version —
+ * "CESPTRC1" up to the version before ours — is LegacyVersion, not a
+ * foreign file.
  */
 TraceIoResult
-parseV2Header(const uint8_t *header, const std::string &path,
-              uint64_t &count_out, uint32_t &crc_out)
+parseHeader(const uint8_t *header, const std::string &path,
+            uint64_t &count_out, uint32_t &crc_out)
 {
-    if (std::memcmp(header, kTraceMagicV2, sizeof(kTraceMagicV2)) != 0)
-        return fail(TraceIoStatus::BadMagic, path + ": not a v2 header");
+    constexpr size_t kVersionByte = sizeof(kTraceMagic) - 1;
+    const char version = static_cast<char>(header[kVersionByte]);
+    if (std::memcmp(header, kTraceMagic, kVersionByte) == 0 &&
+        version >= '1' && version < kTraceMagic[kVersionByte])
+        return fail(TraceIoStatus::LegacyVersion,
+                    path + ": v" + version +
+                        " is no longer supported; regenerate");
+    if (std::memcmp(header, kTraceMagic, sizeof(kTraceMagic)) != 0)
+        return fail(TraceIoStatus::BadMagic,
+                    path + ": not a v" +
+                        std::to_string(kTraceFormatVersion) +
+                        " header");
     uint32_t record_bytes = get32(header + 16);
     if (record_bytes != kTraceRecordBytes)
         return fail(TraceIoStatus::BadRecordSize,
@@ -111,18 +112,18 @@ parseV2Header(const uint8_t *header, const std::string &path,
 }
 
 /**
- * Verify @p count records of raw v2 payload: CRC against the header
+ * Verify @p count records of raw payload: CRC against the header
  * value, then enum-range validity of every record.
  */
 TraceIoResult
-verifyV2Payload(const uint8_t *payload, uint64_t count,
-                uint32_t expect_crc, const std::string &path)
+verifyPayload(const uint8_t *payload, uint64_t count,
+              uint32_t expect_crc, const std::string &path)
 {
     // Checksum and record validation interleave in blocks small
     // enough to stay cache-resident, so a multi-hundred-MB payload
     // streams from memory once, not twice. The chained-seed CRC of
     // the blocks equals the one-shot CRC of the whole payload.
-    constexpr uint64_t kBlockRecords = 8192; // 160 KB per block
+    constexpr uint64_t kBlockRecords = 8192; // 128 KB per block
     uint32_t actual = 0;
     uint64_t bad_record = UINT64_MAX;
     for (uint64_t base = 0; base < count; base += kBlockRecords) {
@@ -221,10 +222,10 @@ MmapTraceSource::open(const std::string &path)
         return fail(TraceIoStatus::EmptyFile,
                     path + ": zero-length file");
     }
-    if (file_bytes < kTraceV2HeaderBytes) {
+    if (file_bytes < kTraceHeaderBytes) {
         closeFd(fd, path);
-        // A file too short even for a v1 header has no magic to
-        // trust; report truncation either way.
+        // A file too short for a header has no magic to trust;
+        // report truncation either way.
         return fail(TraceIoStatus::ShortRead,
                     path + ": file shorter than a header");
     }
@@ -256,18 +257,15 @@ MmapTraceSource::open(const std::string &path)
         return r;
     };
 
-    if (TraceIoResult v1 = refuseV1Header(bytes, path); !v1)
-        return reject(v1);
-
     uint64_t count = 0;
     uint32_t crc = 0;
-    TraceIoResult hdr = parseV2Header(bytes, path, count, crc);
+    TraceIoResult hdr = parseHeader(bytes, path, count, crc);
     if (!hdr.ok())
         return reject(hdr);
 
     // Compare counts, not byte products: a fabricated huge header
     // count must not overflow its way into matching the file size.
-    uint64_t payload_bytes = file_bytes - kTraceV2HeaderBytes;
+    uint64_t payload_bytes = file_bytes - kTraceHeaderBytes;
     if (payload_bytes % kTraceRecordBytes != 0 ||
         count != payload_bytes / kTraceRecordBytes)
         return reject(fail(
@@ -276,8 +274,8 @@ MmapTraceSource::open(const std::string &path)
                 " bytes does not match header count " +
                 std::to_string(count)));
 
-    TraceIoResult payload = verifyV2Payload(
-        bytes + kTraceV2HeaderBytes, count, crc, path);
+    TraceIoResult payload = verifyPayload(
+        bytes + kTraceHeaderBytes, count, crc, path);
     if (!payload.ok())
         return reject(payload);
 
@@ -285,13 +283,13 @@ MmapTraceSource::open(const std::string &path)
     map_bytes_ = file_bytes;
     if constexpr (kLittleEndian) {
         records_ = reinterpret_cast<const TraceOp *>(
-            bytes + kTraceV2HeaderBytes);
+            bytes + kTraceHeaderBytes);
     } else {
         // The payload is TraceOp's little-endian layout; decode each
         // verified record into native order.
         decoded_.resize(count);
         for (size_t i = 0; i < decoded_.size(); ++i)
-            unpack(bytes + kTraceV2HeaderBytes + i * kTraceRecordBytes,
+            unpack(bytes + kTraceHeaderBytes + i * kTraceRecordBytes,
                    decoded_[i]);
         records_ = decoded_.data();
     }

@@ -1,10 +1,10 @@
 /**
  * @file
- * Zero-copy trace source over a memory-mapped v2 trace file — the
+ * Zero-copy trace source over a memory-mapped trace file — the
  * one reader of the format (the trace cache, `cesp-trace` and the
  * tests all open .trc files here).
  *
- * A v2 file's payload is TraceOp's little-endian in-memory layout
+ * A file's payload is TraceOp's little-endian in-memory layout
  * verbatim, so once the header and CRC check out the mapping itself
  * is the record array: no decode pass, no private TraceBuffer, no
  * per-record copy. Every process that maps the same cached workload
@@ -13,8 +13,9 @@
  * build time) open() instead decodes the verified mapping into an
  * owned vector, field by field, and serves that.
  *
- * Integrity: open() refuses to serve a file whose magic, record
- * size, count-vs-file-size, CRC-32, or record contents are wrong,
+ * Integrity: open() refuses to serve a file whose magic (a retired
+ * version's magic is LegacyVersion), record size,
+ * count-vs-file-size, CRC-32, or record contents are wrong,
  * with a distinct TraceIoStatus for each, so a torn or corrupted
  * cache file can never reach the simulator; callers fall back to
  * regeneration (see core::cachedWorkloadTraceView).
@@ -35,7 +36,7 @@
 
 namespace cesp::trace {
 
-/** A v2 trace file served in place from a read-only mapping. */
+/** A trace file served in place from a read-only mapping. */
 class MmapTraceSource
 {
   public:
@@ -63,8 +64,8 @@ class MmapTraceSource
     /**
      * Map and validate @p path, replacing any current mapping. On
      * failure the source is left empty and the result says exactly
-     * what was wrong (LegacyVersion for a retired v1 file, which
-     * must be regenerated).
+     * what was wrong (LegacyVersion for a file of a retired format
+     * version, which must be regenerated).
      */
     TraceIoResult open(const std::string &path);
 

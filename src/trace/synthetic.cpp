@@ -136,7 +136,6 @@ Generator::make()
         t.dst = alloc_dst();
     }
 
-    t.next_pc = next;
     pc_ = next;
     return t;
 }

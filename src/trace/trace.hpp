@@ -20,11 +20,14 @@
 
 namespace cesp::trace {
 
-/** One dynamic instruction. */
+/**
+ * One dynamic instruction. Its actual successor (the branch outcome)
+ * is the next record's pc, `trace[i + 1].pc`, so a record does not
+ * store it.
+ */
 struct TraceOp
 {
     uint32_t pc = 0;
-    uint32_t next_pc = 0;   //!< actual successor (branch outcome)
     uint32_t mem_addr = 0;  //!< effective address for loads/stores
     isa::Opcode op = isa::Opcode::NOP;
     isa::OpClass cls = isa::OpClass::Nop;
@@ -34,8 +37,8 @@ struct TraceOp
     uint8_t mem_size = 0;   //!< access size in bytes (loads/stores)
     bool taken = false;     //!< branch outcome (true for taken)
     uint8_t pad = 0;        //!< explicit zero so the record has no
-                            //!< indeterminate bytes (v2 files CRC the
-                            //!< raw in-memory layout)
+                            //!< indeterminate bytes (trace files CRC
+                            //!< the raw in-memory layout)
 
     bool
     hasDst() const
@@ -53,25 +56,24 @@ struct TraceOp
     }
 };
 
-// The v2 trace file format stores TraceOp's in-memory layout
-// verbatim (one 20-byte record per dynamic instruction), so reading
+// The trace file format (v3) stores TraceOp's in-memory layout
+// verbatim (one 16-byte record per dynamic instruction), so reading
 // is a pointer cast instead of a decode pass. Pin the layout here:
 // if a field is added or reordered, these fire and the format
 // version must be bumped.
-static_assert(sizeof(TraceOp) == 20, "trace record layout changed");
+static_assert(sizeof(TraceOp) == 16, "trace record layout changed");
 static_assert(std::is_trivially_copyable_v<TraceOp>,
               "trace records must be raw-copyable");
 static_assert(offsetof(TraceOp, pc) == 0 &&
-              offsetof(TraceOp, next_pc) == 4 &&
-              offsetof(TraceOp, mem_addr) == 8 &&
-              offsetof(TraceOp, op) == 12 &&
-              offsetof(TraceOp, cls) == 13 &&
-              offsetof(TraceOp, dst) == 14 &&
-              offsetof(TraceOp, src1) == 15 &&
-              offsetof(TraceOp, src2) == 16 &&
-              offsetof(TraceOp, mem_size) == 17 &&
-              offsetof(TraceOp, taken) == 18 &&
-              offsetof(TraceOp, pad) == 19,
+              offsetof(TraceOp, mem_addr) == 4 &&
+              offsetof(TraceOp, op) == 8 &&
+              offsetof(TraceOp, cls) == 9 &&
+              offsetof(TraceOp, dst) == 10 &&
+              offsetof(TraceOp, src1) == 11 &&
+              offsetof(TraceOp, src2) == 12 &&
+              offsetof(TraceOp, mem_size) == 13 &&
+              offsetof(TraceOp, taken) == 14 &&
+              offsetof(TraceOp, pad) == 15,
               "trace record layout changed");
 
 /** Consumer interface for dynamic instructions. */

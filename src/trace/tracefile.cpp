@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the binary trace file format v2 writer. The
+ * Implementation of the binary trace file writer. The
  * reader, with all header and payload validation, is
  * MmapTraceSource (mmap_source.cpp).
  */
@@ -42,16 +42,15 @@ void
 pack(const TraceOp &op, uint8_t *p)
 {
     put32(p, op.pc);
-    put32(p + 4, op.next_pc);
-    put32(p + 8, op.mem_addr);
-    p[12] = static_cast<uint8_t>(op.op);
-    p[13] = static_cast<uint8_t>(op.cls);
-    p[14] = static_cast<uint8_t>(op.dst);
-    p[15] = static_cast<uint8_t>(op.src1);
-    p[16] = static_cast<uint8_t>(op.src2);
-    p[17] = op.mem_size;
-    p[18] = op.taken ? 1 : 0;
-    p[19] = 0;
+    put32(p + 4, op.mem_addr);
+    p[8] = static_cast<uint8_t>(op.op);
+    p[9] = static_cast<uint8_t>(op.cls);
+    p[10] = static_cast<uint8_t>(op.dst);
+    p[11] = static_cast<uint8_t>(op.src1);
+    p[12] = static_cast<uint8_t>(op.src2);
+    p[13] = op.mem_size;
+    p[14] = op.taken ? 1 : 0;
+    p[15] = 0;
 }
 
 TraceIoResult
@@ -60,12 +59,12 @@ fail(TraceIoStatus status, std::string detail)
     return {status, std::move(detail)};
 }
 
-/** A v2 header for @p count records whose payload CRC is @p crc. */
+/** A header for @p count records whose payload CRC is @p crc. */
 void
 buildHeader(uint8_t *header, uint64_t count, uint32_t crc)
 {
-    std::memset(header, 0, kTraceV2HeaderBytes);
-    std::memcpy(header, kTraceMagicV2, sizeof(kTraceMagicV2));
+    std::memset(header, 0, kTraceHeaderBytes);
+    std::memcpy(header, kTraceMagic, sizeof(kTraceMagic));
     put64(header + 8, count);
     put32(header + 16, kTraceRecordBytes);
     put32(header + 20, crc);
@@ -121,7 +120,7 @@ TraceFileWriter::open(const std::string &path)
     // Count and CRC are unknown until finish(); until then the
     // header says zero records, which the payload contradicts.
     buildHeader(chunk_.data(), 0, 0);
-    fill_ = payload_from_ = kTraceV2HeaderBytes;
+    fill_ = payload_from_ = kTraceHeaderBytes;
     return error_;
 }
 
@@ -135,19 +134,10 @@ TraceFileWriter::append(const TraceOp &op)
         bytes = packed;
     }
     ++count_;
-    if (kChunkBytes - fill_ > kTraceRecordBytes) {
-        std::memcpy(chunk_.data() + fill_, bytes, kTraceRecordBytes);
-        fill_ += kTraceRecordBytes;
-        return;
-    }
-    // The record reaches the chunk's end: fill it, write it, and
-    // start the next chunk with the rest of the record.
-    size_t head = kChunkBytes - fill_;
-    std::memcpy(chunk_.data() + fill_, bytes, head);
-    fill_ = kChunkBytes;
-    writeChunk();
-    std::memcpy(chunk_.data(), bytes + head, kTraceRecordBytes - head);
-    fill_ = kTraceRecordBytes - head;
+    std::memcpy(chunk_.data() + fill_, bytes, kTraceRecordBytes);
+    fill_ += kTraceRecordBytes;
+    if (fill_ == kChunkBytes)
+        writeChunk();
 }
 
 void
@@ -171,7 +161,7 @@ TraceFileWriter::finish()
     writeChunk();
     std::FILE *f = std::exchange(file_, nullptr);
     if (error_.ok()) {
-        uint8_t header[kTraceV2HeaderBytes];
+        uint8_t header[kTraceHeaderBytes];
         buildHeader(header, count_, crc_);
         if (std::fseek(f, 0, SEEK_SET) != 0 ||
             std::fwrite(header, 1, sizeof(header), f) != sizeof(header))

@@ -6,21 +6,22 @@
  * binaries; a versioned on-disk format lets harnesses share captured
  * traces (see core::cachedWorkloadTraceView's disk cache).
  *
- * The format ("CESPTRC2") is a 32-byte header (magic, record count,
- * record size, CRC-32 of the payload), then the payload — TraceOp's
- * in-memory layout verbatim, 20 bytes per record. Because the file
- * layout IS the memory layout, a file can be memory-mapped and
- * served with zero decode and zero copy (see MmapTraceSource); the
- * CRC lets the reader prove the payload intact before a simulation
- * consumes it.
+ * The format (v3, "CESPTRC3") is a 32-byte header (magic, record
+ * count, record size, CRC-32 of the payload), then the payload —
+ * TraceOp's in-memory layout verbatim, 16 bytes per record. Because
+ * the file layout IS the memory layout, a file can be memory-mapped
+ * and served with zero decode and zero copy (see MmapTraceSource);
+ * the CRC lets the reader prove the payload intact before a
+ * simulation consumes it.
  *
  * The one reader is MmapTraceSource (mmap_source.hpp); the trace
  * cache, `cesp-trace` and the tests all open files through it.
  *
- * The retired v1 format ("CESPTRC1", packed records, no checksum) is
- * no longer read. The reader still recognises its magic and returns
- * LegacyVersion, so a stale cache file is regenerated with a clear
- * log line rather than reported as foreign.
+ * Retired formats are no longer read: v1 ("CESPTRC1", packed
+ * records, no checksum) and v2 ("CESPTRC2", 20-byte records that
+ * also stored the successor pc). The reader still recognises their
+ * magics and returns LegacyVersion, so a stale cache file is
+ * regenerated with a clear log line rather than reported as foreign.
  *
  * All I/O reports failures as a TraceIoResult instead of a bare
  * bool: short writes, a failed close (the way a full disk
@@ -51,8 +52,8 @@ enum class TraceIoStatus
     ShortRead,      //!< file ends before header/payload does
     EmptyFile,      //!< zero-length file (torn create, not a trace)
     BadMagic,       //!< not a cesp trace file
-    LegacyVersion,  //!< v1 file: no longer supported, regenerate it
-    BadRecordSize,  //!< v2 header's record size is not ours
+    LegacyVersion,  //!< retired format: no longer read, regenerate
+    BadRecordSize,  //!< header's record size is not ours
     CountMismatch,  //!< header count disagrees with the file size
     CrcMismatch,    //!< payload bytes fail the header checksum
     BadRecord,      //!< a record decodes to an impossible instruction
@@ -79,20 +80,32 @@ traceIoOk()
     return {};
 }
 
-/** On-disk layout, shared by TraceFileWriter and MmapTraceSource. */
-constexpr char kTraceMagicV2[8] = {'C', 'E', 'S', 'P',
-                                   'T', 'R', 'C', '2'};
-constexpr size_t kTraceV2HeaderBytes = 32;
-constexpr size_t kTraceRecordBytes = 20;
+/**
+ * On-disk layout, shared by TraceFileWriter and MmapTraceSource. The
+ * magic's last byte is the format version, so a format change bumps
+ * kTraceFormatVersion (and the record size, if it changed); the
+ * reader then refuses every older version's magic as LegacyVersion,
+ * and the trace cache names its files after the version.
+ */
+constexpr unsigned kTraceFormatVersion = 3;
+constexpr char kTraceMagic[8] = {
+    'C', 'E', 'S', 'P', 'T', 'R', 'C',
+    static_cast<char>('0' + kTraceFormatVersion)};
+constexpr size_t kTraceHeaderBytes = 32;
+constexpr size_t kTraceRecordBytes = 16;
+static_assert(sizeof(TraceOp) == kTraceRecordBytes,
+              "the payload is TraceOp's in-memory layout");
 
 /**
- * Streaming v2 writer: a TraceSink that writes records to a file as
+ * Streaming writer: a TraceSink that writes records to a file as
  * they arrive, so a trace of any length is written in constant
  * memory. The header and records form one byte stream, handed to the
  * OS in chunks of kChunkBytes at file offsets that are multiples of
- * kChunkBytes. finish() writes the last chunk and patches the
- * header's record count and running CRC-32C in place. The bytes
- * equal what one saveTrace of the same records writes.
+ * kChunkBytes; since the chunk and the header are whole multiples of
+ * the record size, no record ever spans two chunks. finish() writes
+ * the last chunk and patches the header's record count and running
+ * CRC-32C in place. The bytes equal what one saveTrace of the same
+ * records writes.
  *
  * Why whole aligned 2 MiB writes: the page cache can then hold the
  * file in 2 MiB folios, and a read-only mapping of it (MmapTraceSource)
@@ -112,6 +125,9 @@ class TraceFileWriter final : public TraceSink
 {
   public:
     static constexpr size_t kChunkBytes = size_t{2} << 20;
+    static_assert(kChunkBytes % kTraceRecordBytes == 0 &&
+                      kTraceHeaderBytes % kTraceRecordBytes == 0,
+                  "append() copies whole records into a chunk");
 
     TraceFileWriter();
     ~TraceFileWriter() override;
@@ -142,7 +158,8 @@ class TraceFileWriter final : public TraceSink
 };
 
 /**
- * Write a trace to @p path in format v2 (one TraceFileWriter pass).
+ * Write a trace to @p path in the current format (one TraceFileWriter
+ * pass).
  * The stream is closed before success is reported, so a TraceIoResult
  * with ok() set means every byte reached the OS — a full disk
  * surfaces as ShortWrite or CloseFailed, never as silent success.

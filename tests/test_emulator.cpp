@@ -299,7 +299,7 @@ buf:    .space 16
     const trace::TraceOp &br = buf[5];
     EXPECT_TRUE(br.isCondBranch());
     EXPECT_TRUE(br.taken);
-    EXPECT_EQ(br.next_pc, br.pc + 8);
+    EXPECT_EQ(buf[6].pc, br.pc + 8); // ok: halt, past the nop
     // pcs are sequential where no branch intervenes.
     EXPECT_EQ(buf[1].pc, buf[0].pc + 4);
 }
@@ -315,8 +315,8 @@ f:      jr ra
     trace::TraceBuffer buf;
     emu.run(1000, &buf);
     ASSERT_EQ(buf.size(), 3u);
-    EXPECT_EQ(buf[0].next_pc, buf[0].pc + 8); // to f
-    EXPECT_EQ(buf[1].next_pc, buf[0].pc + 4); // jr back to halt
+    EXPECT_EQ(buf[1].pc, buf[0].pc + 8); // to f
+    EXPECT_EQ(buf[2].pc, buf[0].pc + 4); // jr back to halt
     EXPECT_TRUE(buf[0].taken);
     EXPECT_TRUE(buf[1].taken);
 }

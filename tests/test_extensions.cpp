@@ -30,7 +30,6 @@ serialChain(int n)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::ADD;
         t.cls = isa::OpClass::IntAlu;
         t.dst = 1;
@@ -87,7 +86,6 @@ TEST(WakeupStages, IndependentOpsUnaffected)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::ADD;
         t.cls = isa::OpClass::IntAlu;
         t.dst = static_cast<int8_t>(1 + i % 24);
@@ -201,7 +199,6 @@ TEST(BpredKindTest, AlwaysTakenMispredictsNotTakenBranches)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         if (i % 2 == 0) {
             t.op = isa::Opcode::BNE;
             t.cls = isa::OpClass::BranchCond;
@@ -354,7 +351,6 @@ TEST(InOrderIssue, IndependentOpsStillIssueWide)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::ADD;
         t.cls = isa::OpClass::IntAlu;
         t.dst = static_cast<int8_t>(1 + i % 24);
@@ -377,7 +373,6 @@ TEST(InOrderIssue, StalledHeadBlocksYoungerReadyOps)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::LW;
         t.cls = isa::OpClass::Load;
         t.dst = 30;
@@ -387,7 +382,6 @@ TEST(InOrderIssue, StalledHeadBlocksYoungerReadyOps)
         trace::TraceOp u;
         u.pc = pc;
         pc += 4;
-        u.next_pc = pc;
         u.op = isa::Opcode::ADD;
         u.cls = isa::OpClass::IntAlu;
         u.dst = 29;
@@ -398,7 +392,6 @@ TEST(InOrderIssue, StalledHeadBlocksYoungerReadyOps)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::ADD;
         t.cls = isa::OpClass::IntAlu;
         t.dst = static_cast<int8_t>(1 + i % 20);
@@ -461,7 +454,6 @@ TEST(FuMix, BranchUnitBottleneck)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::BNE;
         t.cls = isa::OpClass::BranchCond;
         t.taken = false;
@@ -484,7 +476,6 @@ TEST(FuMix, MemUnitBottleneck)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::LW;
         t.cls = isa::OpClass::Load;
         t.dst = static_cast<int8_t>(1 + i % 24);
@@ -619,7 +610,6 @@ TEST(RingInterconnect, HopLatencyOnFourClusters)
             trace::TraceOp t;
             t.pc = pc;
             pc += 4;
-            t.next_pc = pc;
             t.op = isa::Opcode::ADD;
             t.cls = isa::OpClass::IntAlu;
             t.dst = static_cast<int8_t>(dst);

@@ -162,17 +162,17 @@ class Mutator
     Rng rng_;
 };
 
-/** Patch a v2 header's count and CRC to match its (mutated) payload,
+/** Patch a header's count and CRC to match its (mutated) payload,
  *  so the reader gets past the checksum to the records. */
 void
 reseal(std::string &bytes)
 {
-    if (bytes.size() < trace::kTraceV2HeaderBytes)
+    if (bytes.size() < trace::kTraceHeaderBytes)
         return;
-    size_t payload = bytes.size() - trace::kTraceV2HeaderBytes;
+    size_t payload = bytes.size() - trace::kTraceHeaderBytes;
     uint64_t count = payload / trace::kTraceRecordBytes;
     uint32_t crc =
-        crc32(bytes.data() + trace::kTraceV2HeaderBytes, payload);
+        crc32(bytes.data() + trace::kTraceHeaderBytes, payload);
     for (int i = 0; i < 8; ++i)
         bytes[8 + i] = static_cast<char>(count >> (8 * i));
     for (int i = 0; i < 4; ++i)
@@ -252,7 +252,7 @@ TEST(Fuzz, TraceReaderOnMutatedFiles)
     ASSERT_TRUE(
         trace::saveTrace(trace::generateSynthetic(sp, 2000), clean).ok());
     const std::string original = readFile(clean);
-    ASSERT_EQ(original.size(), trace::kTraceV2HeaderBytes +
+    ASSERT_EQ(original.size(), trace::kTraceHeaderBytes +
                                    2000 * trace::kTraceRecordBytes);
 
     Mutator m(2);

@@ -36,7 +36,6 @@ strideLoads(int lines, uint32_t stride)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::LW;
         t.cls = isa::OpClass::Load;
         t.dst = 1;
@@ -79,7 +78,6 @@ TEST(L2, CapacityMissesCaughtByL2)
             trace::TraceOp t;
             t.pc = pc;
             pc += 4;
-            t.next_pc = pc;
             t.op = isa::Opcode::LW;
             t.cls = isa::OpClass::Load;
             t.dst = static_cast<int8_t>(1 + i % 24);

@@ -31,7 +31,6 @@ class TraceBuilder
         TraceOp t;
         t.pc = pc_;
         pc_ += 4;
-        t.next_pc = pc_;
         buf_.append(t);
         return last();
     }
@@ -83,8 +82,7 @@ class TraceBuilder
         t.src1 = static_cast<int8_t>(src1);
         t.taken = taken;
         if (taken)
-            t.next_pc = t.pc + 64;
-        pc_ = t.next_pc;
+            pc_ = t.pc + 64;
         return t;
     }
 

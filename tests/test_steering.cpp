@@ -251,7 +251,6 @@ TEST(SteeringStats, PipelineCountsCases)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::ADD;
         t.cls = isa::OpClass::IntAlu;
         t.dst = 1;
@@ -275,7 +274,6 @@ TEST(SteeringStats, PipelineCountsCases)
         trace::TraceOp t;
         t.pc = pc;
         pc += 4;
-        t.next_pc = pc;
         t.op = isa::Opcode::ADD;
         t.cls = isa::OpClass::IntAlu;
         t.dst = static_cast<int8_t>(1 + i % 24);

@@ -2,13 +2,12 @@
  * @file
  * Fault-injection tests of the trace file format and the zero-copy
  * mmap reader: every way a file can be wrong — truncated header,
- * truncated payload, foreign magic, retired v1 magic, flipped payload
- * byte, lying record count, alien record size, impossible opcode —
- * must map to
- * its own TraceIoStatus, and the workload trace cache must recover
- * from each by regenerating. Also proves the mmap view is
- * statistic-exact against TraceBuffer for every machine preset and
- * record-exact for every workload.
+ * truncated payload, foreign magic, retired v1/v2 magic, flipped
+ * payload byte, lying record count, alien record size, impossible
+ * opcode — must map to its own TraceIoStatus, and the workload trace
+ * cache must recover from each by regenerating. Also proves the mmap
+ * view is statistic-exact against TraceBuffer for every machine
+ * preset and record-exact for every workload.
  *
  * The whole binary runs against a private CESP_TRACE_CACHE directory
  * (set before main() via a global test environment) so cache tests
@@ -92,13 +91,13 @@ writeAll(const std::string &path, const std::vector<uint8_t> &bytes)
     ASSERT_TRUE(out.good());
 }
 
-/** Patch a v2 header's CRC field to match the (mutated) payload. */
+/** Patch a header's CRC field to match the (mutated) payload. */
 void
 recomputeCrc(std::vector<uint8_t> &bytes)
 {
-    ASSERT_GE(bytes.size(), trace::kTraceV2HeaderBytes);
-    uint32_t c = crc32(bytes.data() + trace::kTraceV2HeaderBytes,
-                       bytes.size() - trace::kTraceV2HeaderBytes);
+    ASSERT_GE(bytes.size(), trace::kTraceHeaderBytes);
+    uint32_t c = crc32(bytes.data() + trace::kTraceHeaderBytes,
+                       bytes.size() - trace::kTraceHeaderBytes);
     bytes[20] = static_cast<uint8_t>(c);
     bytes[21] = static_cast<uint8_t>(c >> 8);
     bytes[22] = static_cast<uint8_t>(c >> 16);
@@ -155,9 +154,9 @@ TEST(TraceFileV2, RoundTripPreservesEveryField)
 
     // Spot-check the header against the documented layout.
     std::vector<uint8_t> bytes = readAll(path);
-    ASSERT_EQ(bytes.size(), trace::kTraceV2HeaderBytes +
+    ASSERT_EQ(bytes.size(), trace::kTraceHeaderBytes +
                   buf.size() * trace::kTraceRecordBytes);
-    EXPECT_EQ(std::memcmp(bytes.data(), "CESPTRC2", 8), 0);
+    EXPECT_EQ(std::memcmp(bytes.data(), "CESPTRC3", 8), 0);
     EXPECT_EQ(bytes[16], trace::kTraceRecordBytes); // record size
 }
 
@@ -166,7 +165,7 @@ TEST(TraceFileV2, EmptyTraceRoundTrips)
     trace::TraceBuffer empty;
     const std::string path = scratchFile("empty.trc");
     ASSERT_TRUE(trace::saveTrace(empty, path).ok());
-    EXPECT_EQ(readAll(path).size(), trace::kTraceV2HeaderBytes);
+    EXPECT_EQ(readAll(path).size(), trace::kTraceHeaderBytes);
 
     trace::MmapTraceSource src;
     ASSERT_TRUE(src.open(path).ok());
@@ -186,7 +185,7 @@ TEST(TraceFileV2, SaveReportsUnwritablePath)
 namespace {
 
 /**
- * The v2 bytes of @p buf as the one-shot writer laid them out before
+ * The bytes of @p buf as the one-shot writer laid them out before
  * the streaming writer existed: the 32-byte header (magic, count,
  * record size, CRC-32C of the payload, zero padding), then the raw
  * records.
@@ -197,8 +196,8 @@ oneShotV2Bytes(const trace::TraceBuffer &buf)
     const auto *payload =
         reinterpret_cast<const uint8_t *>(buf.ops().data());
     const size_t payload_bytes = buf.size() * trace::kTraceRecordBytes;
-    std::vector<uint8_t> bytes(trace::kTraceV2HeaderBytes, 0);
-    std::memcpy(bytes.data(), "CESPTRC2", 8);
+    std::vector<uint8_t> bytes(trace::kTraceHeaderBytes, 0);
+    std::memcpy(bytes.data(), "CESPTRC3", 8);
     auto put = [&](size_t at, uint64_t v, int n) {
         for (int i = 0; i < n; ++i)
             bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
@@ -215,9 +214,9 @@ oneShotV2Bytes(const trace::TraceBuffer &buf)
 TEST(TraceFileWriter, ByteIdenticalToOneShotLayoutAtChunkEdges)
 {
     // k records fill the first chunk exactly (it also holds the
-    // header); 2k + 2 puts a record across the second chunk's edge.
+    // header); 2k + 2 fill the second one exactly too.
     constexpr size_t k =
-        (trace::TraceFileWriter::kChunkBytes - trace::kTraceV2HeaderBytes) /
+        (trace::TraceFileWriter::kChunkBytes - trace::kTraceHeaderBytes) /
         trace::kTraceRecordBytes;
     for (size_t n : {size_t{0}, size_t{1}, k - 1, k, k + 1, 2 * k + 2}) {
         SCOPED_TRACE(n);
@@ -277,22 +276,54 @@ TEST(TraceFileWriter, ReportsOpenAndWriteFailures)
     }
 }
 
+namespace {
+
+/**
+ * A hand-written file of a retired format holding @p count zero
+ * records. v1: the 16-byte header (magic, record count) and 16-byte
+ * packed records. v2: the 32-byte header (magic, count, record size
+ * 20, CRC) and 20-byte records that still carried the successor pc.
+ */
+std::vector<uint8_t>
+retiredFormatBytes(char version, uint64_t count)
+{
+    std::vector<uint8_t> bytes = {'C', 'E', 'S', 'P',
+                                  'T', 'R', 'C', uint8_t(version)};
+    for (int i = 0; i < 8; ++i)
+        bytes.push_back(static_cast<uint8_t>(count >> (8 * i)));
+    size_t record_bytes = 16;
+    if (version == '2') {
+        record_bytes = 20;
+        const std::vector<uint8_t> payload(count * record_bytes, 0);
+        const uint32_t crc = crc32(payload.data(), payload.size());
+        for (uint32_t field : {uint32_t{20}, crc})
+            for (int i = 0; i < 4; ++i)
+                bytes.push_back(static_cast<uint8_t>(field >> (8 * i)));
+        bytes.resize(32, 0);
+    }
+    bytes.resize(bytes.size() + count * record_bytes, 0);
+    return bytes;
+}
+
+} // namespace
+
 TEST(TraceFileV1, BothReadersRefuseLegacyVersion)
 {
-    // A hand-written v1 file: the 16-byte header (magic, record
-    // count) and one packed record. v1 is no longer read; the
-    // reader must name it LegacyVersion rather than a foreign file.
-    std::vector<uint8_t> bytes = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1',
-                                  1, 0, 0, 0, 0, 0, 0, 0};
-    bytes.resize(bytes.size() + trace::kTraceRecordBytes, 0);
-    const std::string path = scratchFile("legacy.trc");
-    writeAll(path, bytes);
+    // v1 and v2 are no longer read; the reader must name each
+    // LegacyVersion rather than a foreign file.
+    for (char version : {'1', '2'}) {
+        SCOPED_TRACE(version);
+        const std::string path = scratchFile("legacy.trc");
+        writeAll(path, retiredFormatBytes(version, 1));
 
-    trace::MmapTraceSource src;
-    trace::TraceIoResult r = src.open(path);
-    EXPECT_EQ(r.status, TraceIoStatus::LegacyVersion);
-    EXPECT_NE(r.detail.find("no longer supported"), std::string::npos)
-        << r.detail;
+        trace::MmapTraceSource src;
+        trace::TraceIoResult r = src.open(path);
+        EXPECT_EQ(r.status, TraceIoStatus::LegacyVersion);
+        EXPECT_NE(r.detail.find(std::string("v") + version +
+                                " is no longer supported"),
+                  std::string::npos)
+            << r.detail;
+    }
 }
 
 TEST(TraceFileFaults, TruncatedHeader)
@@ -410,7 +441,7 @@ TEST(TraceFileFaults, FlippedPayloadByteFailsCrc)
     std::vector<uint8_t> bytes = readAll(path);
 
     // Flip one bit in the middle and at both ends of the payload.
-    for (size_t pos : {trace::kTraceV2HeaderBytes, bytes.size() / 2,
+    for (size_t pos : {trace::kTraceHeaderBytes, bytes.size() / 2,
                        bytes.size() - 1}) {
         std::vector<uint8_t> mut = bytes;
         mut[pos] ^= 0x01;
@@ -461,9 +492,9 @@ TEST(TraceFileFaults, ImpossibleOpcodeWithValidCrc)
     const std::string path = scratchFile("badrecord.trc");
     ASSERT_TRUE(trace::saveTrace(buf, path).ok());
     std::vector<uint8_t> bytes = readAll(path);
-    // Record 3's opcode byte (offset 12 within the record).
-    bytes[trace::kTraceV2HeaderBytes + 3 * trace::kTraceRecordBytes +
-          12] = 0xff;
+    // Record 3's opcode byte (offset 8 within the record).
+    bytes[trace::kTraceHeaderBytes + 3 * trace::kTraceRecordBytes +
+          8] = 0xff;
     recomputeCrc(bytes);
     writeAll(path, bytes);
     expectCorrupt(path, TraceIoStatus::BadRecord);
@@ -530,7 +561,7 @@ TEST(TraceCacheRecovery, RegeneratesAfterEveryCorruption)
         first.records, first.records + first.count);
 
     std::filesystem::path file = cachedFileFor(w);
-    ASSERT_FALSE(file.empty()) << "cache did not publish a v2 file";
+    ASSERT_FALSE(file.empty()) << "cache did not publish a file";
     const std::vector<uint8_t> pristine = readAll(file.string());
 
     using Mutator = void (*)(std::vector<uint8_t> &);
@@ -540,7 +571,7 @@ TEST(TraceCacheRecovery, RegeneratesAfterEveryCorruption)
         [](std::vector<uint8_t> &b) { b.resize(b.size() - 7); },
         [](std::vector<uint8_t> &b) { b[4] = '?'; },
         [](std::vector<uint8_t> &b) {
-            b[trace::kTraceV2HeaderBytes + 100] ^= 0x40;
+            b[trace::kTraceHeaderBytes + 100] ^= 0x40;
         },
         [](std::vector<uint8_t> &b) {
             b.insert(b.end(), trace::kTraceRecordBytes, 0);
@@ -558,7 +589,7 @@ TEST(TraceCacheRecovery, RegeneratesAfterEveryCorruption)
                               golden.size() * sizeof(trace::TraceOp)),
                   0);
 
-        // The regeneration also republished an intact v2 file.
+        // The regeneration also republished an intact file.
         trace::MmapTraceSource check;
         trace::TraceIoResult r = check.open(file.string());
         EXPECT_TRUE(r.ok()) << r.detail;
@@ -577,29 +608,27 @@ TEST(TraceCacheRecovery, UpgradesV1FileInPlace)
     std::filesystem::path file = cachedFileFor(w);
     ASSERT_FALSE(file.empty());
 
-    // Rewrite the cache file in the legacy format, as a harness from
-    // before the v2 migration would have left it: the 16-byte v1
-    // header (magic, record count) and the packed records.
-    std::vector<uint8_t> legacy = {'C', 'E', 'S', 'P', 'T', 'R', 'C', '1'};
-    const uint64_t count = golden.size();
-    for (int i = 0; i < 8; ++i)
-        legacy.push_back(static_cast<uint8_t>(count >> (8 * i)));
-    legacy.resize(legacy.size() + count * trace::kTraceRecordBytes, 0);
-    core::clearTraceCache();
-    writeAll(file.string(), legacy);
+    for (char version : {'1', '2'}) {
+        SCOPED_TRACE(version);
+        // Rewrite the cache file in a retired format, as a harness
+        // from before that format's retirement would have left it.
+        core::clearTraceCache();
+        writeAll(file.string(), retiredFormatBytes(version, golden.size()));
 
-    // v1 is no longer decoded: the next request refuses the file,
-    // regenerates the trace and republishes it as v2 at the same
-    // path, so the file is mappable again afterwards.
-    trace::TraceView upgraded = core::cachedWorkloadTraceView(w);
-    ASSERT_EQ(upgraded.count, golden.size());
-    EXPECT_EQ(std::memcmp(upgraded.records, golden.data(),
-                          golden.size() * sizeof(trace::TraceOp)),
-              0);
-    trace::MmapTraceSource check;
-    trace::TraceIoResult r = check.open(file.string());
-    EXPECT_TRUE(r.ok()) << r.detail;
-    EXPECT_EQ(check.size(), golden.size());
+        // Retired formats are no longer decoded: the next request
+        // refuses the file, regenerates the trace and republishes it
+        // in the current format at the same path, so the file is
+        // mappable again afterwards.
+        trace::TraceView upgraded = core::cachedWorkloadTraceView(w);
+        ASSERT_EQ(upgraded.count, golden.size());
+        EXPECT_EQ(std::memcmp(upgraded.records, golden.data(),
+                              golden.size() * sizeof(trace::TraceOp)),
+                  0);
+        trace::MmapTraceSource check;
+        trace::TraceIoResult r = check.open(file.string());
+        EXPECT_TRUE(r.ok()) << r.detail;
+        EXPECT_EQ(check.size(), golden.size());
+    }
 }
 
 TEST(TraceCachePublish, StreamedFileEqualsSaveTrace)
@@ -611,7 +640,7 @@ TEST(TraceCachePublish, StreamedFileEqualsSaveTrace)
     std::filesystem::remove(cachedFileFor("li"), ec);
     ASSERT_GT(core::cachedWorkloadTraceView("li").count, 0u);
     std::filesystem::path file = cachedFileFor("li");
-    ASSERT_FALSE(file.empty()) << "cache did not publish a v2 file";
+    ASSERT_FALSE(file.empty()) << "cache did not publish a file";
 
     const std::string ref = scratchFile("li-saved.trc");
     ASSERT_TRUE(trace::saveTrace(

@@ -44,10 +44,14 @@
  * (e.g. '2%'), 2 on load/schema errors — a CI perf gate.
  */
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <new>
@@ -62,7 +66,9 @@
 #include "core/report.hpp"
 #include "core/sweep.hpp"
 #include "func/emulator.hpp"
+#include "trace/mmap_source.hpp"
 #include "trace/synthetic.hpp"
+#include "trace/tracefile.hpp"
 #include "vlsi/clock.hpp"
 #include "workloads/workloads.hpp"
 
@@ -73,7 +79,7 @@ namespace {
 /** Emulation bound for --asm programs. */
 constexpr unsigned long long kAsmInstructionLimit = 100000000ULL;
 
-/** Largest --synthetic trace (records; 20 bytes each in memory). */
+/** Largest --synthetic trace (records; 16 bytes each in memory). */
 constexpr long long kSyntheticLimit = 1000000000LL;
 
 struct PresetEntry
@@ -200,6 +206,45 @@ syntheticTrace(uint64_t seed, uint64_t records)
         fatal("cannot allocate a %llu-record synthetic trace",
               (unsigned long long)records);
     }
+}
+
+/**
+ * The --asm trace: emulate @p program straight into a trace file in
+ * the temporary directory and map it, as `cesp-trace --capture-asm`
+ * does, so no whole trace is held in memory. The file is unlinked
+ * once mapped (the mapping keeps its pages) or when any step fails,
+ * which is fatal and names the TraceIoResult status.
+ */
+trace::MmapTraceSource
+streamAsmTrace(const std::string &program, const std::string &label)
+{
+    std::error_code ec;
+    std::filesystem::path dir =
+        std::filesystem::temp_directory_path(ec);
+    if (ec)
+        fatal("no temporary directory for the trace of %s: %s",
+              label.c_str(), ec.message().c_str());
+    std::string path = (dir / "cesp-sim-XXXXXX").string();
+    int fd = ::mkstemp(path.data());
+    if (fd < 0)
+        fatal("cannot create %s: %s", path.c_str(),
+              std::strerror(errno));
+    ::close(fd);
+
+    trace::TraceFileWriter writer;
+    trace::TraceIoResult r = writer.open(path);
+    if (r.ok()) {
+        func::runProgram(program, kAsmInstructionLimit, &writer);
+        r = writer.finish();
+    }
+    trace::MmapTraceSource src;
+    if (r.ok())
+        r = src.open(path);
+    std::filesystem::remove(path, ec);
+    if (!r.ok())
+        fatal("cannot stream the trace of %s: %s (%s)", label.c_str(),
+              trace::traceIoStatusName(r.status), r.detail.c_str());
+    return src;
 }
 
 /** The delay model's view of a simulated machine. */
@@ -780,15 +825,14 @@ main(int argc, char **argv)
             fatal("cannot open '%s'", asm_file.c_str());
         std::stringstream ss;
         ss << in.rdbuf();
-        trace::TraceBuffer buf;
         // A sink-less first pass proves the program halts before a
-        // single record is buffered: a runaway loop would otherwise
-        // fill memory with the instruction limit's worth of records.
+        // single record is written: a runaway loop would otherwise
+        // write the instruction limit's worth of records.
         if (!func::runProgram(ss.str(), kAsmInstructionLimit).halted)
             fatal("%s did not halt within %llu instructions",
                   asm_file.c_str(), kAsmInstructionLimit);
-        func::runProgram(ss.str(), kAsmInstructionLimit, &buf);
-        runOne(buf, asm_file);
+        trace::MmapTraceSource src = streamAsmTrace(ss.str(), asm_file);
+        runOne(src, asm_file);
         return 0;
     }
     if (synthetic > 0) {

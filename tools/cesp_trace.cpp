@@ -1,7 +1,7 @@
 /**
  * @file
  * cesp-trace: inspect dynamic traces. Capture a workload or assembly
- * file to a binary .trc file (format v2), analyze an existing one —
+ * file to a binary .trc file (format v3), analyze an existing one —
  * mix, dependence statistics, dataflow ILP limits, and an optional
  * disassembled listing — or check a trace file's integrity:
  *
@@ -84,9 +84,10 @@ verifyCommand(const std::string &path)
     trace::MmapTraceSource src;
     trace::TraceIoResult r = src.open(path);
     if (r.ok()) {
-        std::printf("%s: v2 OK, %zu records (%zu bytes), CRC valid\n",
-                    path.c_str(), src.size(),
-                    trace::kTraceV2HeaderBytes +
+        std::printf("%s: v%u OK, %zu records (%zu bytes), CRC valid\n",
+                    path.c_str(), trace::kTraceFormatVersion,
+                    src.size(),
+                    trace::kTraceHeaderBytes +
                         src.size() * trace::kTraceRecordBytes);
         return 0;
     }
