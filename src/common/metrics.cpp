@@ -26,8 +26,6 @@ statKindName(StatKind k)
         return "gauge";
     case StatKind::Derived:
         return "derived";
-    case StatKind::Sample:
-        return "sample";
     case StatKind::Histogram:
         return "histogram";
     }
@@ -259,17 +257,6 @@ StatGroup::addDerived(std::string name, std::string unit,
 }
 
 size_t
-StatGroup::addSample(std::string name, std::string unit,
-                     std::string desc)
-{
-    size_t i = addEntry(StatKind::Sample, std::move(name),
-                        std::move(unit), std::move(desc));
-    entries_[i].store = samples_.size();
-    samples_.emplace_back();
-    return entries_[i].store;
-}
-
-size_t
 StatGroup::addHistogram(std::string name, std::string unit,
                         std::string desc, size_t buckets, double width,
                         bool growable)
@@ -345,8 +332,6 @@ StatGroup::reset()
         c = 0;
     for (double &g : gauges_)
         g = 0.0;
-    for (Sample &s : samples_)
-        s.reset();
     for (Histogram &h : histograms_)
         h.reset();
 }
@@ -413,8 +398,6 @@ StatGroup::merge(const StatGroup &other)
         counters_[i] += other.counters_[i];
     for (size_t i = 0; i < gauges_.size(); ++i)
         gauges_[i] += other.gauges_[i];
-    for (size_t i = 0; i < samples_.size(); ++i)
-        samples_[i].merge(other.samples_[i]);
     for (size_t i = 0; i < histograms_.size(); ++i)
         histograms_[i].merge(other.histograms_[i]);
 }
@@ -436,18 +419,6 @@ StatGroup::deltaSince(const StatGroup &prev) const
     }
     for (size_t i = 0; i < d.gauges_.size(); ++i)
         d.gauges_[i] -= prev.gauges_[i];
-    for (size_t i = 0; i < d.samples_.size(); ++i) {
-        const Sample &now = samples_[i];
-        const Sample &was = prev.samples_[i];
-        if (was.count() > now.count())
-            fatal("StatGroup::deltaSince: sample #%zu count "
-                  "decreased since the snapshot", i);
-        // min/max stay cumulative: the extremes of only the new
-        // samples are not recoverable from two running accumulators.
-        d.samples_[i].restore(now.count() - was.count(),
-                              now.sum() - was.sum(), now.min(),
-                              now.max());
-    }
     for (size_t i = 0; i < d.histograms_.size(); ++i)
         d.histograms_[i].subtract(prev.histograms_[i]);
     return d;
@@ -457,8 +428,7 @@ bool
 StatGroup::sameValues(const StatGroup &other) const
 {
     return sameSchema(other) && counters_ == other.counters_ &&
-        gauges_ == other.gauges_ && samples_ == other.samples_ &&
-        histograms_ == other.histograms_;
+        gauges_ == other.gauges_ && histograms_ == other.histograms_;
 }
 
 std::string
@@ -485,11 +455,6 @@ StatGroup::diff(const StatGroup &other) const
             break;
         case StatKind::Derived:
             break; // follows its operands
-        case StatKind::Sample:
-            if (!(samples_[e.store] == other.samples_[e.store]))
-                out += strprintf("%s: sample differs\n",
-                                 e.name.c_str());
-            break;
         case StatKind::Histogram: {
             const Histogram &a = histograms_[e.store];
             const Histogram &b = other.histograms_[e.store];
@@ -521,30 +486,6 @@ StatGroup::diff(const StatGroup &other) const
         }
     }
     return out;
-}
-
-void
-StatGroup::visit(StatVisitor &v) const
-{
-    for (const StatEntry &e : entries_) {
-        switch (e.kind) {
-        case StatKind::Counter:
-            v.counter(e, counters_[e.store]);
-            break;
-        case StatKind::Gauge:
-            v.gauge(e, gauges_[e.store]);
-            break;
-        case StatKind::Derived:
-            v.derived(e, derivedAt(e.store));
-            break;
-        case StatKind::Sample:
-            v.sample(e, samples_[e.store]);
-            break;
-        case StatKind::Histogram:
-            v.histogram(e, histograms_[e.store]);
-            break;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -593,18 +534,6 @@ StatGroup::writeJson(JsonWriter &w) const
             w.key("value");
             w.value(derivedAt(e.store));
             break;
-        case StatKind::Sample: {
-            const Sample &s = samples_[e.store];
-            w.key("count");
-            w.value(s.count());
-            w.key("sum");
-            w.value(s.sum());
-            w.key("min");
-            w.value(s.min());
-            w.key("max");
-            w.value(s.max());
-            break;
-        }
         case StatKind::Histogram: {
             const Histogram &h = histograms_[e.store];
             w.key("width");
@@ -693,20 +622,6 @@ StatGroup::toCsv() const
             row(e.name, e.kind, e.unit,
                 jsonDouble(derivedAt(e.store)), e.desc);
             break;
-        case StatKind::Sample: {
-            const Sample &s = samples_[e.store];
-            row(e.name + ".count", e.kind, "samples",
-                strprintf("%llu",
-                          static_cast<unsigned long long>(s.count())),
-                e.desc);
-            row(e.name + ".sum", e.kind, e.unit, jsonDouble(s.sum()),
-                "");
-            row(e.name + ".min", e.kind, e.unit, jsonDouble(s.min()),
-                "");
-            row(e.name + ".max", e.kind, e.unit, jsonDouble(s.max()),
-                "");
-            break;
-        }
         case StatKind::Histogram: {
             const Histogram &h = histograms_[e.store];
             row(e.name + ".buckets", e.kind, "",
@@ -1073,17 +988,6 @@ groupFromJval(const JVal &root, StatGroup &out, std::string *error)
                                  "counters", name->raw.c_str());
             g.addDerived(name->raw, unit->raw, desc->raw, num->raw,
                          den->raw, scale->toDouble());
-        } else if (k == "sample") {
-            const JVal *count = m.get("count");
-            const JVal *sum = m.get("sum");
-            const JVal *mn = m.get("min");
-            const JVal *mx = m.get("max");
-            if (!count || !sum || !mn || !mx)
-                return parseFail(error, "sample '%s' misses parts",
-                                 name->raw.c_str());
-            size_t i = g.addSample(name->raw, unit->raw, desc->raw);
-            g.sampleAt(i).restore(count->toU64(), sum->toDouble(),
-                                  mn->toDouble(), mx->toDouble());
         } else if (k == "histogram") {
             const JVal *width = m.get("width");
             const JVal *under = m.get("underflow");
@@ -1342,7 +1246,7 @@ readTextInput(const std::string &path, std::string &out,
 const char *
 preferredStreamKind(const std::vector<StatStreamRecord> &recs)
 {
-    for (const char *kind : {"run", "merged", "shard", "snapshot"})
+    for (const char *kind : {"run", "shard", "snapshot"})
         for (const StatStreamRecord &r : recs)
             if (r.kind == kind)
                 return kind;

@@ -2,8 +2,8 @@
  * @file
  * Self-describing metrics registry. A StatGroup is an ordered
  * collection of named, documented metrics — counters, gauges,
- * derived ratios, samples, and histograms — that supports reset,
- * merge (for combining per-worker results), visitation, and lossless
+ * derived ratios and histograms — that supports reset, merge (for
+ * combining per-worker results), exact interval deltas, and lossless
  * export to JSON and CSV. The simulator's SimStats, the sweep
  * engine's aggregates, and the CLI/bench `--json`/`--csv` modes are
  * all built on it: registering a metric once gives it a place in
@@ -51,7 +51,6 @@ enum class StatKind
     Counter,   //!< uint64_t, accumulated; merge adds
     Gauge,     //!< double point value (e.g. a clock estimate); merge adds
     Derived,   //!< scale * num / den over two counters; never stored
-    Sample,    //!< running count/sum/min/max; merge combines
     Histogram, //!< fixed-width buckets + under/overflow; merge adds
 };
 
@@ -71,17 +70,6 @@ struct StatEntry
     std::string num, den;
     size_t num_store = 0, den_store = 0;
     double scale = 1.0;
-};
-
-/** Typed callbacks for StatGroup::visit. Override what you need. */
-struct StatVisitor
-{
-    virtual ~StatVisitor() = default;
-    virtual void counter(const StatEntry &, uint64_t) {}
-    virtual void gauge(const StatEntry &, double) {}
-    virtual void derived(const StatEntry &, double) {}
-    virtual void sample(const StatEntry &, const Sample &) {}
-    virtual void histogram(const StatEntry &, const Histogram &) {}
 };
 
 /**
@@ -146,8 +134,6 @@ class StatGroup
     size_t addDerived(std::string name, std::string unit,
                       std::string desc, std::string num,
                       std::string den, double scale = 1.0);
-    size_t addSample(std::string name, std::string unit,
-                     std::string desc);
     /** @p growable histograms auto-range (see Histogram); @p buckets
      *  is then only the initial shape. */
     size_t addHistogram(std::string name, std::string unit,
@@ -164,8 +150,6 @@ class StatGroup
     uint64_t counterAt(size_t i) const { return counters_[i]; }
     double &gaugeAt(size_t i) { return gauges_[i]; }
     double gaugeAt(size_t i) const { return gauges_[i]; }
-    Sample &sampleAt(size_t i) { return samples_[i]; }
-    const Sample &sampleAt(size_t i) const { return samples_[i]; }
     Histogram &histogramAt(size_t i) { return histograms_[i]; }
     const Histogram &histogramAt(size_t i) const
     {
@@ -203,17 +187,16 @@ class StatGroup
     bool sameValues(const StatGroup &other) const;
     /**
      * The change accumulated since @p prev, an earlier snapshot of
-     * this group: counters, gauges, sample count/sum, and histogram
-     * buckets subtract; derived metrics recompute over the delta
-     * counters. Sample min/max are NOT invertible, so the delta keeps
-     * the cumulative extremes. Schemas must match (fatal otherwise)
-     * and every monotonic value must be >= its value in @p prev.
+     * this group: counters, gauges and histogram buckets subtract;
+     * derived metrics recompute over the delta counters. Counters and
+     * buckets are integers, so prev.merge(deltaSince(prev)) restores
+     * them exactly (gauges up to double rounding). Schemas must match
+     * (fatal otherwise) and every counter and bucket must be >= its
+     * value in @p prev.
      */
     StatGroup deltaSince(const StatGroup &prev) const;
     /** Human-readable list of differing entries (for test output). */
     std::string diff(const StatGroup &other) const;
-    /** Call the kind-matching visitor method for every entry. */
-    void visit(StatVisitor &v) const;
 
     // ---- export / import ----
     /** Write this group as one JSON object into @p w. */
@@ -221,7 +204,7 @@ class StatGroup
     /** Complete schema-versioned JSON document. */
     std::string toJson(int indent = 2) const;
     /** CSV: a header comment, then one row per scalar metric;
-     *  samples and histograms are flattened to dotted names. */
+     *  histograms are flattened to dotted names. */
     std::string toCsv() const;
     /**
      * Parse a document produced by toJson back into @p out (the
@@ -241,7 +224,6 @@ class StatGroup
     std::vector<StatEntry> entries_;
     std::vector<uint64_t> counters_;
     std::vector<double> gauges_;
-    std::vector<Sample> samples_;
     std::vector<Histogram> histograms_;
     size_t derived_count_ = 0; //!< derived metrics have no storage
 };
@@ -269,13 +251,12 @@ bool writeTextOutput(const std::string &path, const std::string &text,
 
 /**
  * Identity of one stream record: what finished (a whole run, one
- * shard of a run, an interval snapshot, or a merged aggregate) and
- * where it belongs in the experiment. Negative indices are omitted
- * from the record.
+ * shard of a run, or an interval snapshot) and where it belongs in
+ * the experiment. Negative indices are omitted from the record.
  */
 struct StatStreamMeta
 {
-    std::string kind = "run"; //!< "run", "shard", "snapshot", "merged"
+    std::string kind = "run"; //!< "run", "shard" or "snapshot"
     int64_t task = -1;        //!< task index within the sweep
     int64_t shard = -1;       //!< shard window within the task
     int64_t interval = -1;    //!< snapshot interval within the run
@@ -343,10 +324,10 @@ bool readStatStream(const std::string &text,
  * "cesp.statgroup" document, a "cesp.statgroup.list" document (its
  * "groups", or "merged" when groups is empty), or a
  * "cesp.statgroup.jsonl" stream. Stream records are filtered to the
- * most aggregated kind present ("run", else "merged", else "shard",
- * else "snapshot" cumulatives) and ordered by their task index, so
- * two streams of the same sweep compare positionally regardless of
- * worker arrival order. Returns false and sets @p error on I/O or
+ * most aggregated kind present ("run", else "shard", else "snapshot"
+ * cumulatives) and ordered by their task index, so two streams of
+ * the same sweep compare positionally regardless of worker arrival
+ * order. Returns false and sets @p error on I/O or
  * parse failure.
  */
 bool loadStatGroups(const std::string &path,

@@ -13,37 +13,6 @@
 
 namespace cesp {
 
-void
-Sample::merge(const Sample &o)
-{
-    if (!o.count_)
-        return;
-    if (!count_) {
-        *this = o;
-        return;
-    }
-    sum_ += o.sum_;
-    count_ += o.count_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-}
-
-void
-Sample::restore(uint64_t count, double sum, double min, double max)
-{
-    count_ = count;
-    sum_ = sum;
-    min_ = min;
-    max_ = max;
-}
-
-bool
-Sample::operator==(const Sample &o) const
-{
-    return count_ == o.count_ && sum_ == o.sum_ && min_ == o.min_ &&
-        max_ == o.max_;
-}
-
 double
 Histogram::mean() const
 {

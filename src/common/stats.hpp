@@ -3,8 +3,8 @@
  * Small statistics accumulators: scalar counters, ratios, running
  * mean/min/max, and fixed-bucket histograms. These back the simulator
  * statistics (IPC, misprediction rate, bypass frequency, occupancy
- * distributions) reported by the bench harnesses, and are the value
- * types registered in a cesp::StatGroup (common/metrics.hpp).
+ * distributions) reported by the bench harnesses. Histogram is the
+ * distribution kind of a cesp::StatGroup (common/metrics.hpp).
  */
 
 #ifndef CESP_COMMON_STATS_HPP
@@ -44,15 +44,6 @@ class Sample
         count_ = 0;
         min_ = max_ = 0.0;
     }
-
-    /** Combine with another accumulator, as if every sample added to
-     *  @p o had been added here. */
-    void merge(const Sample &o);
-
-    /** Restore from exported parts (used by StatGroup::fromJson). */
-    void restore(uint64_t count, double sum, double min, double max);
-
-    bool operator==(const Sample &o) const;
 
   private:
     double sum_ = 0.0;

@@ -114,60 +114,6 @@ cell(int v)
     return cell(static_cast<int64_t>(v));
 }
 
-namespace {
-
-/** Builds the metric/value/unit rows of statTable. */
-struct TableVisitor : StatVisitor
-{
-    Table &t;
-    explicit TableVisitor(Table &t) : t(t) {}
-
-    void
-    counter(const StatEntry &e, uint64_t v) override
-    {
-        t.row({e.name, cell(v), e.unit});
-    }
-
-    void
-    gauge(const StatEntry &e, double v) override
-    {
-        t.row({e.name, cell(v, 3), e.unit});
-    }
-
-    void
-    derived(const StatEntry &e, double v) override
-    {
-        t.row({e.name, cell(v, 3), e.unit});
-    }
-
-    void
-    sample(const StatEntry &e, const Sample &s) override
-    {
-        t.row({e.name,
-               strprintf("mean %.2f [%g, %g] n=%llu", s.mean(),
-                         s.min(), s.max(),
-                         static_cast<unsigned long long>(s.count())),
-               e.unit});
-    }
-
-    void
-    histogram(const StatEntry &e, const Histogram &h) override
-    {
-        std::string v = strprintf(
-            "mean %.1f over %llu samples", h.mean(),
-            static_cast<unsigned long long>(h.total()));
-        if (h.underflow() || h.overflow())
-            v += strprintf(" (%llu under, %llu over)",
-                           static_cast<unsigned long long>(
-                               h.underflow()),
-                           static_cast<unsigned long long>(
-                               h.overflow()));
-        t.row({e.name, v, e.unit});
-    }
-};
-
-} // namespace
-
 Table
 statTable(const StatGroup &g)
 {
@@ -176,46 +122,66 @@ statTable(const StatGroup &g)
         title += ": " + g.label();
     Table t(title);
     t.header({"metric", "value", "unit"});
-    TableVisitor v(t);
-    g.visit(v);
+    for (const StatEntry &e : g.entries()) {
+        switch (e.kind) {
+        case StatKind::Counter:
+            t.row({e.name, cell(g.counterAt(e.store)), e.unit});
+            break;
+        case StatKind::Gauge:
+            t.row({e.name, cell(g.gaugeAt(e.store), 3), e.unit});
+            break;
+        case StatKind::Derived:
+            t.row({e.name, cell(g.derivedAt(e.store), 3), e.unit});
+            break;
+        case StatKind::Histogram: {
+            const Histogram &h = g.histogramAt(e.store);
+            std::string v = strprintf(
+                "mean %.1f over %llu samples", h.mean(),
+                static_cast<unsigned long long>(h.total()));
+            if (h.underflow() || h.overflow())
+                v += strprintf(" (%llu under, %llu over)",
+                               static_cast<unsigned long long>(
+                                   h.underflow()),
+                               static_cast<unsigned long long>(
+                                   h.overflow()));
+            t.row({e.name, v, e.unit});
+            break;
+        }
+        }
+    }
     return t;
 }
 
 std::vector<Table>
 histogramTables(const StatGroup &g)
 {
-    struct HistVisitor : StatVisitor
-    {
-        std::vector<Table> tables;
-
-        void
-        histogram(const StatEntry &e, const Histogram &h) override
-        {
-            Table t(e.name + " (" + e.unit + ")");
-            t.header({"bucket", "count", "%"});
-            if (h.underflow())
-                t.row({"< 0", cell(h.underflow()),
-                       cell(100.0 * static_cast<double>(h.underflow()) /
-                            static_cast<double>(h.total()))});
-            for (size_t i = 0; i < h.buckets(); ++i) {
-                if (!h.bucket(i))
-                    continue;
-                t.row({cell(static_cast<double>(i) * h.width(),
-                            h.width() == 1.0 ? 0 : 2),
-                       cell(h.bucket(i)), cell(100.0 * h.fraction(i))});
-            }
-            if (h.overflow())
-                t.row({strprintf(">= %g",
-                                 h.width() *
-                                     static_cast<double>(h.buckets())),
-                       cell(h.overflow()),
-                       cell(100.0 * static_cast<double>(h.overflow()) /
-                            static_cast<double>(h.total()))});
-            tables.push_back(std::move(t));
+    std::vector<Table> tables;
+    for (const StatEntry &e : g.entries()) {
+        if (e.kind != StatKind::Histogram)
+            continue;
+        const Histogram &h = g.histogramAt(e.store);
+        Table t(e.name + " (" + e.unit + ")");
+        t.header({"bucket", "count", "%"});
+        if (h.underflow())
+            t.row({"< 0", cell(h.underflow()),
+                   cell(100.0 * static_cast<double>(h.underflow()) /
+                        static_cast<double>(h.total()))});
+        for (size_t i = 0; i < h.buckets(); ++i) {
+            if (!h.bucket(i))
+                continue;
+            t.row({cell(static_cast<double>(i) * h.width(),
+                        h.width() == 1.0 ? 0 : 2),
+                   cell(h.bucket(i)), cell(100.0 * h.fraction(i))});
         }
-    } v;
-    g.visit(v);
-    return v.tables;
+        if (h.overflow())
+            t.row({strprintf(">= %g",
+                             h.width() * static_cast<double>(h.buckets())),
+                   cell(h.overflow()),
+                   cell(100.0 * static_cast<double>(h.overflow()) /
+                        static_cast<double>(h.total()))});
+        tables.push_back(std::move(t));
+    }
+    return tables;
 }
 
 } // namespace cesp

@@ -57,7 +57,7 @@ class StatGroup;
  * Render a metrics registry (common/metrics.hpp) as a
  * metric/value/unit table: one row per counter, gauge, and derived
  * metric, and a summary row (mean, total, out-of-range counts) per
- * sample and histogram.
+ * histogram.
  */
 Table statTable(const StatGroup &g);
 

@@ -120,9 +120,7 @@ compareGroups(const std::vector<StatGroup> &before,
         }
         e.differing = countDiffLines(a.diff(b));
         const StatEntry *ma = a.find(opt.metric);
-        if (!ma || (ma->kind != StatKind::Counter &&
-                    ma->kind != StatKind::Gauge &&
-                    ma->kind != StatKind::Derived)) {
+        if (!ma || ma->kind == StatKind::Histogram) {
             res.schema_ok = false;
             e.schema_note = strprintf(
                 "no scalar metric '%s'", opt.metric.c_str());

@@ -159,7 +159,7 @@ Grid::merged(size_t config) const
 
 Grid
 runGrid(std::vector<uarch::SimConfig> configs,
-        std::vector<std::string> workloads, const RunOptions &options)
+        std::vector<std::string> workloads)
 {
     Grid g{std::move(configs), std::move(workloads), {}};
     std::vector<SweepTask> tasks;
@@ -167,7 +167,7 @@ runGrid(std::vector<uarch::SimConfig> configs,
     for (const uarch::SimConfig &cfg : g.configs)
         for (const std::string &w : g.workloads)
             tasks.push_back({cfg, cachedWorkloadTraceView(w)});
-    g.stats = std::move(run(tasks, options).stats);
+    g.stats = std::move(run(tasks).stats);
     return g;
 }
 

@@ -5,9 +5,9 @@
  * into warmed-up windows. Design-space exploration is embarrassingly
  * parallel — every (configuration, trace) pair is an independent
  * simulation — so every harness hands its task list to core::run:
- * cesp-sim's sweeps build theirs by hand, and the paper figures,
- * ablations and studies (bench/experiments) and the Section 5.5
- * study describe theirs as a configurations x workloads Grid
+ * cesp-sim builds its machines x traces grid by hand, and the paper
+ * figures, ablations and studies (bench/experiments) and the Section
+ * 5.5 study describe theirs as a configurations x workloads Grid
  * (runGrid).
  *
  * Determinism: results are indexed by task position and each
@@ -180,16 +180,17 @@ struct Grid
 
 /**
  * Simulate every configuration on every named workload (traces from
- * cachedWorkloadTraceView) as one core::run, one task per pair in
- * config-major order.
+ * cachedWorkloadTraceView) as one core::run with default options,
+ * one task per pair in config-major order. It takes no RunOptions:
+ * sharding would make run(...).stats the flattened shard windows, so
+ * Grid::at would read the wrong run.
  */
 Grid runGrid(std::vector<uarch::SimConfig> configs,
-             std::vector<std::string> workloads,
-             const RunOptions &options = {});
+             std::vector<std::string> workloads);
 
 /**
- * Merge per-run statistics into one aggregate StatGroup: counters
- * add, samples and histograms combine, derived metrics recompute
+ * Merge per-run statistics into one aggregate StatGroup: counters,
+ * gauges and histograms add, derived metrics recompute
  * over the merged operands. All results must share a schema (same
  * machine organization, in particular the same cluster count);
  * mismatches are fatal. Empty input yields a default-constructed

@@ -236,8 +236,9 @@ struct StatSnapshot
     /** Registry totals since the measurement boundary. */
     StatGroup cumulative;
     /** cumulative.deltaSince(previous snapshot); equals cumulative
-     *  for the first interval. Sample min/max stay cumulative (see
-     *  StatGroup::deltaSince). */
+     *  for the first interval. Exact: the previous cumulative merged
+     *  with this delta equals this cumulative (the registry holds
+     *  only counters and histograms). */
     StatGroup delta;
 };
 

@@ -253,24 +253,6 @@ TEST(HistogramDeath, MergeOfMixedGrowabilityIsFatal)
     EXPECT_DEATH(growable.merge(fixed), "");
 }
 
-TEST(Sample, MergeCombinesExtremes)
-{
-    Sample a;
-    a.add(2.0);
-    a.add(4.0);
-    Sample b;
-    b.add(-1.0);
-    b.add(9.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(a.min(), -1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 9.0);
-    Sample none;
-    a.merge(none); // empty right-hand side is a no-op
-    EXPECT_EQ(a.count(), 4u);
-}
-
 TEST(Histogram, MeanOfMidpoints)
 {
     Histogram h(10, 2.0);

@@ -35,7 +35,7 @@ runWith(SimConfig cfg, IssueModel model, uint64_t trace_seed,
 
 /**
  * Whole-stats equality through the metrics registry: sameValues
- * compares every registered counter, sample, and histogram bucket
+ * compares every registered counter, gauge, and histogram bucket
  * (including per-cluster counters and histogram under/overflow), so
  * a statistic added to SimStats is automatically part of the
  * equivalence contract.

@@ -37,9 +37,6 @@ demoGroup()
     g.addGauge("clock_mhz", "MHz", "estimated clock", 250.5);
     g.addDerived("rate", "ops/cycle", "work per cycle", "work",
                  "ticks");
-    size_t s = g.addSample("latency", "cycles", "operation latency");
-    g.sampleAt(s).add(2.0);
-    g.sampleAt(s).add(6.0);
     size_t h = g.addHistogram("occupancy", "entries",
                               "buffer occupancy", 3, 1.0);
     g.histogramAt(h).add(0.5);
@@ -68,9 +65,8 @@ TEST(StatGroup, RegistrationOrderIsExportOrder)
     std::vector<std::string> names;
     for (const StatEntry &e : g.entries())
         names.push_back(e.name);
-    std::vector<std::string> expect = {"ticks",   "work", "clock_mhz",
-                                       "rate",    "latency",
-                                       "occupancy"};
+    std::vector<std::string> expect = {"ticks", "work", "clock_mhz",
+                                       "rate", "occupancy"};
     EXPECT_EQ(names, expect);
     // Export is deterministic: two renderings are byte-identical.
     EXPECT_EQ(g.toJson(), g.toJson());
@@ -131,16 +127,6 @@ TEST(StatGroup, GoldenJson)
       "den": "ticks",
       "scale": 1,
       "value": 0.25
-    },
-    {
-      "name": "latency",
-      "kind": "sample",
-      "unit": "cycles",
-      "desc": "operation latency",
-      "count": 2,
-      "sum": 8,
-      "min": 2,
-      "max": 6
     },
     {
       "name": "occupancy",
@@ -238,6 +224,54 @@ TEST(StatGroup, DeepNestingIsAParseErrorNotACrash)
     std::filesystem::remove(file);
 }
 
+/**
+ * The registry has four kinds. An export that still carries the
+ * retired "sample" kind (cesp-trace's dependence_distance before it
+ * became a counter and three gauges) is a typed load error, through
+ * both the single-document and the any-format reader.
+ */
+TEST(StatGroup, SampleKindIsAnUnknownKind)
+{
+    const std::string doc = R"({
+  "schema": "cesp.statgroup",
+  "schema_version": 1,
+  "group": "trace_analysis",
+  "label": "go",
+  "metrics": [
+    {
+      "name": "dependence_distance",
+      "kind": "sample",
+      "unit": "instructions",
+      "desc": "Distance from each source operand to its producer",
+      "count": 2,
+      "sum": 8,
+      "min": 2,
+      "max": 6
+    }
+  ]
+}
+)";
+    StatGroup back;
+    std::string err;
+    EXPECT_FALSE(StatGroup::fromJson(doc, back, &err));
+    EXPECT_NE(err.find("unknown metric kind 'sample'"),
+              std::string::npos) << err;
+
+    std::filesystem::path file =
+        std::filesystem::temp_directory_path() /
+        ("cesp-sample-kind-" + std::to_string(getpid()) + ".json");
+    {
+        std::ofstream out(file, std::ios::binary);
+        out << doc;
+    }
+    std::vector<StatGroup> groups;
+    err.clear();
+    EXPECT_FALSE(loadStatGroups(file.string(), groups, &err));
+    EXPECT_NE(err.find("unknown metric kind 'sample'"),
+              std::string::npos) << err;
+    std::filesystem::remove(file);
+}
+
 TEST(StatGroup, ResetZeroesValuesKeepsSchema)
 {
     StatGroup g = demoGroup();
@@ -264,9 +298,6 @@ TEST(StatGroup, MergeAddsEveryKind)
     EXPECT_EQ(a.histogramAt(h->store).total(), 8u);
     EXPECT_EQ(a.histogramAt(h->store).underflow(), 2u);
     EXPECT_EQ(a.histogramAt(h->store).overflow(), 2u);
-    const StatEntry *l = a.find("latency");
-    ASSERT_NE(l, nullptr);
-    EXPECT_EQ(a.sampleAt(l->store).count(), 4u);
 }
 
 TEST(StatGroup, DiffNamesTheDifferingEntry)
@@ -376,7 +407,7 @@ TEST(StatGroupDeath, MergeMismatchNamesTheCulprit)
     StatGroup a = demoGroup();
     StatGroup extra = demoGroup();
     extra.addCounter("stalls", "cycles", "pipeline stalls");
-    EXPECT_DEATH(a.merge(extra), "entry count 6 vs 7");
+    EXPECT_DEATH(a.merge(extra), "entry count 5 vs 6");
 
     StatGroup h1("demo", "left");
     h1.addHistogram("occ", "entries", "occupancy", 4, 1.0);
@@ -494,5 +525,4 @@ TEST(StatGroup, CsvListsEveryMetric)
               std::string::npos);
     EXPECT_NE(csv.find("occupancy.underflow"), std::string::npos);
     EXPECT_NE(csv.find("occupancy.overflow"), std::string::npos);
-    EXPECT_NE(csv.find("latency.sum"), std::string::npos);
 }

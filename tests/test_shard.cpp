@@ -213,7 +213,7 @@ TEST(Sharded, OneShardNoWarmupEqualsMonolithic)
         ASSERT_EQ(run.stats.size(), 1u);
         SimStats direct = monolithic(cfg, buf);
         // Bit-identity of the acceptance contract: sameValues spans
-        // every counter, sample, and histogram bucket.
+        // every counter, gauge, and histogram bucket.
         EXPECT_TRUE(
             run.stats[0].group().sameValues(direct.group()))
             << cfg.name << ":\n"

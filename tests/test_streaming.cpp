@@ -121,7 +121,7 @@ TEST(Sampling, FinalStatsBitIdenticalWithSamplingOnOrOff)
 
         EXPECT_EQ(snapshots, 20u) << cfg.name;
         // The acceptance contract: sampling only observes. sameValues
-        // spans every counter, sample, and histogram bucket.
+        // spans every counter, gauge, and histogram bucket.
         EXPECT_TRUE(sampled.group().sameValues(plain.group()))
             << cfg.name << ":\n"
             << sampled.group().diff(plain.group());
@@ -160,6 +160,30 @@ TEST(Sampling, SnapshotSeriesIsConsistent)
               final.fetched());
     // The first delta IS the first cumulative.
     EXPECT_TRUE(snaps[0].delta.sameValues(snaps[0].cumulative));
+
+    // Every kind's delta is exact: each cumulative is the previous
+    // one merged with its delta, counter by counter and bucket by
+    // bucket.
+    auto expectExactDeltas = [](const std::vector<StatSnapshot> &series,
+                                const char *what) {
+        for (size_t i = 1; i < series.size(); ++i) {
+            StatGroup rebuilt = series[i - 1].cumulative;
+            rebuilt.merge(series[i].delta);
+            EXPECT_TRUE(rebuilt.sameValues(series[i].cumulative))
+                << what << " snapshot " << i << ":\n"
+                << rebuilt.diff(series[i].cumulative);
+        }
+    };
+    expectExactDeltas(snaps, "baseline8Way");
+
+    // A clustered machine past a warmup, whose growable histograms
+    // widen between snapshots.
+    std::vector<StatSnapshot> clustered;
+    lim.warmup = 2000;
+    lim.sampler = [&](const StatSnapshot &s) { clustered.push_back(s); };
+    uarch::simulate(core::clusteredDependence2x4(), buf, lim);
+    ASSERT_EQ(clustered.size(), 5u); // 8000 measured commits / 1500
+    expectExactDeltas(clustered, "clusteredDependence2x4");
 }
 
 TEST(Sampling, CountsOnlyMeasuredCommitsAfterWarmup)

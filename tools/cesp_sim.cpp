@@ -17,10 +17,13 @@
  *   cesp-sim --workload perl --sample-every 50000 --json-lines -
  *   cesp-sim --compare before.jsonl after.jsonl --threshold 2%
  *
- * Multi-simulation runs (--sweep, --all-workloads) execute on the
- * parallel sweep engine (core::run); --jobs N picks the worker count
- * (default: all hardware threads). Output is identical for any
- * --jobs value.
+ * Every simulation mode is one machines x traces grid on the
+ * parallel sweep engine (core::run): the machines are every preset
+ * under --sweep, else the chosen one; the traces are every workload,
+ * or the one --workload, --asm program or --synthetic trace. Only
+ * the table and the export document depend on the mode. --jobs N
+ * picks the worker count (default: all hardware threads); output is
+ * identical for any --jobs value.
  *
  * --shards K splits every trace into K contiguous windows simulated
  * in parallel and merges the measured stats; --warmup N gives each
@@ -339,8 +342,7 @@ deltaGroup(const StatGroup &a, const StatGroup &b)
     StatGroup d("cesp.compare.delta",
                 b.label().empty() ? a.label() : b.label());
     for (const StatEntry &e : a.entries()) {
-        if (e.kind != StatKind::Counter && e.kind != StatKind::Gauge &&
-            e.kind != StatKind::Derived)
+        if (e.kind == StatKind::Histogram)
             continue;
         d.addGauge(e.name, e.unit, "after minus before",
                    b.value(e.name) - a.value(e.name));
@@ -559,6 +561,18 @@ main(int argc, char **argv)
         return runCompare(compare_a, compare_b, metric, threshold,
                           quiet, verbose);
 
+    // One trace source; --sweep brings its own machines and takes
+    // only --synthetic.
+    const int sources = int(!workload.empty()) + int(!asm_file.empty()) +
+        int(synthetic > 0) + int(all);
+    if (sources > 1 || (sweep && sources == 1 && synthetic == 0)) {
+        std::fprintf(stderr,
+                     "cesp-sim: pick one of --workload, --asm, "
+                     "--synthetic and --all-workloads; --sweep takes "
+                     "only --synthetic\n");
+        usage();
+    }
+
     uarch::SimConfig cfg = findPreset(preset);
     applyOverrides(cfg);
 
@@ -576,28 +590,119 @@ main(int argc, char **argv)
             fatal("%s", stream->error().c_str());
     }
 
-    // RunOptions shared by every simulation mode; tasks differ.
-    // Each mode fills task_labels ("preset / workload") before
-    // core::run so streamed records pair with the batch exports by
-    // label, not just position.
+    // The machines: every preset under --sweep (the Fig. 13
+    // comparison writ large), with any overrides applied; else the
+    // chosen one.
+    std::vector<uarch::SimConfig> machines;
+    std::vector<std::string> machine_names;
+    if (sweep) {
+        for (const auto &p : kPresets) {
+            uarch::SimConfig c = p.make();
+            applyOverrides(c);
+            machines.push_back(c);
+            machine_names.push_back(p.name);
+        }
+    } else {
+        machines = {cfg};
+        machine_names = {cfg.name};
+    }
+
+    // Per-machine clock estimates give each run the clock/BIPS
+    // gauges; a single machine also reports its estimate.
+    std::vector<double> clock_mhz(machines.size(), 0.0);
+    if (!tech.empty()) {
+        vlsi::ClockEstimator est(findTech(tech));
+        for (size_t m = 0; m < machines.size(); ++m)
+            clock_mhz[m] = est.delays(clockConfig(machines[m])).clockMhz();
+        if (!sweep && !quiet) {
+            vlsi::ClockConfig cc = clockConfig(cfg);
+            vlsi::StageDelays d = est.delays(cc);
+            std::printf("clock estimate (%sum): %.1f ps "
+                        "(%s-limited), %.0f MHz\n", tech.c_str(),
+                        d.criticalPs(), d.criticalStage().c_str(),
+                        clock_mhz[0]);
+            if (verbose) {
+                Table ct("Structure delays");
+                ct.header({"structure", "delay (ps)", "pipelinable"});
+                for (const auto &sd : est.fullReport(
+                         cc, cfg.dcache.size_bytes,
+                         cfg.dcache.associativity,
+                         cfg.dcache.line_bytes))
+                    ct.row({sd.name, cell(sd.ps),
+                            sd.pipelinable ? "yes" : "no (atomic)"});
+                ct.print();
+            }
+        }
+    }
+    if (!sweep && !quiet)
+        std::printf("machine: %s\n", cfg.name.c_str());
+
+    // The traces: one --synthetic, --workload or --asm trace, else
+    // every built-in workload (resolved here on the main thread).
+    trace::TraceBuffer synth;
+    trace::MmapTraceSource asm_trace;
+    std::vector<std::string> names;
+    std::vector<trace::TraceView> traces;
+    if (synthetic > 0) {
+        synth = syntheticTrace(machines[0].random_seed, synthetic);
+        names.push_back("synthetic");
+        traces.push_back(synth);
+    } else if (!workload.empty()) {
+        names.push_back(workload);
+        traces.push_back(core::cachedWorkloadTraceView(workload));
+    } else if (!asm_file.empty()) {
+        std::ifstream in(asm_file);
+        if (!in)
+            fatal("cannot open '%s'", asm_file.c_str());
+        std::stringstream ss;
+        ss << in.rdbuf();
+        // A sink-less first pass proves the program halts before a
+        // single record is written: a runaway loop would otherwise
+        // write the instruction limit's worth of records.
+        if (!func::runProgram(ss.str(), kAsmInstructionLimit).halted)
+            fatal("%s did not halt within %llu instructions",
+                  asm_file.c_str(), kAsmInstructionLimit);
+        asm_trace = streamAsmTrace(ss.str(), asm_file);
+        names.push_back(asm_file);
+        traces.push_back(asm_trace);
+    } else if (sweep || all) {
+        for (const auto &w : workloads::allWorkloads()) {
+            names.push_back(w.name);
+            traces.push_back(core::cachedWorkloadTraceView(w.name));
+        }
+    } else {
+        usage();
+    }
+
+    // One task per (machine, trace) pair, machine-major, labelled
+    // "machine / trace" so streamed records pair with the batch
+    // exports by label, not just position.
+    std::vector<core::SweepTask> tasks;
+    std::vector<std::string> task_labels;
+    for (size_t m = 0; m < machines.size(); ++m)
+        for (size_t w = 0; w < traces.size(); ++w) {
+            tasks.push_back({machines[m], traces[w]});
+            task_labels.push_back(machine_names[m] + " / " + names[w]);
+        }
+
     core::RunOptions ropt;
     ropt.jobs = jobs;
     ropt.shards = shards;
     ropt.warmup = warmup;
     ropt.sample_every = sample_every;
-    std::vector<std::string> task_labels;
+    // When the only consumer is the JSON-lines stream, nothing is
+    // retained: results flow straight from the workers to the stream
+    // in O(1) memory.
+    ropt.collect_results =
+        !quiet || !json_path.empty() || !csv_path.empty();
     if (stream) {
         ropt.on_result = [&](size_t task, const StatGroup &g) {
             StatStreamMeta meta;
             meta.kind = "run";
             meta.task = static_cast<int64_t>(task);
-            if (task < task_labels.size()) {
-                StatGroup labelled = g;
-                labelled.label() = task_labels[task];
-                stream->append(meta, labelled);
-                return;
-            }
-            stream->append(meta, g);
+            StatGroup labelled = g;
+            labelled.label() = task_labels[task];
+            stream->append(meta, labelled);
         };
         if (sharded)
             ropt.on_shard = [&](size_t task, size_t shard,
@@ -620,224 +725,76 @@ main(int argc, char **argv)
                 stream->append(meta, s.cumulative, &s.delta);
             };
     }
-    auto checkStream = [&]() {
-        if (stream && !stream->ok())
-            fatal("%s", stream->error().c_str());
-    };
 
-    if (sweep) {
-        // Configuration sweep (the Fig. 13 comparison writ large):
-        // every preset — with any command-line overrides applied —
-        // over every built-in workload, or over one synthetic trace
-        // when --synthetic N is given. The simulations fan out over
-        // the worker pool; the table is identical for every --jobs
-        // value.
-        std::vector<uarch::SimConfig> machines;
-        for (const auto &p : kPresets) {
-            uarch::SimConfig c = p.make();
-            applyOverrides(c);
-            machines.push_back(c);
-        }
-        // Per-preset clock estimates: each run gets the clock/BIPS
-        // gauges, as under --all-workloads.
-        std::vector<double> clock_mhz(machines.size(), 0.0);
-        if (!tech.empty()) {
-            vlsi::ClockEstimator est(findTech(tech));
-            for (size_t m = 0; m < machines.size(); ++m)
-                clock_mhz[m] =
-                    est.delays(clockConfig(machines[m])).clockMhz();
-        }
+    // One group per task, in task order: the run's registry as-is,
+    // or — sharded — the merge of its K shard windows (with the
+    // default --shards 1 --warmup 0 the two are bit-identical).
+    std::vector<StatGroup> groups =
+        std::move(core::run(tasks, ropt).groups);
+    if (stream && !stream->ok())
+        fatal("%s", stream->error().c_str());
+    if (!ropt.collect_results)
+        return 0;
+    std::vector<StatGroup> runs;
+    for (size_t t = 0; t < groups.size(); ++t)
+        runs.push_back(runGroup(groups[t], task_labels[t],
+                                clock_mhz[t / traces.size()]));
 
-        trace::TraceBuffer synth;
-        std::vector<std::string> names;
-        std::vector<trace::TraceView> traces;
-        if (synthetic > 0) {
-            synth = syntheticTrace(machines[0].random_seed, synthetic);
-            names.push_back("synthetic");
-            traces.push_back(synth);
+    if (!sweep && !all) {
+        if (!quiet)
+            printStats(runs[0], verbose);
+        if (!json_path.empty())
+            writeExport(json_path, runs[0].toJson());
+        if (!csv_path.empty())
+            writeExport(csv_path, runs[0].toCsv());
+        return 0;
+    }
+
+    // Per-machine aggregate over its traces via registry merge; the
+    // merged group's derived IPC is total committed over total
+    // cycles, i.e. the instruction-weighted mean.
+    std::vector<StatGroup> merged;
+    for (size_t m = 0; m < machines.size(); ++m) {
+        size_t first = m * traces.size();
+        StatGroup agg = groups[first];
+        for (size_t w = 1; w < traces.size(); ++w)
+            agg.merge(groups[first + w]);
+        agg.label() =
+            machine_names[m] + (sweep ? " / all" : " / all workloads");
+        merged.push_back(std::move(agg));
+    }
+    if (!quiet) {
+        Table t(sweep ? "Preset sweep: IPC per workload"
+                      : "All workloads on " + cfg.name);
+        if (sweep) {
+            std::vector<std::string> hdr = {"preset"};
+            hdr.insert(hdr.end(), names.begin(), names.end());
+            hdr.push_back("mean");
+            t.header(hdr);
+            for (size_t m = 0; m < machines.size(); ++m) {
+                std::vector<std::string> row = {machine_names[m]};
+                for (size_t w = 0; w < traces.size(); ++w)
+                    row.push_back(cell(
+                        groups[m * traces.size() + w].value("ipc"), 3));
+                row.push_back(cell(merged[m].value("ipc"), 3));
+                t.row(row);
+            }
         } else {
-            for (const auto &w : workloads::allWorkloads()) {
-                names.push_back(w.name);
-                traces.push_back(
-                    core::cachedWorkloadTraceView(w.name));
-            }
-        }
-
-        std::vector<core::SweepTask> tasks;
-        for (size_t m = 0; m < machines.size(); ++m)
+            t.header({"benchmark", "IPC", "mispredict %",
+                      "dcache miss %", "x-cluster %"});
             for (size_t w = 0; w < traces.size(); ++w) {
-                tasks.push_back({machines[m], traces[w]});
-                task_labels.push_back(
-                    std::string(kPresets[m].name) + " / " + names[w]);
+                const StatGroup &g = groups[w];
+                t.row({names[w], cell(g.value("ipc"), 3),
+                       cell(100.0 * g.value("mispredict_rate")),
+                       cell(100.0 * g.value("dcache_miss_rate")),
+                       cell(g.value("intercluster_pct"))});
             }
-
-        // One group per (preset, workload) pair, in task order: the
-        // run's registry as-is, or — sharded — the merge of its K
-        // shard windows. When the only consumer is the JSON-lines
-        // stream, nothing is retained at all: results flow straight
-        // from the workers to the stream in O(1) memory.
-        ropt.collect_results =
-            !quiet || !json_path.empty() || !csv_path.empty();
-        std::vector<StatGroup> groups =
-            std::move(core::run(tasks, ropt).groups);
-        checkStream();
-        if (!ropt.collect_results)
-            return 0;
-
-        // Per-preset aggregate over its workloads via registry
-        // merge; the merged group's derived IPC is total committed
-        // over total cycles, i.e. the instruction-weighted mean.
-        std::vector<StatGroup> runs;
-        std::vector<StatGroup> merged;
-        Table t("Preset sweep: IPC per workload");
-        std::vector<std::string> hdr = {"preset"};
-        hdr.insert(hdr.end(), names.begin(), names.end());
-        hdr.push_back("mean");
-        t.header(hdr);
-        for (size_t m = 0; m < machines.size(); ++m) {
-            std::vector<std::string> row = {kPresets[m].name};
-            size_t first = m * traces.size();
-            StatGroup agg = groups[first];
-            for (size_t w = 0; w < traces.size(); ++w) {
-                const StatGroup &g = groups[first + w];
-                row.push_back(cell(g.value("ipc"), 3));
-                runs.push_back(runGroup(
-                    g, std::string(kPresets[m].name) + " / " +
-                           names[w], clock_mhz[m]));
-                if (w > 0)
-                    agg.merge(g);
-            }
-            agg.label() = std::string(kPresets[m].name) + " / all";
-            row.push_back(cell(agg.value("ipc"), 3));
-            merged.push_back(std::move(agg));
-            t.row(row);
         }
-        if (!quiet)
-            t.print();
-        if (!json_path.empty())
-            writeExport(json_path, statGroupListJson(runs, merged));
-        if (!csv_path.empty())
-            writeExport(csv_path, statGroupListCsv(runs));
-        return 0;
+        t.print();
     }
-
-    double clock_mhz = 0.0;
-    if (!tech.empty()) {
-        vlsi::ClockEstimator est(findTech(tech));
-        vlsi::ClockConfig cc = clockConfig(cfg);
-        vlsi::StageDelays d = est.delays(cc);
-        clock_mhz = d.clockMhz();
-        if (!quiet)
-            std::printf("clock estimate (%sum): %.1f ps "
-                        "(%s-limited), %.0f MHz\n", tech.c_str(),
-                        d.criticalPs(), d.criticalStage().c_str(),
-                        clock_mhz);
-        if (verbose && !quiet) {
-            Table ct("Structure delays");
-            ct.header({"structure", "delay (ps)", "pipelinable"});
-            for (const auto &sd : est.fullReport(
-                     cc, cfg.dcache.size_bytes,
-                     cfg.dcache.associativity, cfg.dcache.line_bytes))
-                ct.row({sd.name, cell(sd.ps),
-                        sd.pipelinable ? "yes" : "no (atomic)"});
-            ct.print();
-        }
-    }
-
-    if (!quiet)
-        std::printf("machine: %s\n", cfg.name.c_str());
-
-    if (all) {
-        // One task per benchmark, all on this machine; traces
-        // resolve here on the main thread.
-        std::vector<core::SweepTask> tasks;
-        std::vector<std::string> names;
-        for (const auto &w : workloads::allWorkloads()) {
-            names.push_back(w.name);
-            tasks.push_back(
-                {cfg, core::cachedWorkloadTraceView(w.name)});
-            task_labels.push_back(cfg.name + " / " + w.name);
-        }
-        ropt.collect_results =
-            !quiet || !json_path.empty() || !csv_path.empty();
-        std::vector<StatGroup> groups =
-            std::move(core::run(tasks, ropt).groups);
-        checkStream();
-        if (!ropt.collect_results)
-            return 0;
-
-        Table t("All workloads on " + cfg.name);
-        t.header({"benchmark", "IPC", "mispredict %", "dcache miss %",
-                  "x-cluster %"});
-        std::vector<StatGroup> runs;
-        for (size_t i = 0; i < names.size(); ++i) {
-            const StatGroup &g = groups[i];
-            t.row({names[i], cell(g.value("ipc"), 3),
-                   cell(100.0 * g.value("mispredict_rate")),
-                   cell(100.0 * g.value("dcache_miss_rate")),
-                   cell(g.value("intercluster_pct"))});
-            runs.push_back(runGroup(
-                g, cfg.name + " / " + names[i], clock_mhz));
-        }
-        if (!quiet)
-            t.print();
-        if (!json_path.empty() || !csv_path.empty()) {
-            StatGroup agg = groups.front();
-            for (size_t i = 1; i < groups.size(); ++i)
-                agg.merge(groups[i]);
-            agg.label() = cfg.name + " / all workloads";
-            if (!json_path.empty())
-                writeExport(json_path, statGroupListJson(runs, {agg}));
-            if (!csv_path.empty())
-                writeExport(csv_path, statGroupListCsv(runs));
-        }
-        return 0;
-    }
-
-    // Single-simulation modes: one task on core::run (so sharding,
-    // sampling, and the JSON-lines stream all ride the same wiring
-    // as the sweeps), then render the registry as a table and export
-    // the same group (plus clock/BIPS gauges) on request. Sharded,
-    // "run" means K parallel windows merged — with the default
-    // --shards 1 --warmup 0 the two paths are bit-identical
-    // (StatGroup::sameValues).
-    auto runOne = [&](trace::TraceView tv, const std::string &label) {
-        task_labels = {cfg.name + " / " + label};
-        core::RunResult r = core::run({{cfg, tv}}, ropt);
-        checkStream();
-        StatGroup g = runGroup(r.groups.at(0),
-                               cfg.name + " / " + label, clock_mhz);
-        if (!quiet)
-            printStats(g, verbose);
-        if (!json_path.empty())
-            writeExport(json_path, g.toJson());
-        if (!csv_path.empty())
-            writeExport(csv_path, g.toCsv());
-    };
-
-    if (!workload.empty()) {
-        runOne(core::cachedWorkloadTraceView(workload), workload);
-        return 0;
-    }
-    if (!asm_file.empty()) {
-        std::ifstream in(asm_file);
-        if (!in)
-            fatal("cannot open '%s'", asm_file.c_str());
-        std::stringstream ss;
-        ss << in.rdbuf();
-        // A sink-less first pass proves the program halts before a
-        // single record is written: a runaway loop would otherwise
-        // write the instruction limit's worth of records.
-        if (!func::runProgram(ss.str(), kAsmInstructionLimit).halted)
-            fatal("%s did not halt within %llu instructions",
-                  asm_file.c_str(), kAsmInstructionLimit);
-        trace::MmapTraceSource src = streamAsmTrace(ss.str(), asm_file);
-        runOne(src, asm_file);
-        return 0;
-    }
-    if (synthetic > 0) {
-        runOne(syntheticTrace(cfg.random_seed, synthetic), "synthetic");
-        return 0;
-    }
-    usage();
+    if (!json_path.empty())
+        writeExport(json_path, statGroupListJson(runs, merged));
+    if (!csv_path.empty())
+        writeExport(csv_path, statGroupListCsv(runs));
+    return 0;
 }

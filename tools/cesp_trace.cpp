@@ -139,10 +139,17 @@ analysisGroup(trace::TraceView trace, int window, int issue,
                      c.name, "instructions", 100.0);
     }
 
-    size_t dist = g.addSample(
-        "dependence_distance", "instructions",
-        "Distance from each source operand to its producer");
-    g.sampleAt(dist) = dep.distance;
+    const Sample &dist = dep.distance;
+    g.addCounter("dependence_distance_count", "operands",
+                 "Source operands with an in-trace producer",
+                 dist.count());
+    g.addGauge("dependence_distance_mean", "instructions",
+               "Mean distance from a source operand to its producer",
+               dist.mean());
+    g.addGauge("dependence_distance_min", "instructions",
+               "Shortest source-to-producer distance", dist.min());
+    g.addGauge("dependence_distance_max", "instructions",
+               "Longest source-to-producer distance", dist.max());
     g.addGauge("adjacent_pct", "%",
                "Instructions whose nearest producer is the "
                "immediately preceding instruction",
@@ -195,9 +202,7 @@ printAnalysis(const StatGroup &g, trace::TraceView trace, int window,
     a.header({"quantity", "value"});
     a.row({"instructions", cell(total)});
     a.row({"mean dependence distance",
-           cell(g.sampleAt(g.find("dependence_distance")->store)
-                    .mean(),
-                2)});
+           cell(g.value("dependence_distance_mean"), 2)});
     a.row({"adjacent-producer %", cell(g.value("adjacent_pct"))});
     a.row({"independent %", cell(g.value("independent_pct"))});
     a.row({"critical path (ops)", cell(g.counter("critical_path"))});
