@@ -168,6 +168,28 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
     size_t ready_bits =
         slot_keyed_ ? static_cast<size_t>(cfg_.window_size) : rob_slots;
     ready_bits_.assign((ready_bits + 63) / 64, 0);
+
+    // A pipelined wakeup+select loop (Figure 10) delays every
+    // dependent issue by its extra stages; incomplete local bypassing
+    // delays even same-cluster consumers, and a ring interconnect
+    // forwards values hop by hop (PEWs-style, Section 5.6.2).
+    const int n = cfg_.num_clusters;
+    for (int from = 0; from < n; ++from) {
+        for (int to = 0; to < n; ++to) {
+            int d = from > to ? from - to : to - from;
+            int hops = d == 0 ? 0
+                : cfg_.interconnect == ClusterInterconnect::Broadcast
+                ? 1
+                : std::min(d, n - d);
+            ready_offset_[from][to] =
+                static_cast<uint64_t>(cfg_.wakeup_select_stages - 1) +
+                (hops == 0
+                     ? static_cast<uint64_t>(cfg_.local_bypass_extra)
+                     : static_cast<uint64_t>(hops) *
+                           static_cast<uint64_t>(
+                               cfg_.inter_cluster_extra));
+        }
+    }
 }
 
 DynInst &
@@ -242,19 +264,6 @@ Pipeline::consumeFu(int cluster, isa::OpClass cls, FuUsage &usage)
 }
 
 int
-Pipeline::bypassHops(int from, int to) const
-{
-    if (from == to)
-        return 0;
-    if (cfg_.interconnect == ClusterInterconnect::Broadcast)
-        return 1;
-    // Ring: values forwarded hop by hop (PEWs-style, Section 5.6.2).
-    int n = cfg_.num_clusters;
-    int d = from > to ? from - to : to - from;
-    return std::min(d, n - d);
-}
-
-int
 Pipeline::chooseExecCluster(const DynInst &inst, isa::OpClass cls,
                             const FuUsage &usage) const
 {
@@ -307,30 +316,28 @@ Pipeline::loadLatency(DynInst &inst)
     return cacheAccess(inst.op.mem_addr, false);
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::removeFromBuffer(DynInst &inst)
 {
     if (!inst.in_buffer)
         panic("issue of seq %llu, which is not buffered",
               (unsigned long long)inst.seq);
-    switch (cfg_.style) {
-      case IssueBufferStyle::CentralWindow:
+    if constexpr (S == IssueBufferStyle::CentralWindow) {
         windows_[0].remove(inst.seq);
-        break;
-      case IssueBufferStyle::PerClusterWindow:
+    } else if constexpr (S == IssueBufferStyle::PerClusterWindow) {
         windows_[static_cast<size_t>(inst.cluster)].remove(inst.seq);
         if (cfg_.steering == SteeringPolicy::WindowFifo)
             fifos_->remove(inst.fifo, inst.seq);
-        break;
-      case IssueBufferStyle::Fifos:
+    } else {
         if (fifos_->head(inst.fifo) != inst.seq)
             panic("issue from non-head of fifo %d", inst.fifo);
         fifos_->popHead(inst.fifo);
-        break;
     }
     inst.in_buffer = false;
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
 {
@@ -362,20 +369,9 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
         PhysReg &pr = rename_.preg(inst.dst_preg);
         pr.computed_cycle = inst.complete_cycle;
         pr.producing_cluster = cluster;
-        // A pipelined wakeup+select loop (Figure 10) delays every
-        // dependent issue by its extra stages; incomplete local
-        // bypassing delays even same-cluster consumers.
-        uint64_t select_extra =
-            static_cast<uint64_t>(cfg_.wakeup_select_stages - 1);
-        for (int c = 0; c < cfg_.num_clusters; ++c) {
-            int hops = bypassHops(cluster, c);
-            pr.ready_cycle[c] = inst.complete_cycle + select_extra +
-                (hops == 0
-                     ? static_cast<uint64_t>(cfg_.local_bypass_extra)
-                     : static_cast<uint64_t>(hops) *
-                           static_cast<uint64_t>(
-                               cfg_.inter_cluster_extra));
-        }
+        const uint64_t *offset = ready_offset_[cluster];
+        for (int c = 0; c < cfg_.num_clusters; ++c)
+            pr.ready_cycle[c] = inst.complete_cycle + offset[c];
         pr.scheduled = true;
         if (event_driven_) {
             uint32_t link = pr.first_waiter;
@@ -397,15 +393,22 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
         fetch_resume_ = inst.complete_cycle;
     }
 
-    removeFromBuffer(inst);
-    // An issued FIFO head exposes its successor to selection; if the
-    // successor's sources are already scheduled, its earlier wakeup
-    // event fired while it was buried and was dropped, so re-arm it.
-    if (event_driven_ && cfg_.style == IssueBufferStyle::Fifos &&
-        !fifos_->empty(inst.fifo)) {
-        DynInst &h = rob(fifos_->head(inst.fifo));
-        if (h.pending_srcs == 0)
-            scheduleReady(h, now_ + 1);
+    removeFromBuffer<S>(inst);
+    // An issued FIFO head exposes its successor to selection. If the
+    // successor's sources are all scheduled, its wakeup event is at
+    // wake_cycle. Events due by now_ were drained at the start of
+    // this cycle, while the successor was buried, so such an event
+    // was dropped (drainWakeups) and is re-armed here; a later one
+    // fires with the successor at the head and needs nothing.
+    // Dependence steering chains an instruction only behind its
+    // unissued producer, so its event is always the later kind: the
+    // waiter loop above has just scheduled it.
+    if constexpr (S == IssueBufferStyle::Fifos) {
+        if (event_driven_ && !fifos_->empty(inst.fifo)) {
+            DynInst &h = rob(fifos_->head(inst.fifo));
+            if (h.pending_srcs == 0 && h.wake_cycle <= now_)
+                scheduleReady(h, now_ + 1);
+        }
     }
     ++stats_.issued();
     ++stats_.issued_per_cluster(cluster);
@@ -413,7 +416,13 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
         on_issue_(inst);
 }
 
-bool
+// tryIssueOne and doDispatch are the per-instruction stages. Each is
+// instantiated three times, so helpers they call once per style (the
+// steering decision, renaming, the store queue, cache access) have
+// three callers and the inliner no longer folds them in as it does
+// for a single caller; flatten restores that, once per style.
+template <IssueBufferStyle S>
+[[gnu::flatten]] bool
 Pipeline::tryIssueOne(DynInst &inst, int &global_issued,
                       FuUsage &usage)
 {
@@ -442,19 +451,20 @@ Pipeline::tryIssueOne(DynInst &inst, int &global_issued,
         latency = loadLatency(inst);
     }
 
-    completeIssue(inst, cluster, latency);
+    completeIssue<S>(inst, cluster, latency);
     consumeFu(cluster, inst.op.cls, usage);
     ++global_issued;
     return true;
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::doIssue()
 {
     if (event_driven_)
-        doIssueEvent();
+        doIssueEvent<S>();
     else
-        doIssueScan();
+        doIssueScan<S>();
 }
 
 size_t
@@ -544,6 +554,7 @@ Pipeline::wireDispatchEvents(DynInst &inst)
         scheduleReady(inst, now_ + 1);
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::drainWakeups()
 {
@@ -553,20 +564,22 @@ Pipeline::drainWakeups()
         DynInst &d = rob_[s & rob_mask_];
         if (!d.in_buffer || d.issued)
             return; // already issued
-        if (cfg_.style == IssueBufferStyle::Fifos &&
-            fifos_->head(d.fifo) != s)
-            return; // buried in a FIFO; re-armed on head change
+        if constexpr (S == IssueBufferStyle::Fifos)
+            if (fifos_->head(d.fifo) != s)
+                return; // buried in a FIFO; re-armed on head change
         readySet(readyBit(d));
     };
     calendar_.drainDue(now_, fire);
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::doIssueEvent()
 {
-    drainWakeups();
+    drainWakeups<S>();
 
-    stats_.buffer_occupancy().add(static_cast<double>(bufferedCount()));
+    stats_.buffer_occupancy().add(
+        static_cast<double>(bufferedCount<S>()));
 
     // Walk the ready bitmap in priority order. The only mutation
     // issuing can make is clearing the bit just visited, and wakeups
@@ -576,7 +589,7 @@ Pipeline::doIssueEvent()
     int global_issued = 0;
     FuUsage usage;
     auto visit = [&](size_t bit) {
-        tryIssueOne(readyInst(bit), global_issued, usage);
+        tryIssueOne<S>(readyInst(bit), global_issued, usage);
         return global_issued < cfg_.issue_width;
     };
     const bool youngest =
@@ -602,6 +615,7 @@ Pipeline::doIssueEvent()
     stats_.issue_sizes().add(static_cast<double>(global_issued));
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::maybeSkipIdle()
 {
@@ -637,13 +651,14 @@ Pipeline::maybeSkipIdle()
 
     // Cycles [now_, target) do nothing but sample per-cycle stats.
     uint64_t skipped = target - now_;
-    stats_.buffer_occupancy().add(static_cast<double>(bufferedCount()),
-                                skipped);
+    stats_.buffer_occupancy().add(
+        static_cast<double>(bufferedCount<S>()), skipped);
     stats_.issue_sizes().add(0.0, skipped);
     stats_.cycles() += skipped;
     now_ = target;
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::doIssueScan()
 {
@@ -656,11 +671,14 @@ Pipeline::doIssueScan()
             if (uint64_t s = windows_[0].seqAt(slot); s != kNoSeq)
                 candidates.push_back(s);
     } else {
-        const bool heads_only = cfg_.style == IssueBufferStyle::Fifos;
         for (uint64_t s = rob_head_; s < rob_tail_; ++s) {
             const DynInst &d = rob_[s & rob_mask_];
-            if (d.in_buffer && (!heads_only || fifos_->head(d.fifo) == s))
-                candidates.push_back(s);
+            if (!d.in_buffer)
+                continue;
+            if constexpr (S == IssueBufferStyle::Fifos)
+                if (fifos_->head(d.fifo) != s)
+                    continue;
+            candidates.push_back(s);
         }
     }
 
@@ -678,14 +696,16 @@ Pipeline::doIssueScan()
         break;
     }
 
-    stats_.buffer_occupancy().add(static_cast<double>(bufferedCount()));
+    stats_.buffer_occupancy().add(
+        static_cast<double>(bufferedCount<S>()));
 
     int global_issued = 0;
     FuUsage usage;
     for (uint64_t seq : candidates) {
         if (global_issued >= cfg_.issue_width)
             break;
-        bool issued_this = tryIssueOne(rob(seq), global_issued, usage);
+        bool issued_this =
+            tryIssueOne<S>(rob(seq), global_issued, usage);
         // A strictly in-order pipeline stops at the first stalled
         // instruction (no selection among younger ready ones).
         if (!issued_this && cfg_.in_order_issue)
@@ -694,15 +714,18 @@ Pipeline::doIssueScan()
     stats_.issue_sizes().add(static_cast<double>(global_issued));
 }
 
+template <IssueBufferStyle S>
 size_t
 Pipeline::bufferedCount() const
 {
-    size_t n = 0;
-    for (const auto &w : windows_)
-        n += static_cast<size_t>(w.size());
-    if (cfg_.style == IssueBufferStyle::Fifos && fifos_)
-        n += fifos_->totalEntries();
-    return n;
+    if constexpr (S == IssueBufferStyle::Fifos) {
+        return fifos_->totalEntries();
+    } else {
+        size_t n = 0;
+        for (const auto &w : windows_)
+            n += static_cast<size_t>(w.size());
+        return n;
+    }
 }
 
 void
@@ -770,7 +793,8 @@ Pipeline::emitSnapshot()
     sampler_(snap);
 }
 
-void
+template <IssueBufferStyle S>
+[[gnu::flatten]] void
 Pipeline::doDispatch()
 {
     for (int n = 0; n < cfg_.rename_width; ++n) {
@@ -788,9 +812,22 @@ Pipeline::doDispatch()
                   (unsigned long long)front.seq,
                   (unsigned long long)rob_tail_);
 
+        if (front.op.hasDst() && !rename_.hasFreeFor(front.op.dst)) {
+            ++stats_.dispatch_stall_regs();
+            return;
+        }
+        // Central-window capacity check (steering handles the rest).
+        if constexpr (S == IssueBufferStyle::CentralWindow) {
+            if (windows_[0].full()) {
+                ++stats_.dispatch_stall_buffer();
+                return;
+            }
+        }
+
         // Build the instruction in place in the free tail slot. A
-        // stall below leaves it outside [rob_head_, rob_tail_), where
-        // nothing reads it, and the next attempt rebuilds it.
+        // steering stall below leaves it outside [rob_head_,
+        // rob_tail_), where nothing reads it, and the next attempt
+        // rebuilds it.
         DynInst &inst = rob_[front.seq & rob_mask_];
         inst = DynInst{};
         inst.op = front.op;
@@ -805,18 +842,6 @@ Pipeline::doDispatch()
             op.src1 > 0 ? rename_.mapOf(op.src1) : -1;
         inst.src2_preg =
             op.src2 > 0 ? rename_.mapOf(op.src2) : -1;
-
-        if (op.hasDst() && !rename_.hasFreeFor(op.dst)) {
-            ++stats_.dispatch_stall_regs();
-            return;
-        }
-
-        // Central-window capacity check (steering handles the rest).
-        if (cfg_.style == IssueBufferStyle::CentralWindow &&
-            windows_[0].full()) {
-            ++stats_.dispatch_stall_buffer();
-            return;
-        }
 
         SteerDecision d =
             steering_->decide(inst, rename_, now_, rob_lookup_);
@@ -847,20 +872,16 @@ Pipeline::doDispatch()
         }
 
         // Insert into the issue buffering.
-        switch (cfg_.style) {
-          case IssueBufferStyle::CentralWindow:
+        if constexpr (S == IssueBufferStyle::CentralWindow) {
             inst.wslot =
                 static_cast<int16_t>(windows_[0].insert(inst.seq));
-            break;
-          case IssueBufferStyle::PerClusterWindow:
+        } else if constexpr (S == IssueBufferStyle::PerClusterWindow) {
             windows_[static_cast<size_t>(inst.cluster)].insert(
                 inst.seq);
             if (cfg_.steering == SteeringPolicy::WindowFifo)
                 fifos_->push(inst.fifo, inst.seq);
-            break;
-          case IssueBufferStyle::Fifos:
+        } else {
             fifos_->push(inst.fifo, inst.seq);
-            break;
         }
 
         if (op.isStore())
@@ -938,14 +959,37 @@ Pipeline::run(const RunLimits &limits)
     sample_every_ = sampler_ ? limits.sample_every : 0;
     next_sample_ = sample_every_;
 
+    switch (cfg_.style) {
+      case IssueBufferStyle::CentralWindow:
+        runLoop<IssueBufferStyle::CentralWindow>();
+        break;
+      case IssueBufferStyle::PerClusterWindow:
+        runLoop<IssueBufferStyle::PerClusterWindow>();
+        break;
+      case IssueBufferStyle::Fifos:
+        runLoop<IssueBufferStyle::Fifos>();
+        break;
+    }
+
+    // A run shorter than its warmup has an empty measured region:
+    // reset at drain so the caller sees zeros, not warmup noise.
+    if (warmup_pending_)
+        beginMeasurement();
+    return stats_;
+}
+
+template <IssueBufferStyle S>
+void
+Pipeline::runLoop()
+{
     uint64_t last_progress_cycle = 0;
     uint64_t last_committed = 0;
 
     while (!(trace_done_ && fetch_q_.empty() && robSize() == 0)) {
         ls_ports_used_ = 0;
         doCommit();
-        doIssue();
-        doDispatch();
+        doIssue<S>();
+        doDispatch<S>();
         doFetch();
         ++now_;
         ++stats_.cycles();
@@ -960,14 +1004,8 @@ Pipeline::run(const RunLimits &limits)
                   cfg_.name.c_str(), (unsigned long long)now_,
                   robSize());
         }
-        maybeSkipIdle();
+        maybeSkipIdle<S>();
     }
-
-    // A run shorter than its warmup has an empty measured region:
-    // reset at drain so the caller sees zeros, not warmup noise.
-    if (warmup_pending_)
-        beginMeasurement();
-    return stats_;
 }
 
 SimStats

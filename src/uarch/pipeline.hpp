@@ -27,6 +27,12 @@
  * age from it, and the issue buffers only hold capacity (and, for a
  * slot-priority window, slot positions; for FIFOs, chain order).
  *
+ * The loop is compiled per issue-buffer organization: run() switches
+ * once on SimConfig::style to runLoop<S>(), and the stages that read
+ * the style are member templates on it whose style tests are
+ * `if constexpr`, the one place a new organization plugs in. Each
+ * has one body, instantiated for the three styles.
+ *
  * The hot-path state is dense and, once a run warms up,
  * allocation-free: the ROB is a power-of-two ring indexed by
  * seq & mask, dispatch builds each DynInst directly in its ROB slot
@@ -327,11 +333,18 @@ class Pipeline
     }
 
   private:
+    // Members templated on the organization (see the file comment)
+    // are defined and instantiated in pipeline.cpp.
+
+    /** The cycle loop, compiled for organization @p S. */
+    template <IssueBufferStyle S> void runLoop();
     void doCommit();
-    void doIssue();
-    void doIssueScan();  //!< reference per-cycle candidate scan
-    void doIssueEvent(); //!< event-calendar issue (default)
-    void doDispatch();
+    template <IssueBufferStyle S> void doIssue();
+    /** Reference per-cycle candidate scan. */
+    template <IssueBufferStyle S> void doIssueScan();
+    /** Event-calendar issue (default). */
+    template <IssueBufferStyle S> void doIssueEvent();
+    template <IssueBufferStyle S> void doDispatch();
     void doFetch();
 
     /** Per-cycle functional unit occupancy. */
@@ -348,17 +361,17 @@ class Pipeline
                      const FuUsage &usage) const;
     void consumeFu(int cluster, isa::OpClass cls, FuUsage &usage);
 
+    template <IssueBufferStyle S>
     bool tryIssueOne(DynInst &inst, int &global_issued,
                      FuUsage &usage);
     bool srcsReady(const DynInst &inst, int cluster) const;
-    size_t bufferedCount() const;
+    template <IssueBufferStyle S> size_t bufferedCount() const;
     uint64_t srcReadyCycle(const DynInst &inst, int cluster) const;
     int chooseExecCluster(const DynInst &inst, isa::OpClass cls,
                           const FuUsage &usage) const;
-    /** Result-forwarding hops from cluster @p from to @p to. */
-    int bypassHops(int from, int to) const;
+    template <IssueBufferStyle S>
     void completeIssue(DynInst &inst, int cluster, int latency);
-    void removeFromBuffer(DynInst &inst);
+    template <IssueBufferStyle S> void removeFromBuffer(DynInst &inst);
     /** Access the L1 (and on a miss the L2, if any), count the
      *  traffic in the stats, and return the access latency. */
     int cacheAccess(uint32_t addr, bool is_store);
@@ -374,7 +387,7 @@ class Pipeline
     /** Push a wakeup event at max(sources-ready, @p earliest). */
     void scheduleReady(DynInst &inst, uint64_t earliest);
     /** Move fired events into the ready set. */
-    void drainWakeups();
+    template <IssueBufferStyle S> void drainWakeups();
     /** Ready-bitmap bit of @p inst: its window slot for slot-priority
      *  windows, else its ROB slot. */
     size_t readyBit(const DynInst &inst) const;
@@ -383,7 +396,7 @@ class Pipeline
     void readySet(size_t bit);
     void readyClear(size_t bit);
     /** Jump over cycles that provably perform no work. */
-    void maybeSkipIdle();
+    template <IssueBufferStyle S> void maybeSkipIdle();
 
     /** Cross the warmup boundary: reset the stats registry at the
      *  current commit. */
@@ -453,6 +466,12 @@ class Pipeline
     uint64_t now_ = 0;
     uint64_t fetch_resume_ = 0;      //!< fetch stalled until this cycle
     uint64_t blocking_branch_ = kNoSeq; //!< unresolved mispredict
+
+    /** Cycles from a result's completion to its readiness in a
+     *  consuming cluster, [producing cluster][consuming cluster]:
+     *  the extra wakeup/select stages plus the local-bypass or
+     *  per-hop inter-cluster delay. Fixed by the configuration. */
+    uint64_t ready_offset_[kMaxClusters][kMaxClusters] = {};
 
     int ls_ports_used_ = 0; //!< per-cycle cache-port counter
     Rng select_rng_{0};     //!< for SelectPolicy::Random

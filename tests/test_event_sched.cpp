@@ -246,3 +246,23 @@ TEST(EventSched, ExactForSlotPriorityWindowOf100)
             expectExact(c, seed);
     }
 }
+
+/** Degenerate FIFO shapes: one FIFO per cluster, FIFOs one or two
+ *  deep, and a three-stage wakeup+select loop. When a head issues,
+ *  its successor's wakeup event lies after that cycle, so the event
+ *  path's guarded re-arm must leave it alone and the event itself
+ *  must make the new head selectable. */
+TEST(EventSched, ExactAcrossFifoShapes)
+{
+    for (SimConfig base : {core::dependence8x8(),
+                           core::clusteredDependence2x4()}) {
+        for (int depth : {1, 2}) {
+            SimConfig c = base;
+            c.fifo_depth = depth;
+            c.fifos_per_cluster = 1;
+            c.wakeup_select_stages = 3;
+            for (uint64_t seed : {5ULL, 41ULL})
+                expectExact(c, seed);
+        }
+    }
+}

@@ -122,8 +122,9 @@ usage()
         "  --all-workloads        run every built-in benchmark\n"
         "  --sweep                run every preset over every "
         "benchmark\n"
-        "  --jobs N               parallel simulations for "
-        "--sweep/--all-workloads\n"
+        "  --jobs N               parallel simulations, in every "
+        "mode\n"
+        "                         (default: all hardware threads)\n"
         "  --shards K             split each trace into K parallel "
         "windows\n"
         "  --warmup N             per-shard warmup records (stats "
@@ -418,6 +419,7 @@ int
 main(int argc, char **argv)
 {
     std::string preset = "baseline";
+    bool preset_given = false;
     std::string workload;
     std::string asm_file;
     std::string tech;
@@ -473,6 +475,7 @@ main(int argc, char **argv)
             return 0;
         } else if (a == "--preset") {
             preset = next();
+            preset_given = true;
         } else if (a == "--workload") {
             workload = next();
         } else if (a == "--asm") {
@@ -570,6 +573,11 @@ main(int argc, char **argv)
                      "cesp-sim: pick one of --workload, --asm, "
                      "--synthetic and --all-workloads; --sweep takes "
                      "only --synthetic\n");
+        usage();
+    }
+    if (sweep && preset_given) {
+        std::fprintf(stderr, "cesp-sim: --sweep runs every preset; it "
+                             "takes no --preset\n");
         usage();
     }
 
