@@ -97,17 +97,20 @@ class Histogram
             underflow_ += n;
             return;
         }
-        // Unit-width buckets (the simulator's per-cycle histograms)
-        // skip the division; v / 1.0 == v exactly.
-        size_t b = static_cast<size_t>(width_ == 1.0 ? v : v / width_);
-        if (b >= counts_.size()) {
-            if (!growable_) {
-                overflow_ += n;
-                return;
-            }
-            grow(b + 1);
-        }
-        counts_[b] += n;
+        addToBucket(static_cast<size_t>(v / width_), n);
+    }
+
+    /**
+     * add(v, n) for a unit-width histogram and an integer v: the
+     * simulator's per-cycle samples (entries buffered, instructions
+     * issued) are counts, so they index the bucket directly with no
+     * round trip through double. The histogram's width must be 1.
+     */
+    void
+    addUnit(size_t v, uint64_t n = 1)
+    {
+        total_ += n;
+        addToBucket(v, n);
     }
 
     uint64_t bucket(size_t i) const { return counts_[i]; }
@@ -158,6 +161,19 @@ class Histogram
     bool operator==(const Histogram &o) const;
 
   private:
+    /** Count @p n in-range-or-overflow samples in bucket @p b. */
+    void
+    addToBucket(size_t b, uint64_t n)
+    {
+        if (b >= counts_.size()) {
+            if (!growable_) {
+                overflow_ += n;
+                return;
+            }
+            grow(b + 1);
+        }
+        counts_[b] += n;
+    }
     void grow(size_t buckets);
 
     std::vector<uint64_t> counts_;

@@ -148,8 +148,21 @@ generateSynthetic(const SyntheticParams &params, uint64_t length)
     if (params.load_frac + params.store_frac + params.branch_frac >=
         1.0)
         fatal("synthetic trace: instruction-mix fractions sum to >= 1");
-    if (params.mean_dep_distance < 1.0)
-        fatal("synthetic trace: mean dependence distance must be >= 1");
+    // The distance draw is 1 + (mean - 1) * -log(u) truncated to int,
+    // and -log(u) reaches 53 ln 2 at the smallest u, so a mean past
+    // kMaxDepDistance (about 5.8e7) would overflow the conversion
+    // (the bound keeps a margin for rounding in the product).
+    constexpr double kMaxDepDistance =
+        1.0 + (2147483647.0 - 1024.0) / (53.0 * 0.69314718055994531);
+    if (!(params.mean_dep_distance >= 1.0 &&
+          params.mean_dep_distance < kMaxDepDistance))
+        fatal("synthetic trace: mean dependence distance must be in "
+              "[1, %.4g)", kMaxDepDistance);
+    // A taken branch skips 1 + below(mean_block * 2) blocks, which
+    // needs a bound of at least 1 that fits in 64 bits.
+    if (!(params.mean_block >= 0.5 && params.mean_block < 0x1p63))
+        fatal("synthetic trace: mean block length must be in "
+              "[0.5, 2^63)");
     std::vector<TraceOp> ops;
     ops.reserve(length);
     Generator gen(params);

@@ -97,11 +97,11 @@ struct BpredConfig
  * are observationally identical (cycle- and statistic-exact); the
  * knob exists so tests can compare them.
  *
- *  - EventDriven (default): a ready-event calendar. When an
- *    instruction issues, its completion time is known, so a wakeup
- *    event is pushed for each dependent at the exact cycle its value
- *    becomes usable in the dependent's cluster; selection draws from
- *    a maintained ready set. Idle stretches (fetch blocked, nothing
+ *  - EventDriven (default): wakeup events. When an instruction
+ *    issues, its completion time is known, so a wakeup is scheduled
+ *    for each dependent at the exact cycle its value becomes usable
+ *    in the dependent's cluster; selection draws from a maintained
+ *    ready set. Idle stretches (fetch blocked, nothing
  *    ready) are skipped in one jump to the next event. Machines
  *    using SelectPolicy::Random or in-order issue fall back to the
  *    scan model internally: random selection shuffles the entire

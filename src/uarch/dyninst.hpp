@@ -44,10 +44,8 @@ struct DynInst
     uint64_t issue_cycle = kNeverCycle;
     uint64_t complete_cycle = kNeverCycle;
 
-    // Event-driven wakeup state (maintained by the pipeline when the
-    // event calendar is active; unused by the reference scan path).
-    /** Cycle all sources are ready (valid once pending_srcs == 0). */
-    uint64_t wake_cycle = kNeverCycle;
+    // Event-driven wakeup state (maintained by the pipeline when
+    // wakeup events are active; unused by the reference scan path).
     /** Next link of the waiter list each source operand sits on
      *  (see PhysReg::first_waiter); one link per operand, so an
      *  instruction reading one register twice waits on it twice. */

@@ -27,9 +27,12 @@ FifoSet::FifoSet(int num_clusters, int per_cluster, int depth)
 void
 FifoSet::clear()
 {
-    for (size_t id = 0; id < fifos_.size(); ++id)
-        fifos_[id] = Fifo{static_cast<uint32_t>(id) *
-                          static_cast<uint32_t>(depth_)};
+    for (size_t id = 0; id < fifos_.size(); ++id) {
+        fifos_[id] = Fifo{};
+        fifos_[id].base =
+            static_cast<uint32_t>(id) * static_cast<uint32_t>(depth_);
+        fifos_[id].cluster = static_cast<int>(id) / per_cluster_;
+    }
     for (int c = 0; c < num_clusters_; ++c) {
         free_[static_cast<size_t>(c)].clear();
         for (int i = 0; i < per_cluster_; ++i)
@@ -40,26 +43,10 @@ FifoSet::clear()
     total_entries_ = 0;
 }
 
-const FifoSet::Fifo &
-FifoSet::at(int fifo) const
+void
+FifoSet::badFifo(int fifo)
 {
-    if (fifo < 0 || fifo >= numFifos())
-        panic("FifoSet: bad fifo id %d", fifo);
-    return fifos_[static_cast<size_t>(fifo)];
-}
-
-FifoSet::Fifo &
-FifoSet::at(int fifo)
-{
-    return const_cast<Fifo &>(
-        static_cast<const FifoSet *>(this)->at(fifo));
-}
-
-int
-FifoSet::clusterOf(int fifo) const
-{
-    at(fifo); // bounds check
-    return fifo / per_cluster_;
+    panic("FifoSet: bad fifo id %d", fifo);
 }
 
 uint64_t
@@ -71,13 +58,6 @@ FifoSet::head(int fifo) const
     return entry(f, 0);
 }
 
-bool
-FifoSet::isTail(int fifo, uint64_t seq) const
-{
-    const Fifo &f = at(fifo);
-    return f.count != 0 && entry(f, f.count - 1) == seq;
-}
-
 void
 FifoSet::push(int fifo, uint64_t seq)
 {
@@ -86,9 +66,10 @@ FifoSet::push(int fifo, uint64_t seq)
         panic("FifoSet: push to unallocated fifo %d", fifo);
     if (f.count >= depth_)
         panic("FifoSet: push to full fifo %d", fifo);
-    if (f.count != 0 && entry(f, f.count - 1) >= seq)
+    if (f.count != 0 && f.tail >= seq)
         panic("FifoSet: out-of-order push (fifo %d)", fifo);
     entry(f, f.count) = seq;
+    f.tail = seq;
     ++f.count;
     ++total_entries_;
 }
@@ -98,7 +79,7 @@ FifoSet::recycle(int fifo)
 {
     Fifo &f = at(fifo);
     f.allocated = false;
-    free_[static_cast<size_t>(clusterOf(fifo))].push_back(fifo);
+    free_[static_cast<size_t>(f.cluster)].push_back(fifo);
 }
 
 void
@@ -124,6 +105,8 @@ FifoSet::remove(int fifo, uint64_t seq)
         ++i;
     if (i == f.count)
         panic("FifoSet: remove of absent seq from fifo %d", fifo);
+    if (i == f.count - 1 && i > 0)
+        f.tail = entry(f, i - 1); // the newest leaves: next newest
     // Close the gap by shifting the younger entries toward the head.
     for (; i + 1 < f.count; ++i)
         entry(f, i) = entry(f, i + 1);

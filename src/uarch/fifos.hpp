@@ -45,7 +45,7 @@ class FifoSet
 
     int numFifos() const { return num_fifos_; }
     int depth() const { return depth_; }
-    int clusterOf(int fifo) const;
+    int clusterOf(int fifo) const { return at(fifo).cluster; }
 
     bool empty(int fifo) const { return at(fifo).count == 0; }
 
@@ -58,7 +58,12 @@ class FifoSet
     uint64_t head(int fifo) const;
 
     /** True if @p seq is present and is the newest entry. */
-    bool isTail(int fifo, uint64_t seq) const;
+    bool
+    isTail(int fifo, uint64_t seq) const
+    {
+        const Fifo &f = at(fifo);
+        return f.count != 0 && f.tail == seq;
+    }
 
     /** Append an instruction (FIFO must be allocated and not full). */
     void push(int fifo, uint64_t seq);
@@ -120,17 +125,32 @@ class FifoSet
 
   private:
     /** One FIFO's ring within entries_ (entries [head, head+count),
-     *  wrapping at depth_). */
+     *  wrapping at depth_), with the two facts steering asks of it
+     *  most kept at hand: its cluster and its newest entry. */
     struct Fifo
     {
         uint32_t base = 0; //!< first slot in entries_
+        int cluster = 0;
         int head = 0;
         int count = 0;
+        uint64_t tail = kNoSeq; //!< newest entry (valid when count > 0)
         bool allocated = false;
     };
 
-    const Fifo &at(int fifo) const;
-    Fifo &at(int fifo);
+    const Fifo &
+    at(int fifo) const
+    {
+        if (fifo < 0 || fifo >= num_fifos_)
+            badFifo(fifo);
+        return fifos_[static_cast<size_t>(fifo)];
+    }
+    Fifo &
+    at(int fifo)
+    {
+        return const_cast<Fifo &>(
+            static_cast<const FifoSet *>(this)->at(fifo));
+    }
+    [[noreturn]] static void badFifo(int fifo);
     /** Storage of the @p i-th oldest entry of @p f. */
     uint64_t &
     entry(const Fifo &f, int i)

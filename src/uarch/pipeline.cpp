@@ -160,9 +160,6 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
               cfg_.max_inflight);
     rob_.assign(rob_slots, DynInst{});
     rob_mask_ = rob_slots - 1;
-    rob_lookup_ = [this](uint64_t s) -> const DynInst & {
-        return rob(s);
-    };
     fetch_q_.reserve(static_cast<size_t>(cfg_.fetch_queue));
 
     size_t ready_bits =
@@ -189,6 +186,27 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
                            static_cast<uint64_t>(
                                cfg_.inter_cluster_extra));
         }
+    }
+
+    // A wakeup is due at most the slowest result latency plus the
+    // largest ready offset after the cycle that schedules it: its
+    // last source's producer issued then or earlier. The wheel spans
+    // more cycles than that, so it holds every wakeup.
+    if (event_driven_) {
+        int latency = std::max({cfg_.fu_latency, cfg_.dcache.hit_latency,
+                                cfg_.dcache.miss_latency});
+        if (cfg_.l2.enabled)
+            latency = std::max(latency, cfg_.l2.memory_latency);
+        uint64_t offset = 0;
+        for (int from = 0; from < n; ++from)
+            offset = std::max(offset,
+                              *std::max_element(ready_offset_[from],
+                                                ready_offset_[from] + n));
+        const uint64_t slots =
+            std::bit_ceil(static_cast<uint64_t>(latency) + offset + 1);
+        wheel_mask_ = slots - 1;
+        wheel_.assign(slots * ready_bits_.size(), 0);
+        wheel_count_.assign(slots, 0);
     }
 }
 
@@ -364,6 +382,9 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
 
     if (event_driven_)
         readyClear(readyBit(inst));
+    // Leave the buffer before waking dependents: a FIFO successor is
+    // the head, as its wakeup requires, from here on.
+    removeFromBuffer<S>(inst);
 
     if (inst.dst_preg >= 0) {
         PhysReg &pr = rename_.preg(inst.dst_preg);
@@ -380,7 +401,7 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
                 DynInst &d = rob_[link >> 1];
                 link = d.next_waiter[link & 1];
                 if (--d.pending_srcs == 0)
-                    scheduleReady(d, now_ + 1);
+                    scheduleReady<S>(d);
             }
         }
     }
@@ -393,52 +414,40 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
         fetch_resume_ = inst.complete_cycle;
     }
 
-    removeFromBuffer<S>(inst);
-    // An issued FIFO head exposes its successor to selection. If the
-    // successor's sources are all scheduled, its wakeup event is at
-    // wake_cycle. Events due by now_ were drained at the start of
-    // this cycle, while the successor was buried, so such an event
-    // was dropped (drainWakeups) and is re-armed here; a later one
-    // fires with the successor at the head and needs nothing.
-    // Dependence steering chains an instruction only behind its
-    // unissued producer, so its event is always the later kind: the
-    // waiter loop above has just scheduled it.
-    if constexpr (S == IssueBufferStyle::Fifos) {
-        if (event_driven_ && !fifos_->empty(inst.fifo)) {
-            DynInst &h = rob(fifos_->head(inst.fifo));
-            if (h.pending_srcs == 0 && h.wake_cycle <= now_)
-                scheduleReady(h, now_ + 1);
-        }
-    }
     ++stats_.issued();
     ++stats_.issued_per_cluster(cluster);
     if (on_issue_)
         on_issue_(inst);
 }
 
-// tryIssueOne and doDispatch are the per-instruction stages. Each is
+template <IssueBufferStyle S>
+bool
+Pipeline::tryIssueOne(DynInst &inst, int &global_issued,
+                      FuUsage &usage)
+{
+    if (inst.issued || inst.dispatch_cycle >= now_)
+        return false;
+    if (inst.cluster >= 0 && !srcsReady(inst, inst.cluster))
+        return false;
+    return issueReady<S>(inst, global_issued, usage);
+}
+
+// issueReady and doDispatch are the per-instruction stages. Each is
 // instantiated three times, so helpers they call once per style (the
 // steering decision, renaming, the store queue, cache access) have
 // three callers and the inliner no longer folds them in as it does
 // for a single caller; flatten restores that, once per style.
 template <IssueBufferStyle S>
 [[gnu::flatten]] bool
-Pipeline::tryIssueOne(DynInst &inst, int &global_issued,
-                      FuUsage &usage)
+Pipeline::issueReady(DynInst &inst, int &global_issued, FuUsage &usage)
 {
-    if (inst.issued || inst.dispatch_cycle >= now_)
-        return false;
-
     int cluster = inst.cluster;
     if (cluster < 0) {
         cluster = chooseExecCluster(inst, inst.op.cls, usage);
         if (cluster < 0)
             return false;
-    } else {
-        if (!fuAvailable(cluster, inst.op.cls, usage))
-            return false;
-        if (!srcsReady(inst, cluster))
-            return false;
+    } else if (!fuAvailable(cluster, inst.op.cls, usage)) {
+        return false;
     }
 
     int latency = cfg_.fu_latency;
@@ -486,25 +495,10 @@ Pipeline::readyInst(size_t bit)
 }
 
 void
-Pipeline::readySet(size_t bit)
-{
-    uint64_t &w = ready_bits_[bit >> 6];
-    uint64_t m = uint64_t{1} << (bit & 63);
-    if ((w & m) == 0) { // duplicate events fire once
-        w |= m;
-        ++ready_count_;
-    }
-}
-
-void
 Pipeline::readyClear(size_t bit)
 {
-    uint64_t &w = ready_bits_[bit >> 6];
-    uint64_t m = uint64_t{1} << (bit & 63);
-    if ((w & m) != 0) {
-        w &= ~m;
-        --ready_count_;
-    }
+    ready_bits_[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
+    --ready_count_;
 }
 
 uint64_t
@@ -520,14 +514,38 @@ Pipeline::instReadyCycle(const DynInst &inst) const
     return best;
 }
 
+template <IssueBufferStyle S>
 void
-Pipeline::scheduleReady(DynInst &inst, uint64_t earliest)
+Pipeline::scheduleReady(DynInst &inst)
 {
-    uint64_t wake = std::max(instReadyCycle(inst), earliest);
-    inst.wake_cycle = wake;
-    calendar_.schedule(wake, inst.seq);
+    // Every buffered instruction gets exactly one wakeup, scheduled
+    // once its last source is. For FIFOs that is always the head:
+    // dependence steering chains an instruction only directly behind
+    // an unissued producer, which is one of its sources, so its
+    // wakeup waits for that producer's issue, which makes it the head
+    // (completeIssue pops the producer before waking dependents); an
+    // instruction with every source scheduled at dispatch opened a new
+    // FIFO. A head leaves only by issuing, which needs its wakeup, so
+    // every wakeup fires for a head and select never meets a buried
+    // instruction.
+    if constexpr (S == IssueBufferStyle::Fifos)
+        if (fifos_->head(inst.fifo) != inst.seq)
+            panic("wakeup for seq %llu, buried in fifo %d",
+                  (unsigned long long)inst.seq, inst.fifo);
+    const uint64_t wake = std::max(instReadyCycle(inst), now_ + 1);
+    if (wake - now_ > wheel_mask_)
+        panic("wakeup for seq %llu at cycle %llu, beyond the %llu-cycle "
+              "wheel", (unsigned long long)inst.seq,
+              (unsigned long long)wake,
+              (unsigned long long)(wheel_mask_ + 1));
+    const uint64_t slot = wake & wheel_mask_;
+    const size_t bit = readyBit(inst);
+    wheel_[slot * ready_bits_.size() + (bit >> 6)] |= uint64_t{1}
+        << (bit & 63);
+    ++wheel_count_[slot];
 }
 
+template <IssueBufferStyle S>
 void
 Pipeline::wireDispatchEvents(DynInst &inst)
 {
@@ -547,49 +565,63 @@ Pipeline::wireDispatchEvents(DynInst &inst)
         ++pending;
     }
     inst.pending_srcs = static_cast<int8_t>(pending);
-    // All sources scheduled: the wakeup cycle is already final. (For
-    // the FIFO style this instruction necessarily opened a new FIFO —
-    // chaining requires an unissued producer — so it is a head.)
+    // All sources scheduled: the wakeup cycle is already final.
     if (pending == 0)
-        scheduleReady(inst, now_ + 1);
+        scheduleReady<S>(inst);
 }
 
-template <IssueBufferStyle S>
 void
 Pipeline::drainWakeups()
 {
-    auto fire = [this](uint64_t s) {
-        if (s < rob_head_ || s >= rob_tail_)
-            return; // committed; stale duplicate event
-        DynInst &d = rob_[s & rob_mask_];
-        if (!d.in_buffer || d.issued)
-            return; // already issued
-        if constexpr (S == IssueBufferStyle::Fifos)
-            if (fifos_->head(d.fifo) != s)
-                return; // buried in a FIFO; re-armed on head change
-        readySet(readyBit(d));
-    };
-    calendar_.drainDue(now_, fire);
+    // A wheel slot holds only wakeups of buffered, unissued
+    // instructions (each has one, and issue needs it), none of which
+    // is in the ready set yet, so the OR adds exactly its count.
+    const uint64_t slot = now_ & wheel_mask_;
+    if (wheel_count_[slot] != 0) {
+        ready_count_ += wheel_count_[slot];
+        wheel_count_[slot] = 0;
+        uint64_t *w = &wheel_[slot * ready_bits_.size()];
+        for (size_t i = 0; i < ready_bits_.size(); ++i) {
+            ready_bits_[i] |= w[i];
+            w[i] = 0;
+        }
+    }
+}
+
+uint64_t
+Pipeline::nextWakeupCycle() const
+{
+    // The wheel holds cycles [now_, now_ + span): wakeups are
+    // scheduled under a span ahead, and now_'s slot is drained this
+    // cycle.
+    for (uint64_t c = now_; c <= now_ + wheel_mask_; ++c)
+        if (wheel_count_[c & wheel_mask_] != 0)
+            return c;
+    return kNeverCycle;
 }
 
 template <IssueBufferStyle S>
 void
 Pipeline::doIssueEvent()
 {
-    drainWakeups<S>();
+    drainWakeups();
 
-    stats_.buffer_occupancy().add(
-        static_cast<double>(bufferedCount<S>()));
+    stats_.buffer_occupancy().addUnit(bufferedCount<S>());
 
     // Walk the ready bitmap in priority order. The only mutation
     // issuing can make is clearing the bit just visited, and wakeups
-    // it schedules land at now_ + 1, so the candidates seen are
-    // exactly the cycle-start snapshot (matching the scan path's
-    // fixed list).
+    // it schedules land at now_ + 1 or later, so the candidates seen
+    // are exactly the cycle-start snapshot (matching the scan path's
+    // fixed list). A set bit is proof enough of what the scan path
+    // checks one by one: its instruction is buffered, unissued,
+    // dispatched before this cycle (its wakeup is at least a cycle
+    // after dispatch) and, on an assigned cluster, has its operands
+    // there (the wakeup cycle is when they arrive, and a source's
+    // ready cycles never change once scheduled).
     int global_issued = 0;
     FuUsage usage;
     auto visit = [&](size_t bit) {
-        tryIssueOne<S>(readyInst(bit), global_issued, usage);
+        issueReady<S>(readyInst(bit), global_issued, usage);
         return global_issued < cfg_.issue_width;
     };
     const bool youngest =
@@ -612,7 +644,7 @@ Pipeline::doIssueEvent()
             walkUp(ready_bits_, 0, h, visit);
         }
     }
-    stats_.issue_sizes().add(static_cast<double>(global_issued));
+    stats_.issue_sizes().addUnit(static_cast<size_t>(global_issued));
 }
 
 template <IssueBufferStyle S>
@@ -634,8 +666,8 @@ Pipeline::maybeSkipIdle()
     if (!fetch_q_.empty() && fetch_q_.front().frontend_exit <= now_)
         return;
     // Commit must not be due (an issued ROB head bounds the jump
-    // below; an unissued head is woken by a calendar event).
-    uint64_t target = calendar_.nextEventCycle();
+    // below; an unissued head is woken by its wakeup).
+    uint64_t target = nextWakeupCycle();
     if (robSize() > 0) {
         const DynInst &head = rob(rob_head_);
         if (head.issued)
@@ -651,9 +683,8 @@ Pipeline::maybeSkipIdle()
 
     // Cycles [now_, target) do nothing but sample per-cycle stats.
     uint64_t skipped = target - now_;
-    stats_.buffer_occupancy().add(
-        static_cast<double>(bufferedCount<S>()), skipped);
-    stats_.issue_sizes().add(0.0, skipped);
+    stats_.buffer_occupancy().addUnit(bufferedCount<S>(), skipped);
+    stats_.issue_sizes().addUnit(0, skipped);
     stats_.cycles() += skipped;
     now_ = target;
 }
@@ -696,8 +727,7 @@ Pipeline::doIssueScan()
         break;
     }
 
-    stats_.buffer_occupancy().add(
-        static_cast<double>(bufferedCount<S>()));
+    stats_.buffer_occupancy().addUnit(bufferedCount<S>());
 
     int global_issued = 0;
     FuUsage usage;
@@ -711,7 +741,7 @@ Pipeline::doIssueScan()
         if (!issued_this && cfg_.in_order_issue)
             break;
     }
-    stats_.issue_sizes().add(static_cast<double>(global_issued));
+    stats_.issue_sizes().addUnit(static_cast<size_t>(global_issued));
 }
 
 template <IssueBufferStyle S>
@@ -843,8 +873,9 @@ Pipeline::doDispatch()
         inst.src2_preg =
             op.src2 > 0 ? rename_.mapOf(op.src2) : -1;
 
-        SteerDecision d =
-            steering_->decide(inst, rename_, now_, rob_lookup_);
+        SteerDecision d = steering_->decide(
+            inst, rename_, now_,
+            [this](uint64_t s) -> const DynInst & { return rob(s); });
         if (!d.ok) {
             ++stats_.dispatch_stall_buffer();
             return;
@@ -891,7 +922,7 @@ Pipeline::doDispatch()
         inst.in_buffer = true;
         rob_tail_ = inst.seq + 1;
         if (event_driven_)
-            wireDispatchEvents(inst);
+            wireDispatchEvents<S>(inst);
         fetch_q_.pop_front();
         ++stats_.dispatched();
         if (on_dispatch_)

@@ -13,10 +13,11 @@
  * Recovery is the standard trace-driven model: a mispredicted
  * conditional branch stalls instruction delivery until it executes.
  *
- * Ready instructions are discovered with an event calendar rather
- * than a per-cycle scan of the whole buffer (IssueModel::EventDriven,
- * the default): issuing an instruction schedules wakeup events for
- * its dependents at the exact cycle their operands become usable, the
+ * Ready instructions are discovered from wakeup events rather than
+ * a per-cycle scan of the whole buffer (IssueModel::EventDriven, the
+ * default): issuing an instruction schedules a wakeup for each
+ * dependent at the exact cycle its operands become usable (in a wheel
+ * of ready-bitmap words, one slot per cycle), the
  * select stage walks a ready bitmap in selection-priority order, and
  * provably idle cycle stretches are skipped in one jump. The
  * per-cycle scan survives as IssueModel::LegacyScan; the two are
@@ -61,7 +62,6 @@
 #include "uarch/rename.hpp"
 #include "uarch/ring.hpp"
 #include "uarch/steering.hpp"
-#include "uarch/wakeup.hpp"
 #include "uarch/window.hpp"
 
 namespace cesp::uarch {
@@ -302,7 +302,7 @@ class Pipeline
     Pipeline(const SimConfig &cfg, trace::TraceView trace);
     // A temporary buffer would die before run() reads it.
     Pipeline(const SimConfig &cfg, trace::TraceBuffer &&) = delete;
-    // Steering and the ROB lookup hold pointers into this object.
+    // Steering holds pointers into this object.
     Pipeline(const Pipeline &) = delete;
     Pipeline &operator=(const Pipeline &) = delete;
 
@@ -342,7 +342,7 @@ class Pipeline
     template <IssueBufferStyle S> void doIssue();
     /** Reference per-cycle candidate scan. */
     template <IssueBufferStyle S> void doIssueScan();
-    /** Event-calendar issue (default). */
+    /** Event-driven issue (default). */
     template <IssueBufferStyle S> void doIssueEvent();
     template <IssueBufferStyle S> void doDispatch();
     void doFetch();
@@ -361,9 +361,16 @@ class Pipeline
                      const FuUsage &usage) const;
     void consumeFu(int cluster, isa::OpClass cls, FuUsage &usage);
 
+    /** Scan path: issue @p inst if it is selectable this cycle. */
     template <IssueBufferStyle S>
     bool tryIssueOne(DynInst &inst, int &global_issued,
                      FuUsage &usage);
+    /** Issue @p inst, which is buffered since an earlier cycle and
+     *  (when its cluster is assigned) has its operands ready there,
+     *  if a functional unit and, for a load, a cache port and store
+     *  order allow. */
+    template <IssueBufferStyle S>
+    bool issueReady(DynInst &inst, int &global_issued, FuUsage &usage);
     bool srcsReady(const DynInst &inst, int cluster) const;
     template <IssueBufferStyle S> size_t bufferedCount() const;
     uint64_t srcReadyCycle(const DynInst &inst, int cluster) const;
@@ -378,22 +385,26 @@ class Pipeline
     int loadLatency(DynInst &inst);
 
     // Event-driven wakeup machinery (no-ops under LegacyScan).
-    /** Register source waiters / schedule the first wakeup event. */
-    void wireDispatchEvents(DynInst &inst);
+    /** Register source waiters, or schedule the wakeup when every
+     *  source is already scheduled. */
+    template <IssueBufferStyle S> void wireDispatchEvents(DynInst &inst);
     /** Earliest cycle @p inst's sources are all ready (its cluster,
      *  or the best cluster when unassigned). Sources must all be
      *  scheduled. */
     uint64_t instReadyCycle(const DynInst &inst) const;
-    /** Push a wakeup event at max(sources-ready, @p earliest). */
-    void scheduleReady(DynInst &inst, uint64_t earliest);
-    /** Move fired events into the ready set. */
-    template <IssueBufferStyle S> void drainWakeups();
+    /** Schedule @p inst's one wakeup, at max(sources-ready,
+     *  now_ + 1), in the wheel. */
+    template <IssueBufferStyle S> void scheduleReady(DynInst &inst);
+    /** Move the wakeups due this cycle into the ready set. */
+    void drainWakeups();
+    /** Cycle of the earliest pending wakeup, or kNeverCycle. */
+    uint64_t nextWakeupCycle() const;
     /** Ready-bitmap bit of @p inst: its window slot for slot-priority
      *  windows, else its ROB slot. */
     size_t readyBit(const DynInst &inst) const;
     /** Instruction owning ready-bitmap bit @p bit. */
     DynInst &readyInst(size_t bit);
-    void readySet(size_t bit);
+    /** Remove bit @p bit, which is set, from the ready set. */
     void readyClear(size_t bit);
     /** Jump over cycles that provably perform no work. */
     template <IssueBufferStyle S> void maybeSkipIdle();
@@ -432,8 +443,6 @@ class Pipeline
     uint64_t rob_mask_ = 0;
     uint64_t rob_head_ = 0;      //!< oldest in-flight seq
     uint64_t rob_tail_ = 0;      //!< next seq to dispatch
-    /** Steering's view of the ROB, built once. */
-    RobLookup rob_lookup_;
 
     /** A fetched instruction awaiting rename. */
     struct FetchEntry
@@ -479,9 +488,6 @@ class Pipeline
     // Event-driven issue state.
     bool event_driven_ = false; //!< resolved issue model for this run
     bool slot_keyed_ = false;   //!< ready set ordered by window slot
-    /** Wakeup events of every cluster: each carries its cluster's
-     *  operand-ready cycle, and all feed the one ready bitmap. */
-    WakeupCalendar calendar_;
     /**
      * Buffered instructions with all sources ready, one bit each. A
      * slot-priority central window selects by window slot, so its
@@ -489,10 +495,21 @@ class Pipeline
      * so its bits are ROB slots and oldest-first is a walk of the ring
      * from the head slot. Select iterates a word copy, so the set it
      * sees is the cycle-start snapshot: an issue clears only the bit
-     * it visits and wakeups land at now_ + 1.
+     * it visits and wakeups land at now_ + 1 or later.
      */
     std::vector<uint64_t> ready_bits_;
     size_t ready_count_ = 0; //!< bits set in ready_bits_
+    /**
+     * Pending wakeups: slot (cycle & wheel_mask_) holds, laid out like
+     * ready_bits_, the bits of the instructions that become ready
+     * that cycle, and drainWakeups ORs the slot into ready_bits_ when
+     * the cycle comes. The span, wheel_mask_ + 1, is a power of two
+     * beyond the farthest wakeup the configuration allows (see the
+     * constructor).
+     */
+    std::vector<uint64_t> wheel_;
+    std::vector<uint32_t> wheel_count_; //!< wakeups per slot
+    uint64_t wheel_mask_ = 0;
 
     InstObserver on_dispatch_;
     InstObserver on_issue_;

@@ -29,82 +29,6 @@ Steering::Steering(const SimConfig &cfg, FifoSet *fifos,
     }
 }
 
-bool
-Steering::clusterHasSpace(int cluster) const
-{
-    // Only window-backed organizations can run out of per-cluster
-    // buffer space independently of the FIFO occupancy.
-    if (cfg_.style != IssueBufferStyle::PerClusterWindow || !windows_)
-        return true;
-    return !(*windows_)[static_cast<size_t>(cluster)].full();
-}
-
-int
-Steering::suitableFifo(int preg, const RenameState &rename,
-                       uint64_t now, const RobLookup &rob) const
-{
-    if (preg < 0)
-        return -1;
-    const PhysReg &pr = rename.preg(preg);
-    if (!pr.outstanding(now))
-        return -1; // value computed: not an outstanding operand
-    if (pr.producer_seq == kNoSeq)
-        return -1;
-    const DynInst &producer = rob(pr.producer_seq);
-    int f = producer.fifo;
-    if (f < 0)
-        return -1;
-    // "No instruction behind the source" = producer is the tail; an
-    // already-issued producer is no longer in the FIFO and fails this
-    // test, falling through to a new FIFO.
-    if (!fifos_->isTail(f, pr.producer_seq))
-        return -1;
-    if (fifos_->full(f))
-        return -1;
-    if (!clusterHasSpace(fifos_->clusterOf(f)))
-        return -1;
-    return f;
-}
-
-SteerDecision
-Steering::dependenceSteer(const DynInst &inst,
-                          const RenameState &rename, uint64_t now,
-                          const RobLookup &rob)
-{
-    auto outstanding = [&](int preg) {
-        return preg >= 0 && rename.preg(preg).outstanding(now);
-    };
-    bool left_out = outstanding(inst.src1_preg);
-    bool right_out = outstanding(inst.src2_preg);
-
-    SteerKind kind = SteerKind::NewFifo;
-    int f = -1;
-    if (left_out) {
-        f = suitableFifo(inst.src1_preg, rename, now, rob);
-        if (f >= 0)
-            kind = SteerKind::ChainLeft;
-    }
-    if (f < 0 && right_out) {
-        f = suitableFifo(inst.src2_preg, rename, now, rob);
-        if (f >= 0)
-            kind = SteerKind::ChainRight;
-    }
-    if (f < 0) {
-        kind = SteerKind::NewFifo;
-        f = fifos_->allocate(
-            [this](int c) { return clusterHasSpace(c); });
-    }
-    if (f < 0)
-        return {}; // no free FIFO anywhere: stall dispatch
-
-    SteerDecision d;
-    d.ok = true;
-    d.fifo = f;
-    d.cluster = fifos_->clusterOf(f);
-    d.kind = kind;
-    return d;
-}
-
 SteerDecision
 Steering::randomSteer()
 {
@@ -131,30 +55,6 @@ Steering::randomSteer()
     d.cluster = c;
     d.kind = SteerKind::Window;
     return d;
-}
-
-SteerDecision
-Steering::decide(const DynInst &inst, const RenameState &rename,
-                 uint64_t now, const RobLookup &rob)
-{
-    switch (cfg_.steering) {
-      case SteeringPolicy::DependenceFifo:
-      case SteeringPolicy::WindowFifo:
-        return dependenceSteer(inst, rename, now, rob);
-      case SteeringPolicy::Random:
-        return randomSteer();
-      case SteeringPolicy::None:
-      case SteeringPolicy::ExecutionDriven: {
-        // Central window; cluster chosen at issue (or fixed at 0).
-        SteerDecision d;
-        d.ok = true;
-        d.cluster =
-            cfg_.steering == SteeringPolicy::None ? 0 : -1;
-        d.kind = SteerKind::Window;
-        return d;
-      }
-    }
-    panic("steering: unknown policy");
 }
 
 } // namespace cesp::uarch

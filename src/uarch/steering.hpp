@@ -72,22 +72,113 @@ class Steering
     /**
      * Decide placement for @p inst (whose source physical registers
      * are already resolved). @p now is the current cycle; @p rob
-     * resolves producer sequence numbers.
+     * resolves producer sequence numbers: any callable taking a seq
+     * and returning a const DynInst & (a RobLookup, or a lambda the
+     * caller's compiler can inline).
      */
-    SteerDecision decide(const DynInst &inst, const RenameState &rename,
-                         uint64_t now, const RobLookup &rob);
+    template <class Rob>
+    SteerDecision
+    decide(const DynInst &inst, const RenameState &rename, uint64_t now,
+           const Rob &rob)
+    {
+        switch (cfg_.steering) {
+          case SteeringPolicy::DependenceFifo:
+          case SteeringPolicy::WindowFifo:
+            return dependenceSteer(inst, rename, now, rob);
+          case SteeringPolicy::Random:
+            return randomSteer();
+          case SteeringPolicy::None:
+          case SteeringPolicy::ExecutionDriven:
+            break;
+        }
+        // Central window; cluster chosen at issue (or fixed at 0).
+        SteerDecision d;
+        d.ok = true;
+        d.cluster = cfg_.steering == SteeringPolicy::None ? 0 : -1;
+        d.kind = SteerKind::Window;
+        return d;
+    }
 
   private:
-    SteerDecision dependenceSteer(const DynInst &inst,
-                                  const RenameState &rename,
-                                  uint64_t now, const RobLookup &rob);
+    template <class Rob>
+    SteerDecision
+    dependenceSteer(const DynInst &inst, const RenameState &rename,
+                    uint64_t now, const Rob &rob)
+    {
+        auto outstanding = [&](int preg) {
+            return preg >= 0 && rename.preg(preg).outstanding(now);
+        };
+        bool left_out = outstanding(inst.src1_preg);
+        bool right_out = outstanding(inst.src2_preg);
+
+        SteerKind kind = SteerKind::NewFifo;
+        int f = -1;
+        if (left_out) {
+            f = suitableFifo(inst.src1_preg, rename, now, rob);
+            if (f >= 0)
+                kind = SteerKind::ChainLeft;
+        }
+        if (f < 0 && right_out) {
+            f = suitableFifo(inst.src2_preg, rename, now, rob);
+            if (f >= 0)
+                kind = SteerKind::ChainRight;
+        }
+        if (f < 0) {
+            kind = SteerKind::NewFifo;
+            f = fifos_->allocate(
+                [this](int c) { return clusterHasSpace(c); });
+        }
+        if (f < 0)
+            return {}; // no free FIFO anywhere: stall dispatch
+
+        SteerDecision d;
+        d.ok = true;
+        d.fifo = f;
+        d.cluster = fifos_->clusterOf(f);
+        d.kind = kind;
+        return d;
+    }
+
     SteerDecision randomSteer();
 
     /** FIFO behind @p preg's producer if usable, else -1. */
-    int suitableFifo(int preg, const RenameState &rename, uint64_t now,
-                     const RobLookup &rob) const;
+    template <class Rob>
+    int
+    suitableFifo(int preg, const RenameState &rename, uint64_t now,
+                 const Rob &rob) const
+    {
+        if (preg < 0)
+            return -1;
+        const PhysReg &pr = rename.preg(preg);
+        if (!pr.outstanding(now))
+            return -1; // value computed: not an outstanding operand
+        if (pr.producer_seq == kNoSeq)
+            return -1;
+        const DynInst &producer = rob(pr.producer_seq);
+        int f = producer.fifo;
+        if (f < 0)
+            return -1;
+        // "No instruction behind the source" = producer is the tail;
+        // an already-issued producer is no longer in the FIFO and
+        // fails this test, falling through to a new FIFO.
+        if (!fifos_->isTail(f, pr.producer_seq))
+            return -1;
+        if (fifos_->full(f))
+            return -1;
+        if (!clusterHasSpace(fifos_->clusterOf(f)))
+            return -1;
+        return f;
+    }
 
-    bool clusterHasSpace(int cluster) const;
+    bool
+    clusterHasSpace(int cluster) const
+    {
+        // Only window-backed organizations can run out of per-cluster
+        // buffer space independently of the FIFO occupancy.
+        if (cfg_.style != IssueBufferStyle::PerClusterWindow || !windows_)
+            return true;
+        return !(*windows_)[static_cast<size_t>(cluster)].full();
+    }
 
     const SimConfig &cfg_;
     FifoSet *fifos_;

@@ -169,6 +169,24 @@ TEST(HistogramDeath, MergeOfMismatchedShapesIsFatalWithDiagnostic)
     EXPECT_DEATH(a.merge(wrong_width), "shape mismatch");
 }
 
+/** addUnit(v, n) is add(v, n) for integer samples of a unit-width
+ *  histogram, overflow and growth included. */
+TEST(Histogram, AddUnitMatchesAddOfTheSameCount)
+{
+    for (bool growable : {false, true}) {
+        Histogram a(4, 1.0, growable), b(4, 1.0, growable);
+        for (size_t v : {0, 1, 3, 4, 9}) {
+            a.add(static_cast<double>(v));
+            b.addUnit(v);
+            a.add(static_cast<double>(v), 5);
+            b.addUnit(v, 5);
+        }
+        EXPECT_TRUE(a == b) << "growable " << growable;
+        EXPECT_EQ(a.total(), b.total());
+        EXPECT_EQ(b.overflow(), growable ? 0u : 12u);
+    }
+}
+
 TEST(Histogram, GrowableGrowsToTheLargestSampleSeen)
 {
     Histogram h(3, 1.0, /*growable=*/true);

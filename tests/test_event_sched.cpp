@@ -2,7 +2,7 @@
  * @file
  * Equivalence tests between the event-driven issue model and the
  * reference per-cycle scan. The two must be cycle- and
- * statistic-exact for every machine organization: the event calendar
+ * statistic-exact for every machine organization: event-driven wakeup
  * is a simulator implementation technique, not a model change.
  */
 
@@ -248,10 +248,10 @@ TEST(EventSched, ExactForSlotPriorityWindowOf100)
 }
 
 /** Degenerate FIFO shapes: one FIFO per cluster, FIFOs one or two
- *  deep, and a three-stage wakeup+select loop. When a head issues,
- *  its successor's wakeup event lies after that cycle, so the event
- *  path's guarded re-arm must leave it alone and the event itself
- *  must make the new head selectable. */
+ *  deep, and a three-stage wakeup+select loop. A chained successor's
+ *  wakeup is scheduled only once its producer, the head ahead of it,
+ *  has issued and left, so the head check at scheduling holds and the
+ *  wakeup itself makes the new head selectable. */
 TEST(EventSched, ExactAcrossFifoShapes)
 {
     for (SimConfig base : {core::dependence8x8(),
@@ -263,6 +263,30 @@ TEST(EventSched, ExactAcrossFifoShapes)
             c.wakeup_select_stages = 3;
             for (uint64_t seed : {5ULL, 41ULL})
                 expectExact(c, seed);
+        }
+    }
+}
+
+/** The wakeup wheel's span is a power of two beyond the farthest
+ *  wakeup (the slowest latency plus the largest ready offset). Miss
+ *  latencies of 7, 15 and 31 put a one-cluster machine's farthest
+ *  wakeups in the last slot of its 8-, 16- and 32-slot wheel, and 16
+ *  opens a 32-slot one; an inter-cluster hop puts each a cycle
+ *  further. The machines cover ROB-slot and window-slot ready bits,
+ *  FIFO heads, an inter-cluster hop, and clusters chosen at issue. */
+TEST(EventSched, ExactAcrossWakeupWheelSpans)
+{
+    SimConfig slots = core::baseline8Way();
+    slots.window_compaction = false;
+    for (SimConfig base :
+         {core::baseline8Way(), slots, core::dependence8x8(),
+          core::clusteredDependence2x4(),
+          core::clusteredExecDriven2x4()}) {
+        for (int miss : {7, 15, 16, 31}) {
+            SimConfig c = base;
+            c.dcache.size_bytes = 1024; // thrash the L1
+            c.dcache.miss_latency = miss;
+            expectExact(c, 43);
         }
     }
 }

@@ -310,6 +310,58 @@ TEST(StatGroup, DiffNamesTheDifferingEntry)
     EXPECT_EQ(d.find("work"), std::string::npos);
 }
 
+TEST(StatGroup, DiffNamesADifferingGauge)
+{
+    StatGroup a = demoGroup();
+    StatGroup b = demoGroup();
+    b.gaugeAt(0) = 300.25; // clock_mhz
+    EXPECT_EQ(a.diff(b), "clock_mhz: 250.5 vs 300.25\n");
+}
+
+TEST(StatGroup, DiffListsDifferingHistogramBuckets)
+{
+    StatGroup a = demoGroup();
+    StatGroup b = demoGroup();
+    size_t h = a.find("occupancy")->store;
+    b.histogramAt(h).add(1.25);
+    EXPECT_EQ(a.diff(b), "occupancy: histogram differs: [1]=1/2\n");
+
+    // Out-of-range counts differ with every bucket equal.
+    StatGroup c = demoGroup();
+    c.histogramAt(h).add(-2.0);
+    c.histogramAt(h).add(9.0);
+    EXPECT_EQ(a.diff(c), "occupancy: histogram differs: under/over="
+                         "1,1 vs 2,2\n");
+}
+
+TEST(StatGroup, DiffComparesGrownHistogramsBucketByBucket)
+{
+    auto grown = [](double top) {
+        StatGroup g("demo", "cfg-a");
+        size_t h = g.addHistogram("occupancy", "entries",
+                                  "buffer occupancy", 2, 1.0, true);
+        g.histogramAt(h).add(0.0);
+        g.histogramAt(h).add(top);
+        return g;
+    };
+    // Buckets one side never grew to count as zero.
+    EXPECT_EQ(grown(1.0).diff(grown(6.0)),
+              "occupancy: histogram differs: [1]=1/0 [6]=0/1\n");
+}
+
+TEST(StatGroup, DiffSkipsDerivedAndReportsSchemaMismatch)
+{
+    StatGroup a = demoGroup();
+    StatGroup b = demoGroup();
+    b.counterAt(1) += 10; // work, the numerator of rate
+    EXPECT_EQ(a.diff(b), "work: 10 vs 20\n");
+    EXPECT_EQ(a.diff(a), "");
+
+    StatGroup extra = demoGroup();
+    extra.addCounter("stalls", "cycles", "pipeline stalls");
+    EXPECT_EQ(a.diff(extra), "schema mismatch");
+}
+
 TEST(StatGroup, SchemaDiffNamesTheFirstDifferingEntry)
 {
     StatGroup a = demoGroup();

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
 
@@ -151,6 +153,38 @@ TEST(Synthetic, BadParametersFatal)
     q.mean_dep_distance = 0.5;
     EXPECT_EXIT(generateSynthetic(q, 10), ::testing::ExitedWithCode(1),
                 "dependence");
+}
+
+TEST(Synthetic, DistanceThatOverflowsTheDrawFatal)
+{
+    // NaN, infinity and anything past ~5.8e7 would overflow the
+    // float-to-int conversion of the distance draw.
+    for (double d : {std::nan(""), HUGE_VAL, 6.0e7, 1e300}) {
+        SyntheticParams p;
+        p.mean_dep_distance = d;
+        EXPECT_EXIT(generateSynthetic(p, 10),
+                    ::testing::ExitedWithCode(1), "dependence distance")
+            << d;
+    }
+    SyntheticParams ok;
+    ok.mean_dep_distance = 5.0e7; // large but representable: valid
+    EXPECT_EQ(generateSynthetic(ok, 1000).size(), 1000u);
+}
+
+TEST(Synthetic, BlockLengthBelowHalfFatal)
+{
+    // mean_block * 2 < 1 would draw below(0), a division by zero.
+    for (double b : {0.49, 0.0, -3.0, std::nan(""), HUGE_VAL}) {
+        SyntheticParams p;
+        p.mean_block = b;
+        EXPECT_EXIT(generateSynthetic(p, 10),
+                    ::testing::ExitedWithCode(1), "mean block length")
+            << b;
+    }
+    SyntheticParams ok;
+    ok.mean_block = 0.5; // the smallest bound below() accepts
+    ok.branch_frac = 0.5;
+    EXPECT_EQ(generateSynthetic(ok, 1000).size(), 1000u);
 }
 
 TEST(ComputeMix, CountsAllClasses)
