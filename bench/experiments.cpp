@@ -117,29 +117,6 @@ meanIpc(const Grid &g, size_t v)
     return g.merged(v).value("ipc");
 }
 
-/** The delay-model shape of an @p iw-wide, @p ws-entry window machine. */
-ClockConfig
-windowClock(int iw, int ws)
-{
-    ClockConfig cc;
-    cc.issue_width = iw;
-    cc.window_size = ws;
-    return cc;
-}
-
-/** The delay-model shape of the 2x4-way clustered dependence-based
- *  machine. */
-ClockConfig
-clusteredDependenceClock()
-{
-    ClockConfig cc;
-    cc.org = IssueOrganization::DependenceFifos;
-    cc.issue_width = 8;
-    cc.num_clusters = 2;
-    cc.fifos_per_cluster = 4;
-    return cc;
-}
-
 // ---------------------------------------------------------------------
 // Delay models (Section 4)
 
@@ -349,10 +326,12 @@ tab2()
                   "critical", "clock MHz"});
         for (Process p : allProcesses()) {
             ClockEstimator est(p);
-            for (auto [iw, ws] : {std::pair{4, 32}, std::pair{8, 64}}) {
-                StageDelays d = est.delays(windowClock(iw, ws));
+            for (const SimConfig &m : {scaledBaseline(4), baseline8Way()}) {
+                StageDelays d = est.delays(clockConfig(m));
                 c.row({technology(p).name,
-                       strprintf("%d-way/%d", iw, ws), cell(d.rename),
+                       strprintf("%d-way/%d", m.issue_width,
+                                 m.window_size),
+                       cell(d.rename),
                        cell(d.window()), cell(d.bypass),
                        d.criticalStage(), cell(d.clockMhz(), 0)});
             }
@@ -482,7 +461,7 @@ ablRegfileCache()
         out.table(c);
 
         double clock = ClockEstimator(Process::um0_18)
-                           .delays(windowClock(8, 64))
+                           .delays(clockConfig(baseline8Way()))
                            .criticalPs();
         double dcache = cm.totalPs(32 * 1024, 2, 32);
         out.text += strprintf("Table 3 cache: %.1f ps vs the 8-way "
@@ -585,8 +564,8 @@ fig10()
         // window stage delay; compare delivered performance.
         ClockEstimator est(Process::um0_18);
         double ipc_ratio = (sum2 / n) / (sum1 / n);
-        for (auto [iw, ws] : {std::pair{4, 32}, std::pair{8, 64}}) {
-            StageDelays d = est.delays(windowClock(iw, ws));
+        for (const SimConfig &m : {scaledBaseline(4), baseline8Way()}) {
+            StageDelays d = est.delays(clockConfig(m));
             double clk_atomic = d.criticalPs();
             double clk_pipe =
                 std::max({d.rename, d.window() / 2.0, d.bypass});
@@ -594,7 +573,8 @@ fig10()
                 "\n%d-way/%d: clock atomic %.1f ps vs pipelined "
                 "%.1f ps (%.2fx); with the ~%.0f%% IPC loss the net "
                 "effect of pipelining is %.2fx\n",
-                iw, ws, clk_atomic, clk_pipe, clk_atomic / clk_pipe,
+                m.issue_width, m.window_size, clk_atomic, clk_pipe,
+                clk_atomic / clk_pipe,
                 100.0 * (1.0 - ipc_ratio),
                 ipc_ratio * clk_atomic / clk_pipe);
         }
@@ -1105,11 +1085,7 @@ ablWindowFrontier()
                             [&](SimConfig &c) { c.window_size = ws; }));
     v.push_back(preset(dependence8x8()));
     return {"abl_window_frontier", v, [](const Grid &g, Report &out) {
-        WakeupDelayModel wakeup(Process::um0_18);
-        SelectDelayModel select(Process::um0_18);
-        RenameDelayModel rename(Process::um0_18);
-        BypassDelayModel bypass(Process::um0_18);
-
+        ClockEstimator est(Process::um0_18);
         Table t("Window-size frontier (8-way, 0.18um)");
         t.header({"window", "mean IPC", "wakeup+select ps", "clock ps",
                   "clock MHz", "BIPS"});
@@ -1118,17 +1094,15 @@ ablWindowFrontier()
         for (size_t i = 0; i < std::size(sizes); ++i) {
             int ws = sizes[i];
             double ipc = meanIpc(g, i);
-            double wsdelay = wakeup.totalPs(8, ws) + select.totalPs(ws);
-            double clock = std::max(
-                {wsdelay, rename.totalPs(8), bypass.totalPs(8)});
-            double mhz = 1e6 / clock;
+            StageDelays d = est.delays(clockConfig(g.configs[i]));
+            double mhz = d.clockMhz();
             double bips = ipc * mhz / 1000.0;
             if (bips > best) {
                 best = bips;
                 best_ws = ws;
             }
-            t.row({cell(ws), cell(ipc, 3), cell(wsdelay), cell(clock),
-                   cell(mhz, 0), cell(bips, 2)});
+            t.row({cell(ws), cell(ipc, 3), cell(d.window()),
+                   cell(d.criticalPs()), cell(mhz, 0), cell(bips, 2)});
         }
         out.table(t);
         out.text += strprintf("frontier peak at a %d-entry window "
@@ -1138,13 +1112,10 @@ ablWindowFrontier()
 
         // The dependence-based alternative escapes the tradeoff:
         // window logic is a reservation-table access + 8-head select.
-        ClockConfig dep;
-        dep.org = IssueOrganization::DependenceFifos;
-        dep.issue_width = 8;
-        dep.fifos_per_cluster = 8;
         double dep_ipc = meanIpc(g, std::size(sizes));
         double dep_clock =
-            ClockEstimator(Process::um0_18).delays(dep).criticalPs();
+            est.delays(clockConfig(g.configs[std::size(sizes)]))
+                .criticalPs();
         out.text += strprintf("dependence-based 8x8: IPC %.3f at %.1f ps "
                               "-> %.2f BIPS\n",
                               dep_ipc, dep_clock,
@@ -1441,11 +1412,6 @@ ablClusterScaling()
              {labels[1], baseline16Way()},
              {labels[2], clusteredDependence4x4()}},
             [](const Grid &g, Report &out) {
-        ClockConfig clocks[3] = {windowClock(8, 64), windowClock(16, 128),
-                                 windowClock(16, 64)};
-        clocks[2].org = IssueOrganization::DependenceFifos;
-        clocks[2].num_clusters = 4;
-        clocks[2].fifos_per_cluster = 4;
         ClockEstimator est(Process::um0_18);
 
         Table t("Scaling to 16 wide (0.18um)");
@@ -1456,16 +1422,10 @@ ablClusterScaling()
             StatGroup agg = g.merged(v);
             agg.label() = labels[v];
 
-            double ipc = agg.value("ipc");
-            StageDelays d = est.delays(clocks[v]);
-            agg.addGauge("clock_mhz", "MHz",
-                         "delay-model clock estimate for this "
-                         "organization", d.clockMhz());
-            agg.addGauge("bips", "BIPS",
-                         "billions of instructions per second: IPC "
-                         "times the clock estimate",
-                         ipc * d.clockMhz() / 1000.0);
-            t.row({agg.label(), cell(ipc, 3), d.criticalStage(),
+            StageDelays d = est.delays(clockConfig(g.configs[v]));
+            addClockGauges(agg, d.clockMhz());
+            t.row({agg.label(), cell(agg.value("ipc"), 3),
+                   d.criticalStage(),
                    cell(d.criticalPs()), cell(d.clockMhz(), 0),
                    cell(agg.value("bips"), 2),
                    cell(agg.value("intercluster_pct"))});
@@ -1782,12 +1742,7 @@ designSpace()
         for (size_t c = 0; c < g.configs.size(); ++c) {
             const SimConfig &cfg = g.configs[c];
             double ipc = meanIpc(g, c);
-            ClockConfig cc = windowClock(cfg.issue_width,
-                                         8 * cfg.issue_width);
-            if (cfg.style == uarch::IssueBufferStyle::Fifos)
-                cc.org = IssueOrganization::DependenceFifos;
-            cc.fifos_per_cluster = cfg.issue_width;
-            StageDelays d = est.delays(cc);
+            StageDelays d = est.delays(clockConfig(cfg));
 
             double bips = ipc * d.clockMhz() / 1000.0;
             if (bips > best_bips) {
@@ -1811,8 +1766,9 @@ designSpace()
                   "ratio"});
         for (Process p : allProcesses()) {
             ClockEstimator e(p);
-            StageDelays dw = e.delays(windowClock(8, 64));
-            StageDelays dd = e.delays(clusteredDependenceClock());
+            StageDelays dw = e.delays(clockConfig(baseline8Way()));
+            StageDelays dd =
+                e.delays(clockConfig(clusteredDependence2x4()));
             s.row({cell(technology(p).feature_um, 2),
                    cell(dw.clockMhz(), 0), cell(dd.clockMhz(), 0),
                    cell(dw.criticalPs() / dd.criticalPs(), 2)});
@@ -1898,9 +1854,9 @@ complexityReport()
 {
     return {"complexity_report", {}, [](const Grid &, Report &out) {
         structureDelays(out, "8-way, 64-entry window machine",
-                        windowClock(8, 64));
+                        clockConfig(baseline8Way()));
         structureDelays(out, "2x4-way clustered dependence-based machine",
-                        clusteredDependenceClock());
+                        clockConfig(clusteredDependence2x4()));
 
         // Side notes the paper makes in Section 4.1.
         RenameDelayModel rename(Process::um0_18);

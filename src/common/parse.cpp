@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "common/logging.hpp"
+
 namespace cesp {
 
 std::optional<long long>
@@ -24,6 +26,17 @@ parseInt(const std::string &s, long long min, long long max)
     if (v < min || v > max)
         return std::nullopt;
     return v;
+}
+
+long long
+intArg(const std::string &flag, const std::string &value, long long min,
+       long long max)
+{
+    auto v = parseInt(value, min, max);
+    if (!v)
+        fatal("invalid value '%s' for %s (expected integer in "
+              "[%lld, %lld])", value.c_str(), flag.c_str(), min, max);
+    return *v;
 }
 
 } // namespace cesp

@@ -26,6 +26,14 @@ namespace cesp {
 std::optional<long long> parseInt(const std::string &s,
                                   long long min, long long max);
 
+/**
+ * The integer value @p value of the command-line flag @p flag, in
+ * [@p min, @p max]: parseInt, with anything it rejects a fatal
+ * "invalid value" error that names the flag and the range.
+ */
+long long intArg(const std::string &flag, const std::string &value,
+                 long long min, long long max);
+
 } // namespace cesp
 
 #endif // CESP_COMMON_PARSE_HPP

@@ -5,8 +5,6 @@
 
 #include "core/machine.hpp"
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -15,7 +13,6 @@
 
 #include "common/logging.hpp"
 #include "trace/mmap_source.hpp"
-#include "trace/tracefile.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cesp::core {
@@ -84,47 +81,6 @@ diskCacheDir()
 }
 
 /**
- * Emulate @p w straight into a temporary next to @p file, rename it
- * into place (so parallel harnesses never observe a half-written
- * file), and map it, verifying the CRC and every record as any other
- * cache hit is. Null, with the temporary removed and a warning
- * logged, when any step fails.
- */
-std::unique_ptr<trace::MmapTraceSource>
-streamAndPublish(const workloads::Workload &w,
-                 const std::filesystem::path &file)
-{
-    std::filesystem::path tmp =
-        file.string() + strprintf(".%d.tmp", getpid());
-    trace::TraceFileWriter writer;
-    trace::TraceIoResult result = writer.open(tmp.string());
-    if (result.ok()) {
-        workloads::streamTraceOf(w, writer);
-        result = writer.finish();
-    }
-    std::error_code ec;
-    if (result.ok()) {
-        std::filesystem::rename(tmp, file, ec);
-        if (!ec) {
-            auto mmap = std::make_unique<trace::MmapTraceSource>();
-            result = mmap->open(file.string());
-            if (result.ok())
-                return mmap;
-        }
-    }
-    std::string why = ec ? "rename failed: " + ec.message()
-                         : strprintf("%s (%s)",
-                                     trace::traceIoStatusName(
-                                         result.status),
-                                     result.detail.c_str());
-    warn("trace cache: cannot serve %s from disk: %s; keeping the "
-         "trace in memory",
-         file.string().c_str(), why.c_str());
-    std::filesystem::remove(tmp, ec);
-    return nullptr;
-}
-
-/**
  * Resolve a workload's trace: mmap the disk cache's file when it
  * verifies, and otherwise (logging why the cached file was rejected)
  * emulate the kernel straight into a freshly published file and map
@@ -160,9 +116,20 @@ obtainTrace(const workloads::Workload &w)
             }
             // Serving the published file shares its pages with every
             // other process simulating this workload.
-            mmap = streamAndPublish(w, file);
+            opened = trace::publishTrace(
+                file.string(),
+                [&](trace::TraceSink &sink) {
+                    workloads::streamTraceOf(w, sink);
+                },
+                *mmap);
+            if (!opened.ok())
+                warn("trace cache: cannot serve %s from disk: %s (%s); "
+                     "keeping the trace in memory",
+                     file.string().c_str(),
+                     trace::traceIoStatusName(opened.status),
+                     opened.detail.c_str());
         }
-        if (mmap) {
+        if (opened.ok()) {
             entry.view = mmap->view();
             entry.mmap = std::move(mmap);
             return entry;

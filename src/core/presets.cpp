@@ -153,4 +153,28 @@ scaledDependence(int issue_width)
     return c;
 }
 
+std::span<const NamedPreset>
+sweepPresets()
+{
+    static const NamedPreset kPresets[] = {
+        {"baseline", "8-way, 64-entry central window (Table 3)",
+         baseline8Way},
+        {"dep8x8", "dependence-based, 8 FIFOs x 8 (Figure 13)",
+         dependence8x8},
+        {"clustered2x4", "2x4-way clustered dependence-based (Figure 15)",
+         clusteredDependence2x4},
+        {"windows2x4", "2x 32-entry windows, dispatch steering",
+         clusteredWindows2x4},
+        {"execsteer", "central window, execution-driven steering",
+         clusteredExecDriven2x4},
+        {"random2x4", "2x 32-entry windows, random steering",
+         clusteredRandom2x4},
+        {"baseline16", "16-way, 128-entry central window",
+         baseline16Way},
+        {"dep4x4", "16-way, four 4-way dependence-based clusters",
+         clusteredDependence4x4},
+    };
+    return kPresets;
+}
+
 } // namespace cesp::core

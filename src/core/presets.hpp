@@ -8,6 +8,7 @@
 #ifndef CESP_CORE_PRESETS_HPP
 #define CESP_CORE_PRESETS_HPP
 
+#include <span>
 #include <vector>
 
 #include "uarch/config.hpp"
@@ -70,6 +71,22 @@ uarch::SimConfig scaledDependence(int issue_width);
  */
 uarch::SimConfig baseline16Way();
 uarch::SimConfig clusteredDependence4x4();
+
+/** A machine the tools name: its preset name, a one-line description
+ *  and the function that makes it. */
+struct NamedPreset
+{
+    const char *name;
+    const char *description;
+    uarch::SimConfig (*make)();
+};
+
+/**
+ * Every named preset, in `cesp-sim --sweep` order: `cesp-sim --list`,
+ * `--preset` and `--sweep` read it, and so does the golden sweep test,
+ * whose stored exports are labelled in this order.
+ */
+std::span<const NamedPreset> sweepPresets();
 
 } // namespace cesp::core
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Implementation of the Section 5.5 speedup study.
+ * Implementation of machine pricing (clockConfig, the clock/BIPS
+ * gauges), the Section 5.5 speedup study and the run comparison.
  */
 
 #include "core/report.hpp"
@@ -8,9 +9,36 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "vlsi/clock.hpp"
 
 namespace cesp::core {
+
+vlsi::ClockConfig
+clockConfig(const uarch::SimConfig &cfg)
+{
+    vlsi::ClockConfig cc;
+    cc.org = cfg.style == uarch::IssueBufferStyle::Fifos
+        ? vlsi::IssueOrganization::DependenceFifos
+        : vlsi::IssueOrganization::CentralWindow;
+    cc.issue_width = cfg.issue_width;
+    cc.window_size = cfg.window_size;
+    cc.num_clusters = cfg.num_clusters;
+    cc.fifos_per_cluster = cfg.fifos_per_cluster;
+    cc.phys_regs = cfg.phys_int_regs;
+    return cc;
+}
+
+void
+addClockGauges(StatGroup &g, double clock_mhz)
+{
+    double ipc = g.value("ipc");
+    g.addGauge("clock_mhz", "MHz",
+               "delay-model clock estimate for this organization",
+               clock_mhz);
+    g.addGauge("bips", "BIPS",
+               "billions of instructions per second: IPC times the "
+               "clock estimate",
+               ipc * clock_mhz / 1000.0);
+}
 
 StatGroup
 SpeedupStudy::toGroup() const

@@ -15,9 +15,26 @@
 
 #include "core/sweep.hpp"
 #include "uarch/pipeline.hpp"
+#include "vlsi/clock.hpp"
 #include "vlsi/technology.hpp"
 
 namespace cesp::core {
+
+/**
+ * The delay model's view of a simulated machine: its issue-buffer
+ * organization (FIFOs, or a window for every other style), widths,
+ * cluster count and register count. The one place a SimConfig is
+ * priced; the delay model reads window_size only for window machines
+ * and fifos_per_cluster only for FIFO machines.
+ */
+vlsi::ClockConfig clockConfig(const uarch::SimConfig &cfg);
+
+/**
+ * Add the complexity-effectiveness bottom line to a run's group: the
+ * `clock_mhz` gauge (@p clock_mhz, a delay-model clock estimate) and
+ * `bips`, the group's IPC times that clock.
+ */
+void addClockGauges(StatGroup &g, double clock_mhz);
 
 /** Per-workload entry of the Section 5.5 study. */
 struct SpeedupEntry

@@ -7,6 +7,8 @@
 
 #include <bit>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "asm/assembler.hpp"
 #include "common/logging.hpp"
@@ -309,6 +311,20 @@ runProgram(const std::string &source, uint64_t max_instructions,
     assembler::Program p = assembler::assembleOrDie(source);
     Emulator emu(p);
     return emu.run(max_instructions, sink);
+}
+
+std::string
+loadHaltingProgram(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot open '%s'", path.c_str());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    if (!runProgram(ss.str(), kAsmInstructionLimit).halted)
+        fatal("%s did not halt within %llu instructions", path.c_str(),
+              static_cast<unsigned long long>(kAsmInstructionLimit));
+    return ss.str();
 }
 
 } // namespace cesp::func

@@ -97,6 +97,17 @@ ExecResult runProgram(const std::string &source,
                       uint64_t max_instructions,
                       trace::TraceSink *sink = nullptr);
 
+/** Instruction bound for the assembly programs the tools run. */
+constexpr uint64_t kAsmInstructionLimit = 100000000ULL;
+
+/**
+ * The assembly source at @p path, once a sink-less run has proved it
+ * halts within kAsmInstructionLimit instructions, so a runaway loop
+ * never writes the bound's worth of records. Fatal when the file
+ * cannot be read or the program does not halt.
+ */
+std::string loadHaltingProgram(const std::string &path);
+
 } // namespace cesp::func
 
 #endif // CESP_FUNC_EMULATOR_HPP

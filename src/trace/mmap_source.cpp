@@ -14,9 +14,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
@@ -24,9 +24,6 @@
 namespace cesp::trace {
 
 namespace {
-
-constexpr bool kLittleEndian =
-    std::endian::native == std::endian::little;
 
 TraceIoResult
 fail(TraceIoStatus status, std::string detail)
@@ -60,22 +57,6 @@ recordValid(const uint8_t *p)
 {
     return p[8] < static_cast<uint8_t>(isa::Opcode::NUM_OPCODES) &&
         p[9] <= static_cast<uint8_t>(isa::OpClass::Nop);
-}
-
-/** Decode one verified little-endian record into native order. */
-void
-unpack(const uint8_t *p, TraceOp &op)
-{
-    op.pc = get32(p);
-    op.mem_addr = get32(p + 4);
-    op.op = static_cast<isa::Opcode>(p[8]);
-    op.cls = static_cast<isa::OpClass>(p[9]);
-    op.dst = static_cast<int8_t>(p[10]);
-    op.src1 = static_cast<int8_t>(p[11]);
-    op.src2 = static_cast<int8_t>(p[12]);
-    op.mem_size = p[13];
-    op.taken = p[14] != 0;
-    op.pad = 0;
 }
 
 /**
@@ -194,7 +175,6 @@ MmapTraceSource::reset()
     map_bytes_ = 0;
     records_ = nullptr;
     count_ = 0;
-    decoded_.clear();
     path_.clear();
 }
 
@@ -281,21 +261,33 @@ MmapTraceSource::open(const std::string &path)
 
     map_base_ = base;
     map_bytes_ = file_bytes;
-    if constexpr (kLittleEndian) {
-        records_ = reinterpret_cast<const TraceOp *>(
-            bytes + kTraceHeaderBytes);
-    } else {
-        // The payload is TraceOp's little-endian layout; decode each
-        // verified record into native order.
-        decoded_.resize(count);
-        for (size_t i = 0; i < decoded_.size(); ++i)
-            unpack(bytes + kTraceHeaderBytes + i * kTraceRecordBytes,
-                   decoded_[i]);
-        records_ = decoded_.data();
-    }
+    records_ = reinterpret_cast<const TraceOp *>(bytes + kTraceHeaderBytes);
     count_ = static_cast<size_t>(count);
     path_ = path;
     return traceIoOk();
+}
+
+TraceIoResult
+publishTrace(const std::string &path,
+             const std::function<void(TraceSink &)> &emit,
+             MmapTraceSource &out)
+{
+    const std::string tmp = path + strprintf(".%d.tmp", getpid());
+    TraceFileWriter writer;
+    TraceIoResult r = writer.open(tmp);
+    if (r.ok()) {
+        emit(writer);
+        r = writer.finish();
+    }
+    std::error_code ec;
+    if (r.ok()) {
+        std::filesystem::rename(tmp, path, ec);
+        if (!ec)
+            return out.open(path);
+        r = fail(TraceIoStatus::RenameFailed, path + ": " + ec.message());
+    }
+    std::filesystem::remove(tmp, ec);
+    return r;
 }
 
 } // namespace cesp::trace

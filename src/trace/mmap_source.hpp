@@ -4,14 +4,13 @@
  * one reader of the format (the trace cache, `cesp-trace` and the
  * tests all open .trc files here).
  *
- * A file's payload is TraceOp's little-endian in-memory layout
- * verbatim, so once the header and CRC check out the mapping itself
- * is the record array: no decode pass, no private TraceBuffer, no
- * per-record copy. Every process that maps the same cached workload
- * trace shares one page-cache copy — N sweep workers in N processes
- * read the same physical pages. On a big-endian host (selected at
- * build time) open() instead decodes the verified mapping into an
- * owned vector, field by field, and serves that.
+ * A file's payload is TraceOp's in-memory layout verbatim, and
+ * files and hosts are little-endian only (trace.hpp asserts it), so
+ * once the header and CRC check out the mapping itself is the record
+ * array: no decode pass, no private TraceBuffer, no per-record copy.
+ * Every process that maps the same cached workload trace shares one
+ * page-cache copy — N sweep workers in N processes read the same
+ * physical pages.
  *
  * Integrity: open() refuses to serve a file whose magic (a retired
  * version's magic is LegacyVersion), record size,
@@ -28,9 +27,9 @@
 #ifndef CESP_TRACE_MMAP_SOURCE_HPP
 #define CESP_TRACE_MMAP_SOURCE_HPP
 
+#include <functional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "trace/tracefile.hpp"
 
@@ -88,7 +87,6 @@ class MmapTraceSource
         std::swap(count_, other.count_);
         std::swap(map_base_, other.map_base_);
         std::swap(map_bytes_, other.map_bytes_);
-        decoded_.swap(other.decoded_);
         std::swap(path_, other.path_);
     }
 
@@ -96,9 +94,20 @@ class MmapTraceSource
     size_t count_ = 0;
     void *map_base_ = nullptr;
     size_t map_bytes_ = 0;
-    std::vector<TraceOp> decoded_; //!< the records, big-endian hosts only
     std::string path_;
 };
+
+/**
+ * The one way a trace reaches disk: stream the records @p emit
+ * appends through a TraceFileWriter into `<path>.<pid>.tmp`, rename
+ * that into place, so no reader of @p path ever sees a half-written
+ * file, and map the result into @p out with its one verified open().
+ * The temporary is removed on any failure, and the result names the
+ * failed step (RenameFailed for the rename).
+ */
+TraceIoResult publishTrace(const std::string &path,
+                           const std::function<void(TraceSink &)> &emit,
+                           MmapTraceSource &out);
 
 } // namespace cesp::trace
 

@@ -11,6 +11,7 @@
 #ifndef CESP_TRACE_TRACE_HPP
 #define CESP_TRACE_TRACE_HPP
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -60,7 +61,10 @@ struct TraceOp
 // verbatim (one 16-byte record per dynamic instruction), so reading
 // is a pointer cast instead of a decode pass. Pin the layout here:
 // if a field is added or reordered, these fire and the format
-// version must be bumped.
+// version must be bumped. The files are little-endian, and so is
+// every host this builds for.
+static_assert(std::endian::native == std::endian::little,
+              "trace files are TraceOp's little-endian layout");
 static_assert(sizeof(TraceOp) == 16, "trace record layout changed");
 static_assert(std::is_trivially_copyable_v<TraceOp>,
               "trace records must be raw-copyable");

@@ -7,7 +7,6 @@
 
 #include "trace/tracefile.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -18,9 +17,6 @@
 namespace cesp::trace {
 
 namespace {
-
-constexpr bool kLittleEndian =
-    std::endian::native == std::endian::little;
 
 void
 put32(uint8_t *p, uint32_t v)
@@ -36,21 +32,6 @@ put64(uint8_t *p, uint64_t v)
 {
     put32(p, static_cast<uint32_t>(v));
     put32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-void
-pack(const TraceOp &op, uint8_t *p)
-{
-    put32(p, op.pc);
-    put32(p + 4, op.mem_addr);
-    p[8] = static_cast<uint8_t>(op.op);
-    p[9] = static_cast<uint8_t>(op.cls);
-    p[10] = static_cast<uint8_t>(op.dst);
-    p[11] = static_cast<uint8_t>(op.src1);
-    p[12] = static_cast<uint8_t>(op.src2);
-    p[13] = op.mem_size;
-    p[14] = op.taken ? 1 : 0;
-    p[15] = 0;
 }
 
 TraceIoResult
@@ -80,6 +61,7 @@ traceIoStatusName(TraceIoStatus s)
       case TraceIoStatus::OpenFailed: return "open-failed";
       case TraceIoStatus::ShortWrite: return "short-write";
       case TraceIoStatus::CloseFailed: return "close-failed";
+      case TraceIoStatus::RenameFailed: return "rename-failed";
       case TraceIoStatus::ShortRead: return "short-read";
       case TraceIoStatus::EmptyFile: return "empty-file";
       case TraceIoStatus::BadMagic: return "bad-magic";
@@ -127,14 +109,8 @@ TraceFileWriter::open(const std::string &path)
 void
 TraceFileWriter::append(const TraceOp &op)
 {
-    const uint8_t *bytes = reinterpret_cast<const uint8_t *>(&op);
-    uint8_t packed[kTraceRecordBytes] = {};
-    if constexpr (!kLittleEndian) {
-        pack(op, packed);
-        bytes = packed;
-    }
     ++count_;
-    std::memcpy(chunk_.data() + fill_, bytes, kTraceRecordBytes);
+    std::memcpy(chunk_.data() + fill_, &op, kTraceRecordBytes);
     fill_ += kTraceRecordBytes;
     if (fill_ == kChunkBytes)
         writeChunk();

@@ -15,7 +15,10 @@
  * simulation consumes it.
  *
  * The one reader is MmapTraceSource (mmap_source.hpp); the trace
- * cache, `cesp-trace` and the tests all open files through it.
+ * cache, `cesp-trace` and the tests all open files through it. The
+ * one publisher is publishTrace there: the trace cache, `cesp-trace
+ * --capture` and `cesp-sim --asm` stream through TraceFileWriter
+ * only by way of it.
  *
  * Retired formats are no longer read: v1 ("CESPTRC1", packed
  * records, no checksum) and v2 ("CESPTRC2", 20-byte records that
@@ -49,6 +52,7 @@ enum class TraceIoStatus
     OpenFailed,     //!< cannot open the file at all
     ShortWrite,     //!< fwrite wrote fewer bytes than asked
     CloseFailed,    //!< fclose reported an error (buffered data lost)
+    RenameFailed,   //!< a finished file could not be renamed into place
     ShortRead,      //!< file ends before header/payload does
     EmptyFile,      //!< zero-length file (torn create, not a trace)
     BadMagic,       //!< not a cesp trace file

@@ -1,10 +1,10 @@
 /**
  * @file
- * golden_sweep: every statistic of the preset sweep (eight presets x
- * seven kernels, as `cesp-sim --sweep` runs it) equals the stored
- * exports perfbench gates on, perfbench/golden/paper_sweep.json for
- * the monolithic runs and sharded_stream.json for `--shards 8
- * --warmup 50000`. A change that moves any counter, histogram bucket
+ * golden_sweep: every statistic of the preset sweep (every
+ * core::sweepPresets machine x the seven kernels, as `cesp-sim
+ * --sweep` runs it) equals the stored exports perfbench gates on,
+ * perfbench/golden/paper_sweep.json for the monolithic runs and
+ * sharded_stream.json for `--shards 8 --warmup 50000`. A change that moves any counter, histogram bucket
  * or out-of-range count fails here and prints StatGroup::diff.
  *
  * The goldens are read in place. A change that alters a statistic on
@@ -28,22 +28,6 @@ using namespace cesp;
 
 namespace {
 
-/** The sweep's machines, in `cesp-sim --sweep` order. */
-const struct
-{
-    const char *name;
-    uarch::SimConfig (*make)();
-} kPresets[] = {
-    {"baseline", core::baseline8Way},
-    {"dep8x8", core::dependence8x8},
-    {"clustered2x4", core::clusteredDependence2x4},
-    {"windows2x4", core::clusteredWindows2x4},
-    {"execsteer", core::clusteredExecDriven2x4},
-    {"random2x4", core::clusteredRandom2x4},
-    {"baseline16", core::baseline16Way},
-    {"dep4x4", core::clusteredDependence4x4},
-};
-
 void
 expectGolden(const std::string &file, const core::RunOptions &options)
 {
@@ -55,7 +39,7 @@ expectGolden(const std::string &file, const core::RunOptions &options)
 
     std::vector<core::SweepTask> tasks;
     std::vector<std::string> labels;
-    for (const auto &p : kPresets)
+    for (const core::NamedPreset &p : core::sweepPresets())
         for (const auto &w : workloads::allWorkloads()) {
             tasks.push_back(
                 {p.make(), core::cachedWorkloadTraceView(w.name)});

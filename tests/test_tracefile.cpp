@@ -307,6 +307,34 @@ retiredFormatBytes(char version, uint64_t count)
 
 } // namespace
 
+TEST(PublishTrace, MapsThePublishedFileAndCleansUpOnFailure)
+{
+    const trace::TraceBuffer buf = sampleTrace();
+    auto emit = [&](trace::TraceSink &sink) {
+        for (const trace::TraceOp &op : buf.ops())
+            sink.append(op);
+    };
+    const std::string path = scratchFile("published.trc");
+    const std::string saved = scratchFile("published-saved.trc");
+    trace::MmapTraceSource src;
+    ASSERT_TRUE(trace::publishTrace(path, emit, src).ok());
+    EXPECT_TRUE(sameRecords(src.view(), buf));
+    ASSERT_TRUE(trace::saveTrace(buf, saved).ok());
+    EXPECT_EQ(readAll(path), readAll(saved));
+
+    // A directory in the way: the rename fails, nothing is mapped and
+    // the temporary is gone.
+    const std::string blocked = scratchFile("blocked.trc");
+    std::filesystem::create_directory(blocked);
+    trace::MmapTraceSource none;
+    EXPECT_EQ(trace::publishTrace(blocked, emit, none).status,
+              TraceIoStatus::RenameFailed);
+    EXPECT_FALSE(none.mapped());
+    EXPECT_FALSE(std::filesystem::exists(
+        blocked + strprintf(".%d.tmp", getpid())));
+    std::filesystem::remove(blocked);
+}
+
 TEST(TraceFileV1, BothReadersRefuseLegacyVersion)
 {
     // v1 and v2 are no longer read; the reader must name each

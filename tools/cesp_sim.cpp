@@ -55,10 +55,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <new>
-#include <sstream>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
@@ -71,7 +69,6 @@
 #include "func/emulator.hpp"
 #include "trace/mmap_source.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/tracefile.hpp"
 #include "vlsi/clock.hpp"
 #include "workloads/workloads.hpp"
 
@@ -79,42 +76,13 @@ using namespace cesp;
 
 namespace {
 
-/** Emulation bound for --asm programs. */
-constexpr unsigned long long kAsmInstructionLimit = 100000000ULL;
-
 /** Largest --synthetic trace (records; 16 bytes each in memory). */
 constexpr long long kSyntheticLimit = 1000000000LL;
-
-struct PresetEntry
-{
-    const char *name;
-    const char *description;
-    uarch::SimConfig (*make)();
-};
-
-const PresetEntry kPresets[] = {
-    {"baseline", "8-way, 64-entry central window (Table 3)",
-     core::baseline8Way},
-    {"dep8x8", "dependence-based, 8 FIFOs x 8 (Figure 13)",
-     core::dependence8x8},
-    {"clustered2x4", "2x4-way clustered dependence-based (Figure 15)",
-     core::clusteredDependence2x4},
-    {"windows2x4", "2x 32-entry windows, dispatch steering",
-     core::clusteredWindows2x4},
-    {"execsteer", "central window, execution-driven steering",
-     core::clusteredExecDriven2x4},
-    {"random2x4", "2x 32-entry windows, random steering",
-     core::clusteredRandom2x4},
-    {"baseline16", "16-way, 128-entry central window",
-     core::baseline16Way},
-    {"dep4x4", "16-way, four 4-way dependence-based clusters",
-     core::clusteredDependence4x4},
-};
 
 [[noreturn]] void
 usage()
 {
-    std::puts(
+    std::printf(
         "usage: cesp-sim [options]\n"
         "  --list                 list presets and workloads\n"
         "  --preset NAME          machine preset (default baseline)\n"
@@ -131,7 +99,7 @@ usage()
         "discarded)\n"
         "  --asm FILE             assemble and run FILE (it must "
         "halt\n"
-        "                         within 100000000 instructions)\n"
+        "                         within %llu instructions)\n"
         "  --synthetic N          run an N-instruction synthetic "
         "trace\n"
         "  --tech F               clock estimate feature size "
@@ -154,32 +122,17 @@ usage()
         "regression, 2 on schema mismatch\n"
         "  --metric NAME          gating metric for --compare "
         "(default ipc)\n"
-        "  --threshold X[%]       tolerated relative regression for "
-        "--compare (e.g. 2%)\n"
-        "  --verbose              print occupancy histograms");
+        "  --threshold X[%%]       tolerated relative regression for "
+        "--compare (e.g. 2%%)\n"
+        "  --verbose              print occupancy histograms\n",
+        static_cast<unsigned long long>(func::kAsmInstructionLimit));
     std::exit(2);
-}
-
-/**
- * Parse @p value as the integer argument of @p flag, rejecting
- * typos ("x4", "4x", "") and out-of-range values with a usage error
- * instead of std::atoi's silent 0.
- */
-long long
-intArg(const std::string &flag, const std::string &value,
-       long long min, long long max)
-{
-    auto v = parseInt(value, min, max);
-    if (!v)
-        fatal("invalid value '%s' for %s (expected integer in "
-              "[%lld, %lld])", value.c_str(), flag.c_str(), min, max);
-    return *v;
 }
 
 uarch::SimConfig
 findPreset(const std::string &name)
 {
-    for (const auto &p : kPresets)
+    for (const core::NamedPreset &p : core::sweepPresets())
         if (name == p.name)
             return p.make();
     fatal("unknown preset '%s' (try --list)", name.c_str());
@@ -213,11 +166,12 @@ syntheticTrace(uint64_t seed, uint64_t records)
 }
 
 /**
- * The --asm trace: emulate @p program straight into a trace file in
- * the temporary directory and map it, as `cesp-trace --capture-asm`
- * does, so no whole trace is held in memory. The file is unlinked
- * once mapped (the mapping keeps its pages) or when any step fails,
- * which is fatal and names the TraceIoResult status.
+ * The --asm trace: publish @p program's trace under a fresh name in
+ * the temporary directory and map it (trace::publishTrace, as
+ * `cesp-trace --capture-asm` does), so no whole trace is held in
+ * memory. The file is unlinked once mapped (the mapping keeps its
+ * pages) or when any step fails, which is fatal and names the
+ * TraceIoResult status.
  */
 trace::MmapTraceSource
 streamAsmTrace(const std::string &program, const std::string &label)
@@ -235,36 +189,18 @@ streamAsmTrace(const std::string &program, const std::string &label)
               std::strerror(errno));
     ::close(fd);
 
-    trace::TraceFileWriter writer;
-    trace::TraceIoResult r = writer.open(path);
-    if (r.ok()) {
-        func::runProgram(program, kAsmInstructionLimit, &writer);
-        r = writer.finish();
-    }
     trace::MmapTraceSource src;
-    if (r.ok())
-        r = src.open(path);
+    trace::TraceIoResult r = trace::publishTrace(
+        path,
+        [&](trace::TraceSink &sink) {
+            func::runProgram(program, func::kAsmInstructionLimit, &sink);
+        },
+        src);
     std::filesystem::remove(path, ec);
     if (!r.ok())
         fatal("cannot stream the trace of %s: %s (%s)", label.c_str(),
               trace::traceIoStatusName(r.status), r.detail.c_str());
     return src;
-}
-
-/** The delay model's view of a simulated machine. */
-vlsi::ClockConfig
-clockConfig(const uarch::SimConfig &cfg)
-{
-    vlsi::ClockConfig cc;
-    cc.org = cfg.style == uarch::IssueBufferStyle::Fifos
-        ? vlsi::IssueOrganization::DependenceFifos
-        : vlsi::IssueOrganization::CentralWindow;
-    cc.issue_width = cfg.issue_width;
-    cc.window_size = cfg.window_size;
-    cc.num_clusters = cfg.num_clusters;
-    cc.fifos_per_cluster = cfg.fifos_per_cluster;
-    cc.phys_regs = cfg.phys_int_regs;
-    return cc;
 }
 
 /**
@@ -275,17 +211,9 @@ clockConfig(const uarch::SimConfig &cfg)
 StatGroup
 runGroup(StatGroup g, const std::string &label, double clock_mhz)
 {
-    double ipc = g.value("ipc");
     g.label() = label;
-    if (clock_mhz > 0.0) {
-        g.addGauge("clock_mhz", "MHz",
-                   "delay-model clock estimate for this organization",
-                   clock_mhz);
-        g.addGauge("bips", "BIPS",
-                   "billions of instructions per second: IPC times "
-                   "the clock estimate",
-                   ipc * clock_mhz / 1000.0);
-    }
+    if (clock_mhz > 0.0)
+        core::addClockGauges(g, clock_mhz);
     return g;
 }
 
@@ -462,7 +390,7 @@ main(int argc, char **argv)
         };
         if (a == "--list") {
             std::puts("presets:");
-            for (const auto &p : kPresets)
+            for (const core::NamedPreset &p : core::sweepPresets())
                 std::printf("  %-14s %s\n", p.name, p.description);
             std::puts("workloads:");
             for (const auto &w : workloads::allWorkloads())
@@ -604,7 +532,7 @@ main(int argc, char **argv)
     std::vector<uarch::SimConfig> machines;
     std::vector<std::string> machine_names;
     if (sweep) {
-        for (const auto &p : kPresets) {
+        for (const core::NamedPreset &p : core::sweepPresets()) {
             uarch::SimConfig c = p.make();
             applyOverrides(c);
             machines.push_back(c);
@@ -621,9 +549,10 @@ main(int argc, char **argv)
     if (!tech.empty()) {
         vlsi::ClockEstimator est(findTech(tech));
         for (size_t m = 0; m < machines.size(); ++m)
-            clock_mhz[m] = est.delays(clockConfig(machines[m])).clockMhz();
+            clock_mhz[m] =
+                est.delays(core::clockConfig(machines[m])).clockMhz();
         if (!sweep && !quiet) {
-            vlsi::ClockConfig cc = clockConfig(cfg);
+            vlsi::ClockConfig cc = core::clockConfig(cfg);
             vlsi::StageDelays d = est.delays(cc);
             std::printf("clock estimate (%sum): %.1f ps "
                         "(%s-limited), %.0f MHz\n", tech.c_str(),
@@ -659,18 +588,8 @@ main(int argc, char **argv)
         names.push_back(workload);
         traces.push_back(core::cachedWorkloadTraceView(workload));
     } else if (!asm_file.empty()) {
-        std::ifstream in(asm_file);
-        if (!in)
-            fatal("cannot open '%s'", asm_file.c_str());
-        std::stringstream ss;
-        ss << in.rdbuf();
-        // A sink-less first pass proves the program halts before a
-        // single record is written: a runaway loop would otherwise
-        // write the instruction limit's worth of records.
-        if (!func::runProgram(ss.str(), kAsmInstructionLimit).halted)
-            fatal("%s did not halt within %llu instructions",
-                  asm_file.c_str(), kAsmInstructionLimit);
-        asm_trace = streamAsmTrace(ss.str(), asm_file);
+        asm_trace =
+            streamAsmTrace(func::loadHaltingProgram(asm_file), asm_file);
         names.push_back(asm_file);
         traces.push_back(asm_trace);
     } else if (sweep || all) {

@@ -14,8 +14,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
@@ -25,25 +23,21 @@
 #include "isa/disasm.hpp"
 #include "trace/analysis.hpp"
 #include "trace/mmap_source.hpp"
-#include "trace/tracefile.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cesp;
 
 namespace {
 
-/** Emulation bound for --capture-asm programs. */
-constexpr unsigned long long kAsmInstructionLimit = 100000000ULL;
-
 [[noreturn]] void
 usage()
 {
-    std::puts(
+    std::printf(
         "usage: cesp-trace [options]\n"
         "       cesp-trace verify FILE\n"
         "  --capture NAME      capture a built-in workload's trace\n"
         "  --capture-asm FILE  assemble and capture FILE's trace (it\n"
-        "                      must halt within 100000000\n"
+        "                      must halt within %llu\n"
         "                      instructions)\n"
         "  --out FILE          where to write the .trc (default\n"
         "                      trace.trc)\n"
@@ -57,20 +51,9 @@ usage()
         "stdout)\n"
         "subcommands:\n"
         "  verify FILE         check header, record count, and\n"
-        "                      payload CRC; exit 0 iff intact");
+        "                      payload CRC; exit 0 iff intact\n",
+        static_cast<unsigned long long>(func::kAsmInstructionLimit));
     std::exit(2);
-}
-
-/** Checked integer argument: reject atoi's silent-0 typo handling. */
-int
-intArg(const std::string &flag, const std::string &value, int min,
-       int max)
-{
-    auto v = cesp::parseInt(value, min, max);
-    if (!v)
-        fatal("invalid value '%s' for %s (expected integer in "
-              "[%d, %d])", value.c_str(), flag.c_str(), min, max);
-    return static_cast<int>(*v);
 }
 
 /**
@@ -256,11 +239,11 @@ main(int argc, char **argv)
         else if (a == "--analyze")
             analyze_file = next();
         else if (a == "--window")
-            window = intArg(a, next(), 1, 1000000);
+            window = static_cast<int>(intArg(a, next(), 1, 1000000));
         else if (a == "--issue")
-            issue = intArg(a, next(), 1, 1024);
+            issue = static_cast<int>(intArg(a, next(), 1, 1024));
         else if (a == "--list")
-            list = intArg(a, next(), 0, 1000000000);
+            list = static_cast<int>(intArg(a, next(), 0, 1000000000));
         else if (a == "--json")
             json_path = next();
         else if (a == "--csv")
@@ -269,58 +252,42 @@ main(int argc, char **argv)
             usage();
     }
 
-    std::string trc = analyze_file, label = analyze_file;
+    // A capture publishes its file and maps it (trace::publishTrace,
+    // as the trace cache does): no whole trace is held in memory, and
+    // the analysis reads exactly the bytes written and verified,
+    // through the reader every simulation uses.
+    trace::MmapTraceSource src;
+    std::string label = analyze_file;
     const bool capturing = !capture.empty() || !capture_asm.empty();
     if (capturing) {
-        trc = out;
         label = capture.empty() ? capture_asm : capture;
-        // Stream the trace straight into the file, as the trace cache
-        // does: no whole trace is held in memory.
-        const workloads::Workload *w = nullptr;
-        std::string program;
-        if (!capture.empty()) {
-            w = &workloads::workload(capture);
-        } else {
-            std::ifstream in(capture_asm);
-            if (!in)
-                fatal("cannot open '%s'", capture_asm.c_str());
-            std::stringstream ss;
-            ss << in.rdbuf();
-            program = ss.str();
-            // A sink-less first pass proves the program halts before
-            // the output file is created: a runaway loop would
-            // otherwise write the instruction limit's worth of
-            // records.
-            if (!func::runProgram(program, kAsmInstructionLimit).halted)
-                fatal("%s did not halt within %llu instructions",
-                      capture_asm.c_str(), kAsmInstructionLimit);
-        }
-        trace::TraceFileWriter writer;
-        trace::TraceIoResult saved = writer.open(out);
-        if (saved.ok()) {
-            if (w)
-                workloads::streamTraceOf(*w, writer);
-            else
-                func::runProgram(program, kAsmInstructionLimit,
-                                 &writer);
-            saved = writer.finish();
-        }
+        const workloads::Workload *w =
+            capture.empty() ? nullptr : &workloads::workload(capture);
+        const std::string program =
+            w ? "" : func::loadHaltingProgram(capture_asm);
+        trace::TraceIoResult saved = trace::publishTrace(
+            out,
+            [&](trace::TraceSink &sink) {
+                if (w)
+                    workloads::streamTraceOf(*w, sink);
+                else
+                    func::runProgram(program, func::kAsmInstructionLimit,
+                                     &sink);
+            },
+            src);
         if (!saved.ok())
             fatal("cannot write '%s': %s (%s)", out.c_str(),
                   trace::traceIoStatusName(saved.status),
                   saved.detail.c_str());
     } else if (analyze_file.empty()) {
         usage();
+    } else {
+        trace::TraceIoResult opened = src.open(analyze_file);
+        if (!opened.ok())
+            fatal("cannot read '%s': %s (%s)", analyze_file.c_str(),
+                  trace::traceIoStatusName(opened.status),
+                  opened.detail.c_str());
     }
-
-    // Analyse the file through the reader every simulation uses, so a
-    // capture reports exactly the bytes it wrote and verified.
-    trace::MmapTraceSource src;
-    trace::TraceIoResult opened = src.open(trc);
-    if (!opened.ok())
-        fatal("cannot read '%s': %s (%s)", trc.c_str(),
-              trace::traceIoStatusName(opened.status),
-              opened.detail.c_str());
     StatGroup g = analysisGroup(src, window, issue, label);
 
     // A stdout export must stay machine-parseable: suppress the
@@ -330,7 +297,7 @@ main(int argc, char **argv)
             std::printf("wrote %zu instructions to %s\n", src.size(),
                         out.c_str());
         else
-            std::printf("%s: %zu instructions\n", trc.c_str(),
+            std::printf("%s: %zu instructions\n", analyze_file.c_str(),
                         src.size());
         printAnalysis(g, src, window, issue, list);
     }
