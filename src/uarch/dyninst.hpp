@@ -1,6 +1,8 @@
 /**
  * @file
- * Per-dynamic-instruction state carried through the timing pipeline.
+ * Per-dynamic-instruction state carried through the timing pipeline:
+ * one record per instruction, written by fetch into its ROB slot and
+ * completed there by dispatch, issue and commit.
  */
 
 #ifndef CESP_UARCH_DYNINST_HPP
@@ -19,12 +21,13 @@ constexpr uint64_t kNeverCycle = UINT64_MAX / 2;
 constexpr uint64_t kNoSeq = UINT64_MAX;
 
 /**
- * Waiter-list link: (ROB slot << 1) | source operand (0 = src1,
- * 1 = src2) of a buffered consumer, or kNoWaiter at the list end.
+ * Waiter-list link: (ROB storage slot << 1) | source operand (0 =
+ * src1, 1 = src2) of a buffered consumer, or kNoWaiter at the list
+ * end.
  */
 constexpr uint32_t kNoWaiter = UINT32_MAX;
 
-/** One in-flight dynamic instruction. */
+/** One dynamic instruction, from fetch to commit. */
 struct DynInst
 {
     trace::TraceOp op;
@@ -50,6 +53,11 @@ struct DynInst
      *  (see PhysReg::first_waiter); one link per operand, so an
      *  instruction reading one register twice waits on it twice. */
     uint32_t next_waiter[2] = {kNoWaiter, kNoWaiter};
+    /** Latest ready cycle, in the assigned cluster, of the sources
+     *  scheduled so far: each is folded in as it is scheduled, so the
+     *  last one leaves the wakeup cycle here (0 with no sources; not
+     *  kept while the cluster is unassigned). */
+    uint64_t ready_at = 0;
     /** Source registers whose producer has not been scheduled yet. */
     int8_t pending_srcs = 0;
     /** Slot index in a slot-priority central window (-1 otherwise). */

@@ -97,6 +97,16 @@ FifoSet::popHead(int fifo)
 }
 
 void
+FifoSet::popHead(int fifo, uint64_t seq)
+{
+    const Fifo &f = at(fifo);
+    if (f.count == 0 || entry(f, 0) != seq)
+        panic("FifoSet: pop of seq %llu, not the head of fifo %d",
+              (unsigned long long)seq, fifo);
+    popHead(fifo);
+}
+
+void
 FifoSet::remove(int fifo, uint64_t seq)
 {
     Fifo &f = at(fifo);

@@ -74,6 +74,10 @@ class FifoSet
      */
     void popHead(int fifo);
 
+    /** popHead, after checking that @p seq is the head (issue of a
+     *  buried instruction is a simulator bug). */
+    void popHead(int fifo, uint64_t seq);
+
     /**
      * Remove @p seq from any position (conceptual-FIFO mode).
      * Recycles the FIFO when it empties.

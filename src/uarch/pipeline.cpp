@@ -117,6 +117,7 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
         cfg_.select_policy != SelectPolicy::Random;
     slot_keyed_ = cfg_.style == IssueBufferStyle::CentralWindow &&
         !cfg_.window_compaction;
+    fu_symmetric_ = cfg_.fu_mix.symmetric();
 
     switch (cfg_.style) {
       case IssueBufferStyle::CentralWindow:
@@ -153,17 +154,27 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
         l2_ = std::make_unique<mem::Cache>(l2c);
     }
 
+    // The ring holds the in-flight and the fetched instructions.
     // Waiter links pack (slot << 1) | operand into 32 bits.
-    size_t rob_slots = ceilPow2(static_cast<size_t>(cfg_.max_inflight));
+    const size_t age_slots =
+        ceilPow2(static_cast<size_t>(cfg_.max_inflight));
+    const size_t rob_slots =
+        ceilPow2(static_cast<size_t>(cfg_.max_inflight) +
+                 static_cast<size_t>(cfg_.fetch_queue));
     if (rob_slots > (size_t{1} << 30))
-        fatal("%s: max_inflight %d too large", cfg_.name.c_str(),
-              cfg_.max_inflight);
-    rob_.assign(rob_slots, DynInst{});
+        fatal("%s: max_inflight %d plus fetch_queue %d too large",
+              cfg_.name.c_str(), cfg_.max_inflight, cfg_.fetch_queue);
+    size_t bytes = rob_slots * sizeof(RobSlot) + 64;
+    rob_storage_ = std::make_unique<std::byte[]>(bytes);
+    void *base = rob_storage_.get();
+    rob_ = static_cast<RobSlot *>(
+        std::align(64, rob_slots * sizeof(RobSlot), base, bytes));
+    std::uninitialized_value_construct_n(rob_, rob_slots);
     rob_mask_ = rob_slots - 1;
-    fetch_q_.reserve(static_cast<size_t>(cfg_.fetch_queue));
+    age_mask_ = age_slots - 1;
 
     size_t ready_bits =
-        slot_keyed_ ? static_cast<size_t>(cfg_.window_size) : rob_slots;
+        slot_keyed_ ? static_cast<size_t>(cfg_.window_size) : age_slots;
     ready_bits_.assign((ready_bits + 63) / 64, 0);
 
     // A pipelined wakeup+select loop (Figure 10) delays every
@@ -217,13 +228,7 @@ Pipeline::rob(uint64_t seq)
         panic("rob: seq %llu outside [%llu, %llu)",
               (unsigned long long)seq, (unsigned long long)rob_head_,
               (unsigned long long)rob_tail_);
-    return rob_[seq & rob_mask_];
-}
-
-const DynInst &
-Pipeline::rob(uint64_t seq) const
-{
-    return const_cast<Pipeline *>(this)->rob(seq);
+    return robSlot(seq);
 }
 
 bool
@@ -265,7 +270,7 @@ bool
 Pipeline::fuAvailable(int cluster, isa::OpClass cls,
                       const FuUsage &usage) const
 {
-    if (cfg_.fu_mix.symmetric())
+    if (fu_symmetric_)
         return usage.total[cluster] < cfg_.fus_per_cluster;
     int t = fuClassOf(cls);
     int limit = t == 0 ? cfg_.fu_mix.alu
@@ -278,7 +283,8 @@ void
 Pipeline::consumeFu(int cluster, isa::OpClass cls, FuUsage &usage)
 {
     ++usage.total[cluster];
-    ++usage.typed[cluster][fuClassOf(cls)];
+    if (!fu_symmetric_)
+        ++usage.typed[cluster][fuClassOf(cls)];
 }
 
 int
@@ -348,9 +354,7 @@ Pipeline::removeFromBuffer(DynInst &inst)
         if (cfg_.steering == SteeringPolicy::WindowFifo)
             fifos_->remove(inst.fifo, inst.seq);
     } else {
-        if (fifos_->head(inst.fifo) != inst.seq)
-            panic("issue from non-head of fifo %d", inst.fifo);
-        fifos_->popHead(inst.fifo);
+        fifos_->popHead(inst.fifo, inst.seq);
     }
     inst.in_buffer = false;
 }
@@ -398,8 +402,11 @@ Pipeline::completeIssue(DynInst &inst, int cluster, int latency)
             uint32_t link = pr.first_waiter;
             pr.first_waiter = kNoWaiter;
             while (link != kNoWaiter) {
-                DynInst &d = rob_[link >> 1];
+                DynInst &d = rob_[link >> 1].inst;
                 link = d.next_waiter[link & 1];
+                if (d.cluster >= 0)
+                    d.ready_at =
+                        std::max(d.ready_at, pr.ready_cycle[d.cluster]);
                 if (--d.pending_srcs == 0)
                     scheduleReady<S>(d);
             }
@@ -481,7 +488,7 @@ Pipeline::readyBit(const DynInst &inst) const
 {
     // Slot-priority central windows select by slot position, not age.
     return slot_keyed_ ? static_cast<size_t>(inst.wslot)
-                       : static_cast<size_t>(inst.seq & rob_mask_);
+                       : static_cast<size_t>(inst.seq & age_mask_);
 }
 
 DynInst &
@@ -489,9 +496,9 @@ Pipeline::readyInst(size_t bit)
 {
     if (slot_keyed_)
         return rob(windows_[0].seqAt(static_cast<int>(bit)));
-    // The live seqs [rob_head_, rob_head_ + ring size) map one-to-one
-    // onto the ring's slots.
-    return rob(rob_head_ + ((bit - rob_head_) & rob_mask_));
+    // The in-flight seqs [rob_head_, rob_head_ + age_mask_ + 1) map
+    // one-to-one onto the age slots.
+    return rob(rob_head_ + ((bit - rob_head_) & age_mask_));
 }
 
 void
@@ -532,7 +539,12 @@ Pipeline::scheduleReady(DynInst &inst)
         if (fifos_->head(inst.fifo) != inst.seq)
             panic("wakeup for seq %llu, buried in fifo %d",
                   (unsigned long long)inst.seq, inst.fifo);
-    const uint64_t wake = std::max(instReadyCycle(inst), now_ + 1);
+    // An assigned cluster's operands arrive at ready_at, which the
+    // last source scheduled has completed; an unassigned one takes
+    // the best cluster.
+    const uint64_t ready =
+        inst.cluster >= 0 ? inst.ready_at : instReadyCycle(inst);
+    const uint64_t wake = std::max(ready, now_ + 1);
     if (wake - now_ > wheel_mask_)
         panic("wakeup for seq %llu at cycle %llu, beyond the %llu-cycle "
               "wheel", (unsigned long long)inst.seq,
@@ -550,20 +562,27 @@ void
 Pipeline::wireDispatchEvents(DynInst &inst)
 {
     // Each unscheduled source links this instruction into its
-    // register's waiter list, one link per operand.
+    // register's waiter list, one link per operand; a scheduled one
+    // is folded into ready_at now.
     int pending = 0;
+    uint64_t ready_at = 0;
     const uint32_t slot = static_cast<uint32_t>(inst.seq & rob_mask_);
     const int srcs[2] = {inst.src1_preg, inst.src2_preg};
     for (uint32_t k = 0; k < 2; ++k) {
         if (srcs[k] < 0)
             continue;
         PhysReg &pr = rename_.preg(srcs[k]);
-        if (pr.scheduled)
+        if (pr.scheduled) {
+            if (inst.cluster >= 0)
+                ready_at =
+                    std::max(ready_at, pr.ready_cycle[inst.cluster]);
             continue;
+        }
         inst.next_waiter[k] = pr.first_waiter;
         pr.first_waiter = (slot << 1) | k;
         ++pending;
     }
+    inst.ready_at = ready_at;
     inst.pending_srcs = static_cast<int8_t>(pending);
     // All sources scheduled: the wakeup cycle is already final.
     if (pending == 0)
@@ -633,10 +652,10 @@ Pipeline::doIssueEvent()
         else
             walkUp(ready_bits_, 0, n, visit);
     } else if (ready_count_ != 0) {
-        // Age order is ring order from the head slot: [h, size) holds
+        // Age order is age-slot order from the head's: [h, n) holds
         // older seqs than [0, h).
-        size_t h = static_cast<size_t>(rob_head_ & rob_mask_);
-        size_t n = rob_.size();
+        size_t h = static_cast<size_t>(rob_head_ & age_mask_);
+        size_t n = static_cast<size_t>(age_mask_) + 1;
         if (youngest) {
             if (walkDown(ready_bits_, 0, h, visit))
                 walkDown(ready_bits_, h, n, visit);
@@ -653,28 +672,30 @@ Pipeline::maybeSkipIdle()
 {
     if (!event_driven_ || ready_count_ != 0)
         return;
-    if (trace_done_ && fetch_q_.empty() && robSize() == 0)
+    if (trace_done_ && next_seq_ == rob_head_)
         return; // fully drained; the run loop is about to exit
 
     // Fetch must be unable to deliver this cycle.
     bool fetch_blocked = trace_done_ ||
         blocking_branch_ != kNoSeq || now_ < fetch_resume_ ||
-        static_cast<int>(fetch_q_.size()) >= cfg_.fetch_queue;
+        fetchQueueSize() >= static_cast<size_t>(cfg_.fetch_queue);
     if (!fetch_blocked)
         return;
     // Dispatch must be a no-op without touching stall counters.
-    if (!fetch_q_.empty() && fetch_q_.front().frontend_exit <= now_)
+    const uint64_t dispatch_at = fetchQueueSize() != 0
+        ? robSlot(rob_tail_).frontend_exit
+        : kNeverCycle;
+    if (dispatch_at <= now_)
         return;
     // Commit must not be due (an issued ROB head bounds the jump
     // below; an unissued head is woken by its wakeup).
     uint64_t target = nextWakeupCycle();
     if (robSize() > 0) {
-        const DynInst &head = rob(rob_head_);
+        const DynInst &head = robSlot(rob_head_);
         if (head.issued)
             target = std::min(target, head.complete_cycle);
     }
-    if (!fetch_q_.empty())
-        target = std::min(target, fetch_q_.front().frontend_exit);
+    target = std::min(target, dispatch_at);
     if (!trace_done_ && blocking_branch_ == kNoSeq &&
         now_ < fetch_resume_)
         target = std::min(target, fetch_resume_);
@@ -703,7 +724,7 @@ Pipeline::doIssueScan()
                 candidates.push_back(s);
     } else {
         for (uint64_t s = rob_head_; s < rob_tail_; ++s) {
-            const DynInst &d = rob_[s & rob_mask_];
+            const DynInst &d = robSlot(s);
             if (!d.in_buffer)
                 continue;
             if constexpr (S == IssueBufferStyle::Fifos)
@@ -762,7 +783,7 @@ void
 Pipeline::doCommit()
 {
     for (int n = 0; n < cfg_.retire_width && robSize() > 0; ++n) {
-        DynInst &head = rob(rob_head_);
+        DynInst &head = robSlot(rob_head_);
         if (!head.readyToCommit(now_))
             break;
         if (head.op.isStore()) {
@@ -828,21 +849,19 @@ template <IssueBufferStyle S>
 Pipeline::doDispatch()
 {
     for (int n = 0; n < cfg_.rename_width; ++n) {
-        if (fetch_q_.empty())
-            return;
-        const FetchEntry &front = fetch_q_.front();
-        if (front.frontend_exit > now_)
+        if (rob_tail_ == next_seq_)
+            return; // fetch queue empty
+        // The oldest fetched instruction, in the slot fetch wrote; it
+        // joins the ROB by moving rob_tail_ past it.
+        DynInst &inst = robSlot(rob_tail_);
+        if (inst.frontend_exit > now_)
             return;
         if (robFull()) {
             ++stats_.dispatch_stall_rob();
             return;
         }
-        if (front.seq != rob_tail_)
-            panic("dispatch: fetch seq %llu is not the ROB tail %llu",
-                  (unsigned long long)front.seq,
-                  (unsigned long long)rob_tail_);
-
-        if (front.op.hasDst() && !rename_.hasFreeFor(front.op.dst)) {
+        const trace::TraceOp &op = inst.op;
+        if (op.hasDst() && !rename_.hasFreeFor(op.dst)) {
             ++stats_.dispatch_stall_regs();
             return;
         }
@@ -853,18 +872,6 @@ Pipeline::doDispatch()
                 return;
             }
         }
-
-        // Build the instruction in place in the free tail slot. A
-        // steering stall below leaves it outside [rob_head_,
-        // rob_tail_), where nothing reads it, and the next attempt
-        // rebuilds it.
-        DynInst &inst = rob_[front.seq & rob_mask_];
-        inst = DynInst{};
-        inst.op = front.op;
-        inst.seq = front.seq;
-        inst.frontend_exit = front.frontend_exit;
-        inst.mispredicted = front.mispredicted;
-        const trace::TraceOp &op = inst.op;
 
         // Resolve sources against the current map (before the
         // destination is renamed: src may equal dst).
@@ -877,6 +884,8 @@ Pipeline::doDispatch()
             inst, rename_, now_,
             [this](uint64_t s) -> const DynInst & { return rob(s); });
         if (!d.ok) {
+            // Only the source registers are written, and the retry
+            // rewrites them.
             ++stats_.dispatch_stall_buffer();
             return;
         }
@@ -920,10 +929,9 @@ Pipeline::doDispatch()
 
         inst.dispatch_cycle = now_;
         inst.in_buffer = true;
-        rob_tail_ = inst.seq + 1;
+        ++rob_tail_;
         if (event_driven_)
             wireDispatchEvents<S>(inst);
-        fetch_q_.pop_front();
         ++stats_.dispatched();
         if (on_dispatch_)
             on_dispatch_(inst);
@@ -939,21 +947,38 @@ Pipeline::doFetch()
         return;
 
     for (int n = 0; n < cfg_.fetch_width; ++n) {
-        if (static_cast<int>(fetch_q_.size()) >= cfg_.fetch_queue)
+        if (fetchQueueSize() >= static_cast<size_t>(cfg_.fetch_queue))
             return;
 
         if (next_record_ == trace_.count) {
             trace_done_ = true;
             return;
         }
-        // Copy the record straight into its fetch-queue slot.
-        FetchEntry &fe = fetch_q_.append();
-        fe.op = trace_[next_record_++];
-        const trace::TraceOp &op = fe.op;
-        fe.seq = next_seq_++;
-        fe.frontend_exit =
+        // The ring holds max_inflight + fetch_queue seqs, so the slot
+        // is free unless a bound above is broken.
+        if (next_seq_ - rob_head_ > rob_mask_)
+            panic("fetch: slot of seq %llu still holds live seq %llu",
+                  (unsigned long long)next_seq_,
+                  (unsigned long long)(next_seq_ - rob_mask_ - 1));
+        // Write the record straight into the instruction's ROB slot.
+        // Everything a dispatch observer may read that dispatch does
+        // not write is reset here, once per instruction.
+        DynInst &inst = robSlot(next_seq_);
+        inst.op = trace_[next_record_++];
+        const trace::TraceOp &op = inst.op;
+        inst.seq = next_seq_++;
+        inst.frontend_exit =
             now_ + static_cast<uint64_t>(cfg_.frontend_latency);
-        fe.mispredicted = false;
+        inst.mispredicted = false;
+        inst.issued = false;
+        inst.issue_cycle = kNeverCycle;
+        inst.complete_cycle = kNeverCycle;
+        inst.dst_preg = -1;
+        inst.old_preg = -1;
+        inst.wslot = -1;
+        inst.pending_srcs = 0;
+        inst.ready_at = 0;
+        inst.next_waiter[0] = inst.next_waiter[1] = kNoWaiter;
         ++stats_.fetched();
 
         if (op.isCondBranch()) {
@@ -964,8 +989,8 @@ Pipeline::doFetch()
             bpred_->update(op.pc, op.taken);
             if (pred != op.taken) {
                 ++stats_.mispredicts();
-                fe.mispredicted = true;
-                blocking_branch_ = fe.seq;
+                inst.mispredicted = true;
+                blocking_branch_ = inst.seq;
                 return; // delivery stalls until the branch executes
             }
         }
@@ -1016,7 +1041,8 @@ Pipeline::runLoop()
     uint64_t last_progress_cycle = 0;
     uint64_t last_committed = 0;
 
-    while (!(trace_done_ && fetch_q_.empty() && robSize() == 0)) {
+    // Drained: nothing fetched is left in the ring.
+    while (!(trace_done_ && next_seq_ == rob_head_)) {
         ls_ports_used_ = 0;
         doCommit();
         doIssue<S>();

@@ -35,16 +35,18 @@
  * has one body, instantiated for the three styles.
  *
  * The hot-path state is dense and, once a run warms up,
- * allocation-free: the ROB is a power-of-two ring indexed by
- * seq & mask, dispatch builds each DynInst directly in its ROB slot
- * from a fixed-capacity fetch ring, and consumers wait on a
- * producer's register through intrusive lists threaded through
- * their ROB slots.
+ * allocation-free: an instruction lives in one slot of a power-of-two
+ * ring, indexed by seq & mask, from fetch to commit. Fetch writes the
+ * trace record there, dispatch renames and steers it in place (the
+ * fetched but undispatched seqs are the fetch queue), and consumers
+ * wait on a producer's register through intrusive lists threaded
+ * through their slots.
  */
 
 #ifndef CESP_UARCH_PIPELINE_HPP
 #define CESP_UARCH_PIPELINE_HPP
 
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -400,7 +402,7 @@ class Pipeline
     /** Cycle of the earliest pending wakeup, or kNeverCycle. */
     uint64_t nextWakeupCycle() const;
     /** Ready-bitmap bit of @p inst: its window slot for slot-priority
-     *  windows, else its ROB slot. */
+     *  windows, else its age slot, seq & age_mask_. */
     size_t readyBit(const DynInst &inst) const;
     /** Instruction owning ready-bitmap bit @p bit. */
     DynInst &readyInst(size_t bit);
@@ -417,10 +419,14 @@ class Pipeline
      *  sampler. Reads state only; never perturbs the simulation. */
     void emitSnapshot();
 
+    /** In-flight instruction @p seq (panics outside the ROB). */
     DynInst &rob(uint64_t seq);
-    const DynInst &rob(uint64_t seq) const;
+    /** Ring slot of @p seq, whatever it holds. */
+    DynInst &robSlot(uint64_t seq) { return rob_[seq & rob_mask_].inst; }
     size_t robSize() const { return rob_tail_ - rob_head_; }
     bool robFull() const;
+    /** Fetched instructions awaiting dispatch. */
+    size_t fetchQueueSize() const { return next_seq_ - rob_tail_; }
 
     SimConfig cfg_;
     trace::TraceView trace_;
@@ -435,27 +441,35 @@ class Pipeline
     std::unique_ptr<Steering> steering_;
     StoreQueue stq_;
 
-    /** In-flight instructions: a power-of-two ring of at least
-     *  max_inflight slots, slot = seq & rob_mask_. Only slots in
-     *  [rob_head_, rob_tail_) hold live instructions; dispatch builds
-     *  the next one in the tail slot. */
-    std::vector<DynInst> rob_;
+    /** A ring slot: two whole cache lines, so that on a line-aligned
+     *  ring no instruction straddles a third (the packed 104-byte
+     *  stride measured slower). The padding stays out of DynInst,
+     *  which other code keeps arrays of. */
+    struct RobSlot
+    {
+        DynInst inst;
+        char pad[128 - sizeof(DynInst)];
+    };
+    /** Backing store of rob_, with a cache line of slack to align it
+     *  by hand: an over-aligned allocation (alignas on RobSlot) grew
+     *  peak RSS by 3% where each thread builds many short pipelines,
+     *  and this plain one does not. */
+    std::unique_ptr<std::byte[]> rob_storage_;
+    /** Every instruction from fetch to commit: a power-of-two ring
+     *  of at least max_inflight + fetch_queue slots, slot =
+     *  seq & rob_mask_. Seqs [rob_head_, rob_tail_) are in flight
+     *  (the ROB proper, at most max_inflight) and [rob_tail_,
+     *  next_seq_) are fetched, awaiting dispatch (the fetch queue, at
+     *  most fetch_queue). */
+    RobSlot *rob_ = nullptr;
     uint64_t rob_mask_ = 0;
+    /** ceilPow2(max_inflight) - 1. The in-flight seqs map one-to-one
+     *  onto seq & age_mask_, which keys the ready bitmap, so select
+     *  walks no more words than the ROB needs. */
+    uint64_t age_mask_ = 0;
     uint64_t rob_head_ = 0;      //!< oldest in-flight seq
     uint64_t rob_tail_ = 0;      //!< next seq to dispatch
-
-    /** A fetched instruction awaiting rename. */
-    struct FetchEntry
-    {
-        trace::TraceOp op;
-        uint64_t seq = kNoSeq;
-        uint64_t frontend_exit = 0; //!< earliest rename cycle
-        bool mispredicted = false;  //!< conditional branch, wrong way
-    };
-    /** Fetched, awaiting rename: seqs [rob_tail_, next_seq_), at most
-     *  cfg.fetch_queue of them. */
-    Ring<FetchEntry> fetch_q_;
-    uint64_t next_seq_ = 0;
+    uint64_t next_seq_ = 0;      //!< next seq to fetch
     bool trace_done_ = false;
 
     // Warmup measurement boundary (see run()).
@@ -483,6 +497,7 @@ class Pipeline
     uint64_t ready_offset_[kMaxClusters][kMaxClusters] = {};
 
     int ls_ports_used_ = 0; //!< per-cycle cache-port counter
+    bool fu_symmetric_ = true; //!< cfg_.fu_mix.symmetric()
     Rng select_rng_{0};     //!< for SelectPolicy::Random
 
     // Event-driven issue state.
@@ -492,10 +507,10 @@ class Pipeline
      * Buffered instructions with all sources ready, one bit each. A
      * slot-priority central window selects by window slot, so its
      * bits are window slots; every other organization selects by age,
-     * so its bits are ROB slots and oldest-first is a walk of the ring
-     * from the head slot. Select iterates a word copy, so the set it
-     * sees is the cycle-start snapshot: an issue clears only the bit
-     * it visits and wakeups land at now_ + 1 or later.
+     * so its bits are age slots (seq & age_mask_) and oldest-first is
+     * a walk of them from the head's. Select iterates a word copy, so
+     * the set it sees is the cycle-start snapshot: an issue clears
+     * only the bit it visits and wakeups land at now_ + 1 or later.
      */
     std::vector<uint64_t> ready_bits_;
     size_t ready_count_ = 0; //!< bits set in ready_bits_

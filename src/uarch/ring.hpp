@@ -1,13 +1,15 @@
 /**
  * @file
  * Power-of-two ring buffer: the allocation-free queue behind the
- * fetch queue, the store queue, and the rename and FIFO free lists.
+ * store queue and the rename and FIFO free lists. (The fetch queue
+ * is not one: fetched instructions wait in their ROB slots; see
+ * pipeline.hpp.)
  *
  * Indices are masked, never divided. The ring grows by doubling when
  * a push finds it full, so a caller that reserves its bound up front
- * (the fetch queue, the free lists) never allocates again, and one
- * without a structural bound (the store queue) allocates only until
- * it reaches its high-water mark.
+ * (the free lists) never allocates again, and one without a
+ * structural bound (the store queue) allocates only until it reaches
+ * its high-water mark.
  */
 
 #ifndef CESP_UARCH_RING_HPP
@@ -61,19 +63,12 @@ class Ring
         return (*this)[size_ - 1];
     }
 
-    void push_back(T v) { append() = std::move(v); }
-
-    /**
-     * Append a slot and return it for the caller to fill in place.
-     * The slot keeps whatever it last held, so the caller must assign
-     * every field it later reads.
-     */
-    T &
-    append()
+    void
+    push_back(T v)
     {
         if (size_ == buf_.size())
             reserve(size_ + 1);
-        return buf_[(head_ + size_++) & mask_];
+        buf_[(head_ + size_++) & mask_] = std::move(v);
     }
 
     void

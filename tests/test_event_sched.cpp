@@ -267,6 +267,34 @@ TEST(EventSched, ExactAcrossFifoShapes)
     }
 }
 
+/** Fetched instructions wait in the ROB ring's slots past the tail,
+ *  so the ring spans max_inflight + fetch_queue seqs while the ready
+ *  bitmap keeps one bit per in-flight age slot. Fetch queues from one
+ *  fetch group to deeper than the ROB, over ROBs smaller than, equal
+ *  to and just past a power of two, must leave both issue models
+ *  exact, including clusters chosen at issue, whose wakeup cycle is
+ *  not kept in DynInst::ready_at. */
+TEST(EventSched, ExactAcrossFetchQueueShapes)
+{
+    for (SimConfig base :
+         {core::baseline8Way(), core::dependence8x8(),
+          core::clusteredWindows2x4(), core::clusteredExecDriven2x4()}) {
+        for (int fetch_queue : {base.fetch_width, 24, 200}) {
+            for (int inflight : {8, 100, 128, 130}) {
+                SimConfig c = base;
+                c.fetch_queue = fetch_queue;
+                c.max_inflight = inflight;
+                expectExact(c, 47);
+            }
+        }
+    }
+    SimConfig deep = core::clusteredDependence2x4();
+    deep.fetch_queue = 200;
+    deep.max_inflight = 100;
+    deep.wakeup_select_stages = 3;
+    expectExact(deep, 47);
+}
+
 /** The wakeup wheel's span is a power of two beyond the farthest
  *  wakeup (the slowest latency plus the largest ready offset). Miss
  *  latencies of 7, 15 and 31 put a one-cluster machine's farthest

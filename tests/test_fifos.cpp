@@ -161,6 +161,7 @@ TEST(FifoSetDeathTest, MisusePanics)
     f.push(id, 6);
     EXPECT_DEATH(f.push(id, 7), "full");
     EXPECT_DEATH(f.remove(id, 99), "absent");
+    EXPECT_DEATH(f.popHead(id, 6), "not the head");
     EXPECT_DEATH(f.clusterOf(9), "bad fifo");
 }
 
@@ -184,8 +185,8 @@ TEST(FifoSet, RingWrapsAcrossManyPushPopRounds)
     }
     EXPECT_EQ(f.totalEntries(), next_push - next_pop);
     while (!f.empty(id)) {
-        EXPECT_EQ(f.head(id), next_pop++);
-        f.popHead(id);
+        EXPECT_EQ(f.head(id), next_pop);
+        f.popHead(id, next_pop++);
     }
     EXPECT_EQ(next_pop, next_push);
     EXPECT_FALSE(f.allocated(id)); // recycled on empty

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <type_traits>
 
+#include "core/presets.hpp"
 #include "trace/synthetic.hpp"
 #include "uarch/pipeline.hpp"
 
@@ -540,6 +542,47 @@ TEST(Pipeline, StatsAccountingConsistent)
     for (int c = 0; c < kMaxClusters; ++c)
         per_cluster += cs.issued_per_cluster(c);
     EXPECT_EQ(per_cluster, cs.issued());
+}
+
+/** An instruction lives in one ROB slot from fetch to commit, with
+ *  the fetch queue in the slots past the ROB tail. Whatever the ring
+ *  holds around it, dispatch sees each instruction in program order,
+ *  carrying its own trace record, no earlier than its front-end exit,
+ *  and with no issue state left over from the slot's previous
+ *  occupant. */
+TEST(Pipeline, DispatchSeesFetchedRecordUnissued)
+{
+    trace::SyntheticParams sp;
+    sp.seed = 31;
+    trace::TraceBuffer buf = trace::generateSynthetic(sp, 5000);
+    for (SimConfig base :
+         {core::baseline8Way(), core::dependence8x8(),
+          core::clusteredWindows2x4(), core::clusteredExecDriven2x4()}) {
+        for (int fetch_queue : {base.fetch_width, 200}) {
+            for (int inflight : {8, 130}) {
+                SimConfig c = base;
+                c.fetch_queue = fetch_queue;
+                c.max_inflight = inflight;
+                Pipeline p(c, buf);
+                uint64_t next = 0;
+                bool ok = true;
+                p.setDispatchObserver([&](const DynInst &d) {
+                    ok = ok && d.seq == next++ &&
+                        std::memcmp(&d.op, &buf[d.seq],
+                                    sizeof(TraceOp)) == 0 &&
+                        d.dispatch_cycle >= d.frontend_exit &&
+                        !d.issued && d.issue_cycle == kNeverCycle &&
+                        d.complete_cycle == kNeverCycle;
+                });
+                SimStats s = p.run();
+                EXPECT_TRUE(ok) << c.name << " fetch_queue "
+                                << fetch_queue << " max_inflight "
+                                << inflight << ": first bad seq "
+                                << next - 1;
+                EXPECT_EQ(next, s.committed()) << c.name;
+            }
+        }
+    }
 }
 
 TEST(PipelineDeathTest, RunIsSingleUse)

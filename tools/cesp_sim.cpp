@@ -543,8 +543,37 @@ main(int argc, char **argv)
         machine_names = {cfg.name};
     }
 
+    // The traces: one --synthetic, --workload or --asm trace, else
+    // every built-in workload (resolved here on the main thread).
+    trace::TraceBuffer synth;
+    trace::MmapTraceSource asm_trace;
+    std::vector<std::string> names;
+    std::vector<trace::TraceView> traces;
+    if (synthetic > 0) {
+        synth = syntheticTrace(machines[0].random_seed, synthetic);
+        names.push_back("synthetic");
+        traces.push_back(synth);
+    } else if (!workload.empty()) {
+        names.push_back(workload);
+        traces.push_back(core::cachedWorkloadTraceView(workload));
+    } else if (!asm_file.empty()) {
+        asm_trace =
+            streamAsmTrace(func::loadHaltingProgram(asm_file), asm_file);
+        names.push_back(asm_file);
+        traces.push_back(asm_trace);
+    } else if (sweep || all) {
+        for (const auto &w : workloads::allWorkloads()) {
+            names.push_back(w.name);
+            traces.push_back(core::cachedWorkloadTraceView(w.name));
+        }
+    } else {
+        usage();
+    }
+
     // Per-machine clock estimates give each run the clock/BIPS
-    // gauges; a single machine also reports its estimate.
+    // gauges; a single machine also reports its estimate. Nothing is
+    // printed before the traces resolve, so a run that cannot load
+    // its trace leaves stdout empty.
     std::vector<double> clock_mhz(machines.size(), 0.0);
     if (!tech.empty()) {
         vlsi::ClockEstimator est(findTech(tech));
@@ -573,33 +602,6 @@ main(int argc, char **argv)
     }
     if (!sweep && !quiet)
         std::printf("machine: %s\n", cfg.name.c_str());
-
-    // The traces: one --synthetic, --workload or --asm trace, else
-    // every built-in workload (resolved here on the main thread).
-    trace::TraceBuffer synth;
-    trace::MmapTraceSource asm_trace;
-    std::vector<std::string> names;
-    std::vector<trace::TraceView> traces;
-    if (synthetic > 0) {
-        synth = syntheticTrace(machines[0].random_seed, synthetic);
-        names.push_back("synthetic");
-        traces.push_back(synth);
-    } else if (!workload.empty()) {
-        names.push_back(workload);
-        traces.push_back(core::cachedWorkloadTraceView(workload));
-    } else if (!asm_file.empty()) {
-        asm_trace =
-            streamAsmTrace(func::loadHaltingProgram(asm_file), asm_file);
-        names.push_back(asm_file);
-        traces.push_back(asm_trace);
-    } else if (sweep || all) {
-        for (const auto &w : workloads::allWorkloads()) {
-            names.push_back(w.name);
-            traces.push_back(core::cachedWorkloadTraceView(w.name));
-        }
-    } else {
-        usage();
-    }
 
     // One task per (machine, trace) pair, machine-major, labelled
     // "machine / trace" so streamed records pair with the batch
