@@ -80,37 +80,25 @@ class Histogram
     void
     add(double v)
     {
-        add(v, 1);
-    }
-
-    /**
-     * Record @p n identical samples at once. Used by the timing
-     * simulator's idle-cycle skip, which must account for every
-     * skipped cycle's per-cycle samples in bulk so skipping is
-     * observationally identical to stepping cycle by cycle.
-     */
-    void
-    add(double v, uint64_t n)
-    {
-        total_ += n;
+        ++total_;
         if (v < 0) {
-            underflow_ += n;
+            ++underflow_;
             return;
         }
-        addToBucket(static_cast<size_t>(v / width_), n);
+        addToBucket(static_cast<size_t>(v / width_));
     }
 
     /**
-     * add(v, n) for a unit-width histogram and an integer v: the
+     * add(v) for a unit-width histogram and an integer v: the
      * simulator's per-cycle samples (entries buffered, instructions
      * issued) are counts, so they index the bucket directly with no
      * round trip through double. The histogram's width must be 1.
      */
     void
-    addUnit(size_t v, uint64_t n = 1)
+    addUnit(size_t v)
     {
-        total_ += n;
-        addToBucket(v, n);
+        ++total_;
+        addToBucket(v);
     }
 
     uint64_t bucket(size_t i) const { return counts_[i]; }
@@ -161,18 +149,18 @@ class Histogram
     bool operator==(const Histogram &o) const;
 
   private:
-    /** Count @p n in-range-or-overflow samples in bucket @p b. */
+    /** Count one in-range-or-overflow sample in bucket @p b. */
     void
-    addToBucket(size_t b, uint64_t n)
+    addToBucket(size_t b)
     {
         if (b >= counts_.size()) {
             if (!growable_) {
-                overflow_ += n;
+                ++overflow_;
                 return;
             }
             grow(b + 1);
         }
-        counts_[b] += n;
+        ++counts_[b];
     }
     void grow(size_t buckets);
 

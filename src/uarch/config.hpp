@@ -100,14 +100,14 @@ struct BpredConfig
  *  - EventDriven (default): wakeup events. When an instruction
  *    issues, its completion time is known, so a wakeup is scheduled
  *    for each dependent at the exact cycle its value becomes usable
- *    in the dependent's cluster; selection draws from a maintained
- *    ready set. Idle stretches (fetch blocked, nothing
- *    ready) are skipped in one jump to the next event. Machines
- *    using SelectPolicy::Random or in-order issue fall back to the
- *    scan model internally: random selection shuffles the entire
- *    buffer (not just the ready set) and in-order issue stalls on
- *    the oldest *unready* instruction, so both are defined in terms
- *    of the full per-cycle candidate list.
+ *    in the dependent's cluster; selection walks a maintained ready
+ *    set oldest first. That is the only order the event path serves:
+ *    youngest-first or random selection, a slot-priority window
+ *    (window_compaction false) and in-order issue fall back to the
+ *    scan model internally, which reorders or cuts its full
+ *    per-cycle candidate list for each (random selection shuffles
+ *    the entire buffer, not just the ready set, and in-order issue
+ *    stalls on the oldest *unready* instruction).
  *  - LegacyScan: re-scan every buffered instruction every cycle,
  *    mirroring the broadcast-wakeup hardware of Section 4.2. The
  *    candidates come from the ROB in age order (slot order for a

@@ -60,8 +60,6 @@ struct DynInst
     uint64_t ready_at = 0;
     /** Source registers whose producer has not been scheduled yet. */
     int8_t pending_srcs = 0;
-    /** Slot index in a slot-priority central window (-1 otherwise). */
-    int16_t wslot = -1;
 
     bool in_buffer = false;    //!< waiting in window/FIFO
     bool issued = false;

@@ -45,34 +45,6 @@ walkUp(const std::vector<uint64_t> &words, size_t lo, size_t hi,
     }
 }
 
-/** walkUp's mirror: set bits of [@p lo, @p hi) in descending order. */
-template <class Visit>
-bool
-walkDown(const std::vector<uint64_t> &words, size_t lo, size_t hi,
-         Visit &&visit)
-{
-    if (lo >= hi)
-        return true;
-    size_t w = (hi - 1) >> 6;
-    const size_t first = lo >> 6;
-    uint64_t bits = words[w];
-    if ((hi & 63) != 0)
-        bits &= (uint64_t{1} << (hi & 63)) - 1;
-    for (;;) {
-        if (w == first)
-            bits &= ~uint64_t{0} << (lo & 63);
-        while (bits != 0) {
-            size_t b = 63 - static_cast<size_t>(std::countl_zero(bits));
-            bits &= ~(uint64_t{1} << b);
-            if (!visit((w << 6) | b))
-                return false;
-        }
-        if (w == first)
-            return true;
-        bits = words[--w];
-    }
-}
-
 } // namespace
 
 SimStats::SimStats(int num_clusters)
@@ -108,15 +80,16 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
     cfg_.validate();
     stats_.config_name() = cfg_.name;
 
-    // Random selection shuffles the entire buffer and in-order issue
-    // stalls on unready instructions — both are defined over the full
-    // candidate list, so they keep the reference scan.
+    // The event path serves one order, the paper's oldest-first
+    // select over age (Section 4.3). Every other order (youngest-first,
+    // random, a slot-priority window, in-order issue) keeps the
+    // reference scan, whose candidate list each of them reorders or
+    // cuts.
     event_driven_ =
         cfg_.issue_model == IssueModel::EventDriven &&
         !cfg_.in_order_issue &&
-        cfg_.select_policy != SelectPolicy::Random;
-    slot_keyed_ = cfg_.style == IssueBufferStyle::CentralWindow &&
-        !cfg_.window_compaction;
+        cfg_.select_policy == SelectPolicy::OldestFirst &&
+        cfg_.window_compaction;
     fu_symmetric_ = cfg_.fu_mix.symmetric();
 
     switch (cfg_.style) {
@@ -173,9 +146,7 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
     rob_mask_ = rob_slots - 1;
     age_mask_ = age_slots - 1;
 
-    size_t ready_bits =
-        slot_keyed_ ? static_cast<size_t>(cfg_.window_size) : age_slots;
-    ready_bits_.assign((ready_bits + 63) / 64, 0);
+    ready_bits_.assign((age_slots + 63) / 64, 0);
 
     // A pipelined wakeup+select loop (Figure 10) delays every
     // dependent issue by its extra stages; incomplete local bypassing
@@ -217,7 +188,6 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
             std::bit_ceil(static_cast<uint64_t>(latency) + offset + 1);
         wheel_mask_ = slots - 1;
         wheel_.assign(slots * ready_bits_.size(), 0);
-        wheel_count_.assign(slots, 0);
     }
 }
 
@@ -486,16 +456,12 @@ Pipeline::doIssue()
 size_t
 Pipeline::readyBit(const DynInst &inst) const
 {
-    // Slot-priority central windows select by slot position, not age.
-    return slot_keyed_ ? static_cast<size_t>(inst.wslot)
-                       : static_cast<size_t>(inst.seq & age_mask_);
+    return static_cast<size_t>(inst.seq & age_mask_);
 }
 
 DynInst &
 Pipeline::readyInst(size_t bit)
 {
-    if (slot_keyed_)
-        return rob(windows_[0].seqAt(static_cast<int>(bit)));
     // The in-flight seqs [rob_head_, rob_head_ + age_mask_ + 1) map
     // one-to-one onto the age slots.
     return rob(rob_head_ + ((bit - rob_head_) & age_mask_));
@@ -505,16 +471,14 @@ void
 Pipeline::readyClear(size_t bit)
 {
     ready_bits_[bit >> 6] &= ~(uint64_t{1} << (bit & 63));
-    --ready_count_;
 }
 
 uint64_t
 Pipeline::instReadyCycle(const DynInst &inst) const
 {
-    if (inst.cluster >= 0)
-        return srcReadyCycle(inst, inst.cluster);
-    // Unassigned cluster (execution-driven steering): the instruction
-    // becomes selectable when any cluster can provide its sources.
+    // Execution-driven steering leaves the cluster unassigned until
+    // issue: the instruction becomes selectable when any cluster can
+    // provide its sources.
     uint64_t best = kNeverCycle;
     for (int c = 0; c < cfg_.num_clusters; ++c)
         best = std::min(best, srcReadyCycle(inst, c));
@@ -554,7 +518,6 @@ Pipeline::scheduleReady(DynInst &inst)
     const size_t bit = readyBit(inst);
     wheel_[slot * ready_bits_.size() + (bit >> 6)] |= uint64_t{1}
         << (bit & 63);
-    ++wheel_count_[slot];
 }
 
 template <IssueBufferStyle S>
@@ -594,29 +557,13 @@ Pipeline::drainWakeups()
 {
     // A wheel slot holds only wakeups of buffered, unissued
     // instructions (each has one, and issue needs it), none of which
-    // is in the ready set yet, so the OR adds exactly its count.
-    const uint64_t slot = now_ & wheel_mask_;
-    if (wheel_count_[slot] != 0) {
-        ready_count_ += wheel_count_[slot];
-        wheel_count_[slot] = 0;
-        uint64_t *w = &wheel_[slot * ready_bits_.size()];
-        for (size_t i = 0; i < ready_bits_.size(); ++i) {
-            ready_bits_[i] |= w[i];
-            w[i] = 0;
-        }
+    // is in the ready set yet. The slot is a few words (two for a
+    // 128-entry ROB), so it is ORed and cleared every cycle.
+    uint64_t *w = &wheel_[(now_ & wheel_mask_) * ready_bits_.size()];
+    for (size_t i = 0; i < ready_bits_.size(); ++i) {
+        ready_bits_[i] |= w[i];
+        w[i] = 0;
     }
-}
-
-uint64_t
-Pipeline::nextWakeupCycle() const
-{
-    // The wheel holds cycles [now_, now_ + span): wakeups are
-    // scheduled under a span ahead, and now_'s slot is drained this
-    // cycle.
-    for (uint64_t c = now_; c <= now_ + wheel_mask_; ++c)
-        if (wheel_count_[c & wheel_mask_] != 0)
-            return c;
-    return kNeverCycle;
 }
 
 template <IssueBufferStyle S>
@@ -627,7 +574,7 @@ Pipeline::doIssueEvent()
 
     stats_.buffer_occupancy().addUnit(bufferedCount<S>());
 
-    // Walk the ready bitmap in priority order. The only mutation
+    // Walk the ready bitmap oldest first. The only mutation
     // issuing can make is clearing the bit just visited, and wakeups
     // it schedules land at now_ + 1 or later, so the candidates seen
     // are exactly the cycle-start snapshot (matching the scan path's
@@ -643,71 +590,13 @@ Pipeline::doIssueEvent()
         issueReady<S>(readyInst(bit), global_issued, usage);
         return global_issued < cfg_.issue_width;
     };
-    const bool youngest =
-        cfg_.select_policy == SelectPolicy::YoungestFirst;
-    if (ready_count_ != 0 && slot_keyed_) {
-        size_t n = static_cast<size_t>(cfg_.window_size);
-        if (youngest)
-            walkDown(ready_bits_, 0, n, visit);
-        else
-            walkUp(ready_bits_, 0, n, visit);
-    } else if (ready_count_ != 0) {
-        // Age order is age-slot order from the head's: [h, n) holds
-        // older seqs than [0, h).
-        size_t h = static_cast<size_t>(rob_head_ & age_mask_);
-        size_t n = static_cast<size_t>(age_mask_) + 1;
-        if (youngest) {
-            if (walkDown(ready_bits_, 0, h, visit))
-                walkDown(ready_bits_, h, n, visit);
-        } else if (walkUp(ready_bits_, h, n, visit)) {
-            walkUp(ready_bits_, 0, h, visit);
-        }
-    }
+    // Age order is age-slot order from the head's: [h, n) holds
+    // older seqs than [0, h).
+    const size_t h = static_cast<size_t>(rob_head_ & age_mask_);
+    const size_t n = static_cast<size_t>(age_mask_) + 1;
+    if (walkUp(ready_bits_, h, n, visit))
+        walkUp(ready_bits_, 0, h, visit);
     stats_.issue_sizes().addUnit(static_cast<size_t>(global_issued));
-}
-
-template <IssueBufferStyle S>
-void
-Pipeline::maybeSkipIdle()
-{
-    if (!event_driven_ || ready_count_ != 0)
-        return;
-    if (trace_done_ && next_seq_ == rob_head_)
-        return; // fully drained; the run loop is about to exit
-
-    // Fetch must be unable to deliver this cycle.
-    bool fetch_blocked = trace_done_ ||
-        blocking_branch_ != kNoSeq || now_ < fetch_resume_ ||
-        fetchQueueSize() >= static_cast<size_t>(cfg_.fetch_queue);
-    if (!fetch_blocked)
-        return;
-    // Dispatch must be a no-op without touching stall counters.
-    const uint64_t dispatch_at = fetchQueueSize() != 0
-        ? robSlot(rob_tail_).frontend_exit
-        : kNeverCycle;
-    if (dispatch_at <= now_)
-        return;
-    // Commit must not be due (an issued ROB head bounds the jump
-    // below; an unissued head is woken by its wakeup).
-    uint64_t target = nextWakeupCycle();
-    if (robSize() > 0) {
-        const DynInst &head = robSlot(rob_head_);
-        if (head.issued)
-            target = std::min(target, head.complete_cycle);
-    }
-    target = std::min(target, dispatch_at);
-    if (!trace_done_ && blocking_branch_ == kNoSeq &&
-        now_ < fetch_resume_)
-        target = std::min(target, fetch_resume_);
-    if (target == kNeverCycle || target <= now_)
-        return;
-
-    // Cycles [now_, target) do nothing but sample per-cycle stats.
-    uint64_t skipped = target - now_;
-    stats_.buffer_occupancy().addUnit(bufferedCount<S>(), skipped);
-    stats_.issue_sizes().addUnit(0, skipped);
-    stats_.cycles() += skipped;
-    now_ = target;
 }
 
 template <IssueBufferStyle S>
@@ -718,7 +607,10 @@ Pipeline::doIssueScan()
     // slot order for a slot-priority window, otherwise age order,
     // which is the ROB's (only FIFO heads may issue).
     std::vector<uint64_t> candidates;
-    if (slot_keyed_) {
+    bool slot_order = false;
+    if constexpr (S == IssueBufferStyle::CentralWindow)
+        slot_order = !cfg_.window_compaction;
+    if (slot_order) {
         for (int slot = 0; slot < cfg_.window_size; ++slot)
             if (uint64_t s = windows_[0].seqAt(slot); s != kNoSeq)
                 candidates.push_back(s);
@@ -913,8 +805,7 @@ Pipeline::doDispatch()
 
         // Insert into the issue buffering.
         if constexpr (S == IssueBufferStyle::CentralWindow) {
-            inst.wslot =
-                static_cast<int16_t>(windows_[0].insert(inst.seq));
+            windows_[0].insert(inst.seq);
         } else if constexpr (S == IssueBufferStyle::PerClusterWindow) {
             windows_[static_cast<size_t>(inst.cluster)].insert(
                 inst.seq);
@@ -975,7 +866,6 @@ Pipeline::doFetch()
         inst.complete_cycle = kNeverCycle;
         inst.dst_preg = -1;
         inst.old_preg = -1;
-        inst.wslot = -1;
         inst.pending_srcs = 0;
         inst.ready_at = 0;
         inst.next_waiter[0] = inst.next_waiter[1] = kNoWaiter;
@@ -1061,7 +951,6 @@ Pipeline::runLoop()
                   cfg_.name.c_str(), (unsigned long long)now_,
                   robSize());
         }
-        maybeSkipIdle<S>();
     }
 }
 

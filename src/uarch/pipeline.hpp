@@ -17,12 +17,13 @@
  * a per-cycle scan of the whole buffer (IssueModel::EventDriven, the
  * default): issuing an instruction schedules a wakeup for each
  * dependent at the exact cycle its operands become usable (in a wheel
- * of ready-bitmap words, one slot per cycle), the
- * select stage walks a ready bitmap in selection-priority order, and
- * provably idle cycle stretches are skipped in one jump. The
- * per-cycle scan survives as IssueModel::LegacyScan; the two are
- * cycle- and statistic-exact against each other (enforced by
- * tests/test_event_sched.cpp).
+ * of ready-bitmap words, one slot per cycle), and the select stage
+ * walks a ready bitmap keyed by age slot, oldest first. The event
+ * path serves only that order, the paper's (Section 4.3); the
+ * per-cycle scan, IssueModel::LegacyScan, serves every order and is
+ * what youngest-first, random, slot-priority and in-order machines
+ * run under either model. The two are cycle- and statistic-exact
+ * against each other (enforced by tests/test_event_sched.cpp).
  *
  * The ROB is the one record of in-flight age order: both models read
  * age from it, and the issue buffers only hold capacity (and, for a
@@ -390,26 +391,22 @@ class Pipeline
     /** Register source waiters, or schedule the wakeup when every
      *  source is already scheduled. */
     template <IssueBufferStyle S> void wireDispatchEvents(DynInst &inst);
-    /** Earliest cycle @p inst's sources are all ready (its cluster,
-     *  or the best cluster when unassigned). Sources must all be
-     *  scheduled. */
+    /** Earliest cycle @p inst's sources are all ready in the best
+     *  cluster. Serves execution-driven steering only, whose cluster
+     *  stays unassigned until issue (an assigned cluster's wakeup
+     *  cycle is DynInst::ready_at). Sources must all be scheduled. */
     uint64_t instReadyCycle(const DynInst &inst) const;
     /** Schedule @p inst's one wakeup, at max(sources-ready,
      *  now_ + 1), in the wheel. */
     template <IssueBufferStyle S> void scheduleReady(DynInst &inst);
     /** Move the wakeups due this cycle into the ready set. */
     void drainWakeups();
-    /** Cycle of the earliest pending wakeup, or kNeverCycle. */
-    uint64_t nextWakeupCycle() const;
-    /** Ready-bitmap bit of @p inst: its window slot for slot-priority
-     *  windows, else its age slot, seq & age_mask_. */
+    /** Ready-bitmap bit of @p inst: its age slot, seq & age_mask_. */
     size_t readyBit(const DynInst &inst) const;
     /** Instruction owning ready-bitmap bit @p bit. */
     DynInst &readyInst(size_t bit);
     /** Remove bit @p bit, which is set, from the ready set. */
     void readyClear(size_t bit);
-    /** Jump over cycles that provably perform no work. */
-    template <IssueBufferStyle S> void maybeSkipIdle();
 
     /** Cross the warmup boundary: reset the stats registry at the
      *  current commit. */
@@ -502,18 +499,14 @@ class Pipeline
 
     // Event-driven issue state.
     bool event_driven_ = false; //!< resolved issue model for this run
-    bool slot_keyed_ = false;   //!< ready set ordered by window slot
     /**
-     * Buffered instructions with all sources ready, one bit each. A
-     * slot-priority central window selects by window slot, so its
-     * bits are window slots; every other organization selects by age,
-     * so its bits are age slots (seq & age_mask_) and oldest-first is
-     * a walk of them from the head's. Select iterates a word copy, so
-     * the set it sees is the cycle-start snapshot: an issue clears
-     * only the bit it visits and wakeups land at now_ + 1 or later.
+     * Buffered instructions with all sources ready, one bit each, at
+     * their age slot (seq & age_mask_): oldest-first select is a walk
+     * of them from the head's. Select iterates a word copy, so the set
+     * it sees is the cycle-start snapshot: an issue clears only the
+     * bit it visits and wakeups land at now_ + 1 or later.
      */
     std::vector<uint64_t> ready_bits_;
-    size_t ready_count_ = 0; //!< bits set in ready_bits_
     /**
      * Pending wakeups: slot (cycle & wheel_mask_) holds, laid out like
      * ready_bits_, the bits of the instructions that become ready
@@ -523,7 +516,6 @@ class Pipeline
      * constructor).
      */
     std::vector<uint64_t> wheel_;
-    std::vector<uint32_t> wheel_count_; //!< wakeups per slot
     uint64_t wheel_mask_ = 0;
 
     InstObserver on_dispatch_;

@@ -169,7 +169,7 @@ TEST(HistogramDeath, MergeOfMismatchedShapesIsFatalWithDiagnostic)
     EXPECT_DEATH(a.merge(wrong_width), "shape mismatch");
 }
 
-/** addUnit(v, n) is add(v, n) for integer samples of a unit-width
+/** addUnit(v) is add(v) for integer samples of a unit-width
  *  histogram, overflow and growth included. */
 TEST(Histogram, AddUnitMatchesAddOfTheSameCount)
 {
@@ -178,12 +178,10 @@ TEST(Histogram, AddUnitMatchesAddOfTheSameCount)
         for (size_t v : {0, 1, 3, 4, 9}) {
             a.add(static_cast<double>(v));
             b.addUnit(v);
-            a.add(static_cast<double>(v), 5);
-            b.addUnit(v, 5);
         }
         EXPECT_TRUE(a == b) << "growable " << growable;
         EXPECT_EQ(a.total(), b.total());
-        EXPECT_EQ(b.overflow(), growable ? 0u : 12u);
+        EXPECT_EQ(b.overflow(), growable ? 0u : 2u);
     }
 }
 

@@ -67,9 +67,10 @@ TEST(EventSched, ExactAcrossPresetsAndSeeds)
             expectExact(cfg, seed);
 }
 
-/** Every select policy on windows and FIFOs. Random selection never
- *  runs event-driven, so its rows compare the scan with itself;
- *  ScanOnlyMachinesMatchRecordedCycles pins their results. */
+/** Every select policy on windows and FIFOs. Only oldest-first runs
+ *  event-driven: the youngest-first and random rows compare the scan
+ *  with itself, and ScanOnlyMachinesMatchRecordedCycles pins their
+ *  results. */
 TEST(EventSched, ExactAcrossSelectPolicies)
 {
     for (SelectPolicy pol : {SelectPolicy::OldestFirst,
@@ -85,7 +86,11 @@ TEST(EventSched, ExactAcrossSelectPolicies)
     }
 }
 
-/** Both central-window orders (age-compacted and slot-priority). */
+/** Both central-window orders (age-compacted and slot-priority),
+ *  each oldest- and youngest-first. Only the age-compacted
+ *  oldest-first row runs event-driven; the other three compare the
+ *  scan with itself, and ScanOnlyMachinesMatchRecordedCycles pins
+ *  them. */
 TEST(EventSched, ExactForBothWindowOrders)
 {
     for (bool compaction : {true, false}) {
@@ -141,11 +146,14 @@ TEST(EventSched, ExactForInOrderIssue)
     expectExact(c, 17);
 }
 
-/** Random selection and in-order issue run the scan under either
- *  issue model, so equality with the event path pins nothing for
- *  them. Their cycle counts on 20,000-record synthetic traces are
- *  recorded instead: the scan's candidate order (ascending seq, and
- *  with it Random's draws) must not move. */
+/** Random and youngest-first selection, slot-priority windows and
+ *  in-order issue run the scan under either issue model, so equality
+ *  with the event path pins nothing for them. Their cycle counts on
+ *  20,000-record synthetic traces are recorded instead: the scan's
+ *  candidate order (ascending seq or window slot, reversed for
+ *  youngest-first, and with it Random's draws) must not move. The
+ *  youngest-first and slot-priority counts were recorded while the
+ *  event path still served those orders and matched the scan. */
 TEST(EventSched, ScanOnlyMachinesMatchRecordedCycles)
 {
     struct Row
@@ -162,12 +170,35 @@ TEST(EventSched, ScanOnlyMachinesMatchRecordedCycles)
         c.in_order_issue = true;
         return c;
     };
+    auto youngest = [](SimConfig c) {
+        c.select_policy = SelectPolicy::YoungestFirst;
+        return c;
+    };
+    auto slots = [](SimConfig c) {
+        c.window_compaction = false;
+        return c;
+    };
+    auto slots100 = [&](SimConfig c) {
+        c = slots(c);
+        c.window_size = 100;
+        c.max_inflight = 130;
+        return c;
+    };
     const Row rows[] = {
         {random(core::baseline8Way()), 3, 12309},
         {random(core::dependence8x8()), 3, 12325},
         {random(core::clusteredWindows2x4()), 3, 12821},
         {in_order(core::baseline8Way()), 17, 14443},
         {in_order(core::scaledBaseline(4)), 17, 14869},
+        {youngest(core::baseline8Way()), 3, 12529},
+        {youngest(core::dependence8x8()), 3, 12560},
+        {youngest(core::clusteredWindows2x4()), 3, 12947},
+        {slots(core::baseline8Way()), 11, 11852},
+        {youngest(slots(core::baseline8Way())), 11, 12064},
+        {slots100(core::baseline8Way()), 3, 12167},
+        {slots100(core::baseline8Way()), 37, 11060},
+        {youngest(slots100(core::baseline8Way())), 3, 12428},
+        {youngest(slots100(core::baseline8Way())), 37, 11372},
     };
     for (const Row &r : rows)
         EXPECT_EQ(runWith(r.cfg, IssueModel::EventDriven, r.seed).cycles(),
@@ -175,11 +206,11 @@ TEST(EventSched, ScanOnlyMachinesMatchRecordedCycles)
             << "config " << r.cfg.name << " trace seed " << r.seed;
 }
 
-/** Idle-cycle skipping around long memory latencies: an L2-backed
+/** Long idle stretches around memory latencies: an L2-backed
  *  machine with a tiny L1 forces multi-ten-cycle stalls where fetch
- *  is blocked and nothing is ready; the jump must not change any
- *  statistic (the skip adds the per-cycle histogram samples in
- *  bulk). */
+ *  is blocked and nothing is ready, so the event path drains empty
+ *  wheel slots for many cycles in a row and must still match the
+ *  scan. */
 TEST(EventSched, IdleSkipExactAroundMemoryLatencies)
 {
     SimConfig c = core::baseline8Way();
@@ -191,8 +222,8 @@ TEST(EventSched, IdleSkipExactAroundMemoryLatencies)
         expectExact(c, seed);
 }
 
-/** The skip must also be exact when fetch stalls on mispredicted
- *  branches resolved by long-latency producers. */
+/** The same over fetch stalls on mispredicted branches resolved by
+ *  long-latency producers. */
 TEST(EventSched, IdleSkipExactAroundBranchStalls)
 {
     SimConfig c = core::baseline8Way();
@@ -202,10 +233,12 @@ TEST(EventSched, IdleSkipExactAroundBranchStalls)
 }
 
 /** ROB sizes that are not a power of two or fit in less than one
- *  64-bit ready-bitmap word. Age-ordered select walks the ROB ring
- *  from the head slot and wraps at the ring's end; a walk that wraps
+ *  64-bit ready-bitmap word. Age-ordered select walks the age slots
+ *  from the head's and wraps at the last one; a walk that wraps
  *  anywhere else (say, at the next word boundary) reorders candidates
- *  and breaks parity. */
+ *  and breaks parity. Only the oldest-first, age-compacted rows run
+ *  event-driven; the youngest-first and slot-priority rows compare
+ *  the scan with itself. */
 TEST(EventSched, ExactAtAwkwardRobSizes)
 {
     for (int rob : {8, 48, 100, 130}) {
@@ -231,8 +264,10 @@ TEST(EventSched, ExactAtAwkwardRobSizes)
     }
 }
 
-/** A slot-priority window whose 100 slots span a partial second
- *  bitmap word, under both select directions. */
+/** A slot-priority window of 100 slots over a 130-entry ROB, under
+ *  both select directions. Slot-priority windows run the scan under
+ *  either issue model, so this compares the scan with itself;
+ *  ScanOnlyMachinesMatchRecordedCycles pins all four runs. */
 TEST(EventSched, ExactForSlotPriorityWindowOf100)
 {
     for (SelectPolicy pol : {SelectPolicy::OldestFirst,
@@ -300,8 +335,10 @@ TEST(EventSched, ExactAcrossFetchQueueShapes)
  *  latencies of 7, 15 and 31 put a one-cluster machine's farthest
  *  wakeups in the last slot of its 8-, 16- and 32-slot wheel, and 16
  *  opens a 32-slot one; an inter-cluster hop puts each a cycle
- *  further. The machines cover ROB-slot and window-slot ready bits,
- *  FIFO heads, an inter-cluster hop, and clusters chosen at issue. */
+ *  further. The machines cover age-slot ready bits, FIFO heads, an
+ *  inter-cluster hop, and clusters chosen at issue. The slot-priority
+ *  window (`slots`) runs the scan under either issue model, so its
+ *  rows compare the scan with itself. */
 TEST(EventSched, ExactAcrossWakeupWheelSpans)
 {
     SimConfig slots = core::baseline8Way();

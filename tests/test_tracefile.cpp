@@ -596,7 +596,7 @@ TEST(TraceCacheRecovery, RegeneratesAfterEveryCorruption)
     const Mutator mutators[] = {
         [](std::vector<uint8_t> &b) { b.clear(); }, // torn create
         [](std::vector<uint8_t> &b) { b.resize(9); },
-        [](std::vector<uint8_t> &b) { b.resize(b.size() - 7); },
+        [](std::vector<uint8_t> &b) { b.erase(b.end() - 7, b.end()); },
         [](std::vector<uint8_t> &b) { b[4] = '?'; },
         [](std::vector<uint8_t> &b) {
             b[trace::kTraceHeaderBytes + 100] ^= 0x40;

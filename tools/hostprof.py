@@ -4,8 +4,8 @@
 Runs a command with the hostprof sampling library preloaded (see
 tools/hostprof.cpp), resolves every sampled address with
 ``addr2line -f -i -C``, and prints the share of samples in each stage
-of the cycle loop (fetch+bpred, dispatch, issue, commit, idle skip)
-and of trace set-up (building, mapping or verifying the input trace),
+of the cycle loop (fetch+bpred, dispatch, issue, commit) and of
+trace set-up (building, mapping or verifying the input trace),
 and the innermost functions the samples land in, inlined ones
 included.
 
@@ -46,7 +46,6 @@ STAGES = [
         r"\bPipeline::(doIssue|doIssueEvent|doIssueScan|tryIssueOne|"
         r"issueReady|completeIssue|drainWakeups)\b")),
     ("commit", re.compile(r"\bPipeline::doCommit\b")),
-    ("idle skip", re.compile(r"\bPipeline::maybeSkipIdle\b")),
     ("trace set-up", re.compile(
         r"\b(trace::generateSynthetic|core::cachedWorkloadTraceView|"
         r"trace::MmapTraceSource::open)\b")),
