@@ -4,13 +4,14 @@
  * and the design studies as one binary. Each experiment is a
  * declarative spec — a name, its machine variants and a report that
  * turns the result grid into tables, summary lines and summary
- * StatGroups — and one runner simulates every spec's grid over all
- * seven workloads with core::runGrid (one core::run on defaultJobs()
- * workers; the results are bit-identical for any worker count). The
- * delay-model specs, Figure 12 and complexity_report have no
- * variants: their empty grid simulates nothing, and the report reads
- * the vlsi models (Figure 12 runs the paper's code segment on a
- * pipeline of its own).
+ * StatGroups. The runner puts the variants of every chosen spec in
+ * one core::runGrid over all seven workloads (one core::run on
+ * defaultJobs() workers; bit-identical for any worker count), where a
+ * machine that several specs share simulates once; each report reads
+ * its own config-major block once the run ends. The delay-model
+ * specs, Figure 12 and complexity_report have no variants: their
+ * empty block holds no runs, and the report reads the vlsi models
+ * (Figure 12 runs the paper's code segment on a pipeline of its own).
  *
  *   experiments [NAME...] [--json PATH]
  *
@@ -1922,27 +1923,6 @@ allExperiments()
             complexityReport()};
 }
 
-/** Simulate @p e's grid over every workload and hand it to the
- *  report. When @p exporting and the report chose no groups, the
- *  export is every run, config-major. */
-Report
-runExperiment(const Experiment &e, bool exporting)
-{
-    std::vector<SimConfig> configs;
-    Report out;
-    for (const Variant &v : e.variants) {
-        configs.push_back(v.cfg);
-        out.labels.push_back(v.label);
-    }
-    Grid g = runGrid(std::move(configs), workloads::workloadNames());
-    e.report(g, out);
-    if (exporting && out.groups.empty())
-        for (size_t c = 0; c < g.configs.size(); ++c)
-            for (size_t w = 0; w < g.workloads.size(); ++w)
-                out.addRun(g, c, w);
-    return out;
-}
-
 int
 usage(const std::vector<Experiment> &all)
 {
@@ -1991,8 +1971,33 @@ main(int argc, char **argv)
             chosen.push_back(&e);
     const bool quiet = json_path == "-";
 
+    // One run for every chosen spec: a machine that several specs
+    // share runs once (the Table 3 baseline is 21 of all 118 variants).
+    std::vector<SimConfig> configs;
+    for (const Experiment *e : chosen)
+        for (const Variant &v : e->variants)
+            configs.push_back(v.cfg);
+    Grid grid = runGrid(std::move(configs), workloads::workloadNames());
+
+    const size_t nw = grid.workloads.size();
+    size_t first = 0; // the next spec's first configuration in the run
     for (const Experiment *e : chosen) {
-        Report out = runExperiment(*e, json);
+        // The spec's report reads its own config-major block.
+        Grid g{{}, grid.workloads, {}};
+        Report out;
+        for (const Variant &v : e->variants) {
+            g.configs.push_back(v.cfg);
+            for (size_t w = 0; w < nw; ++w)
+                g.stats.push_back(std::move(grid.stats[first * nw + w]));
+            out.labels.push_back(v.label);
+            ++first;
+        }
+        e->report(g, out);
+        // A report that chose no groups exports every run.
+        if (json && out.groups.empty())
+            for (size_t c = 0; c < g.configs.size(); ++c)
+                for (size_t w = 0; w < nw; ++w)
+                    out.addRun(g, c, w);
         if (!quiet) {
             if (chosen.size() > 1)
                 std::printf("== %s ==\n", e->name.c_str());

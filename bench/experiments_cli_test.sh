@@ -1,7 +1,8 @@
 #!/bin/sh
 # CLI contract of the experiments runner: usage errors exit 2, an
 # experiment's `--json -` export is the JSON document alone, which
-# loads back through cesp-sim --compare, and Figure 12's chains hold.
+# loads back through cesp-sim --compare, Figure 12's chains hold, and
+# specs run together print what each prints alone.
 #
 #   experiments_cli_test.sh EXPERIMENTS CESP_SIM
 exp=$1
@@ -44,5 +45,22 @@ done
 "$exp" fig12_steering_example >fig12.txt || exit 1
 if grep MISMATCH fig12.txt >&2; then
     echo "experiments fig12_steering_example: a chain split" >&2
+    exit 1
+fi
+
+# The first two specs simulate the same two machines (the baseline
+# and dep8x8) and are named out of README order; the third shares
+# only the baseline. Each must still read its own block of the one
+# run and print what it prints alone.
+specs="abl_occupancy fig13_dependence_ipc fig15_clustered_ipc"
+"$exp" $specs >together.txt || exit 1
+for name in $specs; do
+    echo "== $name =="
+    "$exp" "$name" || exit 1
+done >alone.txt || exit 1
+if ! cmp -s alone.txt together.txt; then
+    echo "experiments $specs: output differs from each spec run" \
+         "alone" >&2
+    diff alone.txt together.txt | head -n 20 >&2
     exit 1
 fi

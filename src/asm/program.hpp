@@ -31,16 +31,6 @@ struct Program
 
     /** Resolved label addresses. */
     std::map<std::string, uint32_t> symbols;
-
-    /** Total bytes across all segments. */
-    size_t
-    totalBytes() const
-    {
-        size_t n = 0;
-        for (const auto &kv : segments)
-            n += kv.second.size();
-        return n;
-    }
 };
 
 } // namespace cesp::assembler

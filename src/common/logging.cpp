@@ -73,13 +73,4 @@ warn(const char *fmt, ...)
     va_end(ap);
 }
 
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    emit("info", fmt, ap);
-    va_end(ap);
-}
-
 } // namespace cesp

@@ -3,7 +3,7 @@
  * Status and error reporting helpers, following the gem5 convention:
  * fatal() for user errors (bad configuration, malformed input),
  * panic() for internal invariant violations (simulator bugs), and
- * warn()/inform() for non-fatal notices.
+ * warn() for non-fatal notices.
  */
 
 #ifndef CESP_COMMON_LOGGING_HPP
@@ -28,9 +28,6 @@ namespace cesp {
 
 /** Report a suspicious but survivable condition to stderr. */
 void warn(const char *fmt, ...);
-
-/** Report an informational message to stderr. */
-void inform(const char *fmt, ...);
 
 /** Printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...);

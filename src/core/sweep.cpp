@@ -162,12 +162,35 @@ runGrid(std::vector<uarch::SimConfig> configs,
         std::vector<std::string> workloads)
 {
     Grid g{std::move(configs), std::move(workloads), {}};
+    // Configurations equal but for their name are one machine, run
+    // once under the name of its first configuration. A linear search
+    // is plenty for the hundred-odd variants of a run.
+    std::vector<size_t> machines; // first configuration of each
+    std::vector<size_t> machine_of;
+    for (uarch::SimConfig cfg : g.configs) {
+        size_t m = 0;
+        for (; m < machines.size(); ++m) {
+            cfg.name = g.configs[machines[m]].name;
+            if (cfg == g.configs[machines[m]])
+                break;
+        }
+        if (m == machines.size())
+            machines.push_back(machine_of.size());
+        machine_of.push_back(m);
+    }
+    const size_t nw = g.workloads.size();
     std::vector<SweepTask> tasks;
-    tasks.reserve(g.configs.size() * g.workloads.size());
-    for (const uarch::SimConfig &cfg : g.configs)
+    tasks.reserve(machines.size() * nw);
+    for (size_t first : machines)
         for (const std::string &w : g.workloads)
-            tasks.push_back({cfg, cachedWorkloadTraceView(w)});
-    g.stats = std::move(run(tasks).stats);
+            tasks.push_back({g.configs[first], cachedWorkloadTraceView(w)});
+    std::vector<uarch::SimStats> runs = std::move(run(tasks).stats);
+    g.stats.reserve(g.configs.size() * nw);
+    for (size_t c = 0; c < g.configs.size(); ++c)
+        for (size_t w = 0; w < nw; ++w) {
+            g.stats.push_back(runs[machine_of[c] * nw + w]);
+            g.stats.back().config_name() = g.configs[c].name;
+        }
     return g;
 }
 

@@ -8,7 +8,8 @@
  * cesp-sim builds its machines x traces grid by hand, and the paper
  * figures, ablations and studies (bench/experiments) and the Section
  * 5.5 study describe theirs as a configurations x workloads Grid
- * (runGrid).
+ * (runGrid), which simulates each distinct machine once however many
+ * configurations name it.
  *
  * Determinism: results are indexed by task position and each
  * simulation is a pure function of its (config, trace) pair, so the
@@ -180,8 +181,13 @@ struct Grid
 
 /**
  * Simulate every configuration on every named workload (traces from
- * cachedWorkloadTraceView) as one core::run with default options,
- * one task per pair in config-major order. It takes no RunOptions:
+ * cachedWorkloadTraceView) as one core::run with default options.
+ * Configurations equal in every field but `name` (SimConfig's
+ * operator==) are one machine: each distinct (machine, workload)
+ * pair simulates once, and every configuration's entries are copies
+ * of its machine's runs that carry its own name
+ * (SimStats::config_name()). The Grid holds one entry per
+ * (configuration, workload), config-major. It takes no RunOptions:
  * sharding would make run(...).stats the flattened shard windows, so
  * Grid::at would read the wrong run.
  */

@@ -29,15 +29,6 @@ Emulator::Emulator(const assembler::Program &program)
     regs_[31] = 0;                    // ra: returning to 0 is an error
 }
 
-void
-Emulator::setIntReg(int r, uint32_t v)
-{
-    if (r < 0 || r >= isa::kNumIntRegs)
-        panic("setIntReg: bad register %d", r);
-    if (r != 0)
-        regs_[r] = v;
-}
-
 const isa::Decoded &
 Emulator::decodeAt(uint32_t pc, uint32_t raw)
 {

@@ -49,7 +49,6 @@ class Emulator
     uint32_t pc() const { return pc_; }
     uint32_t intReg(int r) const { return regs_[r]; }
     float fpReg(int r) const { return fregs_[r]; }
-    void setIntReg(int r, uint32_t v);
     const Memory &memory() const { return mem_; }
     Memory &memory() { return mem_; }
     bool halted() const { return halted_; }

@@ -57,6 +57,7 @@ struct CacheConfig
     uint32_t line_bytes = 32;
     int hit_latency = 1;
     int miss_latency = 6;
+    friend bool operator==(const CacheConfig &, const CacheConfig &) = default;
 };
 
 /**
@@ -71,6 +72,7 @@ struct L2Config
     int associativity = 4;
     uint32_t line_bytes = 32;
     int memory_latency = 24; //!< L1-to-data cycles on an L2 miss
+    friend bool operator==(const L2Config &, const L2Config &) = default;
 };
 
 /** Direction predictor family. */
@@ -90,6 +92,7 @@ struct BpredConfig
     int counter_bits = 2;     //!< saturating counter width
     int table_entries = 4096; //!< 4K counters
     bool perfect = false;     //!< oracle conditional prediction
+    friend bool operator==(const BpredConfig &, const BpredConfig &) = default;
 };
 
 /**
@@ -167,6 +170,7 @@ struct FuMix
     }
 
     int total() const { return alu + mem + branch; }
+    friend bool operator==(const FuMix &, const FuMix &) = default;
 };
 
 /** Full machine configuration. */
@@ -261,6 +265,9 @@ struct SimConfig
     BpredConfig bpred;
 
     uint64_t random_seed = 12345; //!< for Random steering
+
+    /** Every field, name too (runGrid matches machines without it). */
+    friend bool operator==(const SimConfig &, const SimConfig &) = default;
 
     /** Sanity-check parameter consistency; fatal on bad configs. */
     void validate() const;

@@ -20,22 +20,19 @@ IssueWindow::IssueWindow(int capacity, WindowOrder order)
         slots_.assign(static_cast<size_t>(capacity), kNoSeq);
 }
 
-int
+void
 IssueWindow::insert(uint64_t seq)
 {
     if (full())
         panic("IssueWindow: insert into full window");
-    int slot = -1;
     if (order_ == WindowOrder::SlotPriority) {
         // Lowest free slot: freed slots are reused out of age order.
         auto it = std::find(slots_.begin(), slots_.end(), kNoSeq);
         if (it == slots_.end())
             panic("IssueWindow: no free slot despite size check");
         *it = seq;
-        slot = static_cast<int>(it - slots_.begin());
     }
     ++size_;
-    return slot;
 }
 
 void

@@ -46,13 +46,10 @@ class IssueWindow
     bool full() const { return size_ >= capacity_; }
     bool empty() const { return size_ == 0; }
 
-    /**
-     * Insert a dispatched instruction. Returns the slot index that
-     * determines the instruction's selection priority for
-     * SlotPriority windows, -1 for AgeCompacted windows (whose
-     * priority is age, i.e. seq).
-     */
-    int insert(uint64_t seq);
+    /** Insert a dispatched instruction. A SlotPriority window puts
+     *  it in its lowest free slot (see seqAt); an AgeCompacted one
+     *  only counts it, since its priority is age, i.e. seq. */
+    void insert(uint64_t seq);
 
     /** Remove an issued instruction. */
     void remove(uint64_t seq);

@@ -37,13 +37,6 @@ class BypassDelayModel
     /** Result-wire length in lambda for the given issue width. */
     static double wireLengthLambda(int issue_width);
 
-    /** Result-wire length in microns. */
-    double
-    wireLengthUm(int issue_width) const
-    {
-        return tech_.lambdaToUm(wireLengthLambda(issue_width));
-    }
-
     /** Bypass (result-wire) delay in ps. */
     double totalPs(int issue_width) const;
 

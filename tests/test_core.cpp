@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <utility>
 
 #include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "core/report.hpp"
+#include "core/sweep.hpp"
 #include "func/emulator.hpp"
 #include "trace/synthetic.hpp"
 #include "workloads/workloads.hpp"
@@ -204,6 +207,59 @@ TEST(Report, ClockRatioVariesByTechnology)
     SpeedupStudy s18 = speedupStudy(vlsi::Process::um0_18, speedupGrid());
     EXPECT_GT(s8.clock_ratio, 1.0);
     EXPECT_GT(s18.clock_ratio, 1.0);
+}
+
+namespace {
+
+std::atomic<size_t> g_simulations{0};
+
+void
+countSimulation(size_t)
+{
+    ++g_simulations;
+}
+
+/** Grid of @p configs on compress, and how many simulations it ran. */
+std::pair<Grid, size_t>
+countedGrid(std::vector<uarch::SimConfig> configs)
+{
+    g_simulations = 0;
+    detail::sweep_task_hook = countSimulation;
+    Grid g = runGrid(std::move(configs), {"compress"});
+    detail::sweep_task_hook = nullptr;
+    return {std::move(g), g_simulations.load()};
+}
+
+} // namespace
+
+TEST(RunGrid, MachinesEqualButForNameSimulateOnce)
+{
+    uarch::SimConfig renamed = baseline8Way();
+    renamed.name = "renamed";
+    uarch::SimConfig slower = baseline8Way();
+    slower.dcache.miss_latency = 12;
+    auto [g, simulations] =
+        countedGrid({baseline8Way(), renamed, slower});
+    EXPECT_EQ(simulations, 2u);
+    ASSERT_EQ(g.stats.size(), 3u);
+    EXPECT_EQ(g.at(0, 0).config_name(), baseline8Way().name);
+    EXPECT_EQ(g.at(1, 0).config_name(), "renamed");
+    EXPECT_EQ(g.at(2, 0).config_name(), baseline8Way().name);
+    EXPECT_TRUE(g.at(1, 0).group().sameValues(g.at(0, 0).group()));
+    EXPECT_FALSE(g.at(2, 0).group().sameValues(g.at(0, 0).group()));
+}
+
+TEST(RunGrid, MachinesDifferingInOneFieldNeverMerge)
+{
+    std::vector<uarch::SimConfig> configs(6, baseline8Way());
+    configs[1].dcache.size_bytes *= 2;
+    configs[2].l2.enabled = true;
+    configs[3].bpred.history_bits = 8;
+    configs[4].fu_mix = {4, 2, 2};
+    configs[5].random_seed += 1;
+    auto [g, simulations] = countedGrid(configs);
+    EXPECT_EQ(simulations, configs.size());
+    EXPECT_EQ(g.stats.size(), configs.size());
 }
 
 TEST(Presets, IpcMonotoneInScaledWidth)

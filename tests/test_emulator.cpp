@@ -65,6 +65,9 @@ TEST(Emulator, LogicAndShifts)
         slli s6, t1, 4
         li  t3, 36          # shift amounts mask to 5 bits
         sllv s7, t1, t3
+        srlv t4, t2, t3
+        srav t5, t2, t3
+        xori t6, t1, 0x00ff
 )");
     EXPECT_EQ(e.intReg(16), 0x00f0u);
     EXPECT_EQ(e.intReg(17), 0xfff0u);
@@ -74,6 +77,9 @@ TEST(Emulator, LogicAndShifts)
     EXPECT_EQ(e.intReg(21), 0x08000000u);
     EXPECT_EQ(e.intReg(22), 0xff00u);
     EXPECT_EQ(e.intReg(23), 0xff00u); // shift amount 36 masks to 4
+    EXPECT_EQ(e.intReg(12), 0x08000000u);
+    EXPECT_EQ(e.intReg(13), 0xf8000000u);
+    EXPECT_EQ(e.intReg(14), 0x0f0fu);
 }
 
 TEST(Emulator, Comparisons)

@@ -16,9 +16,9 @@ TEST(IssueWindow, InsertRemoveOrdering)
     // its occupants, and any of them may leave.
     IssueWindow w(4);
     EXPECT_TRUE(w.empty());
-    EXPECT_EQ(w.insert(10), -1);
-    EXPECT_EQ(w.insert(11), -1);
-    EXPECT_EQ(w.insert(15), -1);
+    w.insert(10);
+    w.insert(11);
+    w.insert(15);
     EXPECT_EQ(w.size(), 3);
     w.remove(11);
     EXPECT_EQ(w.size(), 2);
@@ -42,11 +42,15 @@ TEST(IssueWindow, FullAndCapacity)
 TEST(IssueWindowSlot, FreedSlotsAreReusedOutOfAgeOrder)
 {
     IssueWindow w(4, WindowOrder::SlotPriority);
-    EXPECT_EQ(w.insert(10), 0);
-    EXPECT_EQ(w.insert(11), 1);
-    EXPECT_EQ(w.insert(12), 2);
+    w.insert(10);
+    w.insert(11);
+    w.insert(12);
+    EXPECT_EQ(w.seqAt(0), 10u);
+    EXPECT_EQ(w.seqAt(1), 11u);
+    EXPECT_EQ(w.seqAt(2), 12u);
     w.remove(11);
-    EXPECT_EQ(w.insert(20), 1); // reuses slot 1: priority ahead of 12
+    EXPECT_EQ(w.seqAt(1), kNoSeq);
+    w.insert(20); // reuses slot 1: priority ahead of 12
     EXPECT_EQ(w.seqAt(0), 10u);
     EXPECT_EQ(w.seqAt(1), 20u);
     EXPECT_EQ(w.seqAt(2), 12u);
