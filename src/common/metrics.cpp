@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/logging.hpp"
 
@@ -681,18 +683,22 @@ struct JVal
         return nullptr;
     }
 
-    double
-    toDouble() const
+    /** Any number (the parser admits only RFC 8259 number tokens). */
+    bool
+    toDouble(double &out) const
     {
-        return type == Num ? std::strtod(raw.c_str(), nullptr) : 0.0;
+        out = type == Num ? std::strtod(raw.c_str(), nullptr) : 0.0;
+        return type == Num;
     }
 
-    uint64_t
-    toU64() const
+    /** An unsigned integer token that fits in uint64_t; false for a
+     *  sign, fraction, exponent or overflow. */
+    bool
+    toU64(uint64_t &out) const
     {
-        return type == Num
-            ? std::strtoull(raw.c_str(), nullptr, 10)
-            : 0;
+        const char *end = raw.data() + raw.size();
+        auto [ptr, ec] = std::from_chars(raw.data(), end, out);
+        return type == Num && ec == std::errc() && ptr == end;
     }
 };
 
@@ -724,6 +730,22 @@ class JsonParser
             *error_ = strprintf("JSON parse error at offset %zu: %s",
                                 pos_, msg);
         return false;
+    }
+
+    bool
+    eat(char c)
+    {
+        bool hit = pos_ < s_.size() && s_[pos_] == c;
+        pos_ += hit;
+        return hit;
+    }
+
+    bool
+    digits()
+    {
+        size_t from = pos_;
+        pos_ = std::min(s_.find_first_not_of("0123456789", pos_), s_.size());
+        return pos_ > from;
     }
 
     void
@@ -894,15 +916,21 @@ class JsonParser
             return literal("false", out, JVal::Bool, false);
         if (c == 'n')
             return literal("null", out, JVal::Null, false);
-        // Number token.
+        // Number token, by the RFC 8259 grammar:
+        // -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
         size_t start = pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-                s_[pos_] == 'e' || s_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            return fail("unexpected character");
+        eat('-');
+        if (!eat('0') && !digits())
+            return fail(pos_ == start ? "unexpected character"
+                                      : "bad number");
+        if (eat('.') && !digits())
+            return fail("bad number");
+        if (eat('e') || eat('E')) {
+            if (!eat('+'))
+                eat('-');
+            if (!digits())
+                return fail("bad number");
+        }
         out.type = JVal::Num;
         out.raw = s_.substr(start, pos_ - start);
         return true;
@@ -936,8 +964,9 @@ groupFromJval(const JVal &root, StatGroup &out, std::string *error)
         schema->raw != kStatsSchemaName)
         return parseFail(error, "missing or foreign \"schema\" field");
     const JVal *version = root.get("schema_version");
-    if (!version || version->type != JVal::Num ||
-        version->toU64() != static_cast<uint64_t>(kStatsSchemaVersion))
+    uint64_t v = 0;
+    if (!version || !version->toU64(v) ||
+        v != static_cast<uint64_t>(kStatsSchemaVersion))
         return parseFail(error, "unsupported schema_version");
     const JVal *group = root.get("group");
     const JVal *label = root.get("label");
@@ -962,52 +991,59 @@ groupFromJval(const JVal &root, StatGroup &out, std::string *error)
         if (g.find(name->raw))
             return parseFail(error, "duplicate metric '%s'",
                              name->raw.c_str());
+        // Counts are unsigned integers; gauges, scales and widths
+        // any number, and a gauge may be the writer's null for a
+        // non-finite value (loaded as 0).
         if (k == "counter") {
             const JVal *v = m.get("value");
-            if (!v || v->type != JVal::Num)
-                return parseFail(error, "counter '%s' has no value",
-                                 name->raw.c_str());
-            g.addCounter(name->raw, unit->raw, desc->raw, v->toU64());
+            uint64_t value = 0;
+            if (!v || !v->toU64(value))
+                return parseFail(error, "counter '%s' is not an unsigned "
+                                 "64-bit integer", name->raw.c_str());
+            g.addCounter(name->raw, unit->raw, desc->raw, value);
         } else if (k == "gauge") {
             const JVal *v = m.get("value");
-            if (!v)
-                return parseFail(error, "gauge '%s' has no value",
+            double value = 0.0;
+            if (!v || (v->type != JVal::Null && !v->toDouble(value)))
+                return parseFail(error, "gauge '%s' is not a number",
                                  name->raw.c_str());
-            g.addGauge(name->raw, unit->raw, desc->raw, v->toDouble());
+            g.addGauge(name->raw, unit->raw, desc->raw, value);
         } else if (k == "derived") {
             const JVal *num = m.get("num");
             const JVal *den = m.get("den");
             const JVal *scale = m.get("scale");
+            double sc = 0.0;
             if (!num || num->type != JVal::Str || !den ||
-                den->type != JVal::Str || !scale)
-                return parseFail(error, "derived '%s' misses operands",
-                                 name->raw.c_str());
+                den->type != JVal::Str || !scale || !scale->toDouble(sc))
+                return parseFail(error, "derived '%s' has missing or "
+                                 "malformed operands", name->raw.c_str());
             if (!g.find(num->raw) || !g.find(den->raw))
                 return parseFail(error,
                                  "derived '%s' references unknown "
                                  "counters", name->raw.c_str());
             g.addDerived(name->raw, unit->raw, desc->raw, num->raw,
-                         den->raw, scale->toDouble());
+                         den->raw, sc);
         } else if (k == "histogram") {
             const JVal *width = m.get("width");
             const JVal *under = m.get("underflow");
             const JVal *over = m.get("overflow");
             const JVal *counts = m.get("counts");
             const JVal *growable = m.get("growable");
-            if (!width || !under || !over || !counts ||
-                counts->type != JVal::Arr)
-                return parseFail(error, "histogram '%s' misses parts",
-                                 name->raw.c_str());
-            std::vector<uint64_t> buckets;
-            buckets.reserve(counts->arr.size());
-            for (const JVal &b : counts->arr)
-                buckets.push_back(b.toU64());
+            double w = 0.0;
+            uint64_t u = 0, o = 0;
+            bool ok = width && width->toDouble(w) && under &&
+                under->toU64(u) && over && over->toU64(o) && counts &&
+                counts->type == JVal::Arr;
+            std::vector<uint64_t> buckets(ok ? counts->arr.size() : 0);
+            for (size_t b = 0; ok && b < buckets.size(); ++b)
+                ok = counts->arr[b].toU64(buckets[b]);
+            if (!ok)
+                return parseFail(error, "histogram '%s' has missing or "
+                                 "malformed parts", name->raw.c_str());
             size_t i = g.addHistogram(name->raw, unit->raw, desc->raw,
-                                      buckets.size(),
-                                      width->toDouble(),
+                                      buckets.size(), w,
                                       growable && growable->boolean);
-            g.histogramAt(i).restore(std::move(buckets),
-                                     under->toU64(), over->toU64());
+            g.histogramAt(i).restore(std::move(buckets), u, o);
         } else {
             return parseFail(error, "unknown metric kind '%s'",
                              k.c_str());
@@ -1177,10 +1213,11 @@ readStatStream(const std::string &text,
         const JVal *version = root.get("schema_version");
         const JVal *kind = root.get("kind");
         const JVal *stats = root.get("stats");
+        uint64_t v = 0;
         if (!schema || schema->type != JVal::Str ||
             schema->raw != kStatsStreamSchemaName || !version ||
-            version->toU64() !=
-                static_cast<uint64_t>(kStatsSchemaVersion) ||
+            !version->toU64(v) ||
+            v != static_cast<uint64_t>(kStatsSchemaVersion) ||
             !kind || kind->type != JVal::Str || !stats) {
             if (error)
                 *error = strprintf(
@@ -1189,15 +1226,24 @@ readStatStream(const std::string &text,
             return false;
         }
         StatStreamRecord rec;
-        if (const JVal *seq = root.get("seq"))
-            rec.seq = seq->toU64();
         rec.kind = kind->raw;
-        if (const JVal *task = root.get("task"))
-            rec.task = static_cast<int64_t>(task->toU64());
-        if (const JVal *shard = root.get("shard"))
-            rec.shard = static_cast<int64_t>(shard->toU64());
-        if (const JVal *interval = root.get("interval"))
-            rec.interval = static_cast<int64_t>(interval->toU64());
+        // A stamp is optional, but a present one is an unsigned
+        // integer.
+        auto stamp = [&](const char *field, auto &dst) {
+            const JVal *f = root.get(field);
+            uint64_t x = 0;
+            bool ok = !f || f->toU64(x);
+            if (f && ok)
+                dst = static_cast<std::decay_t<decltype(dst)>>(x);
+            if (!ok && error)
+                *error = strprintf("line %zu: \"%s\" is not an unsigned "
+                                   "64-bit integer", lineno, field);
+            return ok;
+        };
+        if (!stamp("seq", rec.seq) || !stamp("task", rec.task) ||
+            !stamp("shard", rec.shard) ||
+            !stamp("interval", rec.interval))
+            return false;
         std::string group_err;
         if (!groupFromJval(*stats, rec.stats, &group_err)) {
             if (error)

@@ -1,12 +1,16 @@
 /**
  * @file
- * Work-stealing implementation of core::run.
+ * core::run: every task expands into its shard plan, and the plan
+ * runs on a pool whose workers (the caller among them) claim plan
+ * positions in order from one shared cursor.
  */
 
 #include "core/sweep.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -20,45 +24,13 @@ namespace cesp::core {
 namespace {
 
 /**
- * A worker's task deque. The owner pops from the front (its
- * round-robin share, in task order); thieves pop from the back, so
- * owner and thieves contend on opposite ends and the owner keeps the
- * cache-warm early tasks. A plain mutex per deque is enough here:
- * tasks are whole simulations (milliseconds to seconds), so queue
- * operations are nowhere near the critical path.
- */
-struct WorkerQueue
-{
-    std::mutex mu;
-    std::deque<size_t> tasks;
-
-    bool
-    popOwn(size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (tasks.empty())
-            return false;
-        out = tasks.front();
-        tasks.pop_front();
-        return true;
-    }
-
-    bool
-    steal(size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (tasks.empty())
-            return false;
-        out = tasks.back();
-        tasks.pop_back();
-        return true;
-    }
-};
-
-/**
- * The work-stealing pool: call @p runOne(i) once for every i in
- * [0, count), on up to @p jobs worker threads (inline on the caller
- * when jobs <= 1).
+ * The pool: call @p runOne(i) once for every i in [0, count), on the
+ * calling thread and min(jobs, count) - 1 spawned threads (none when
+ * jobs == 1, so the caller runs every item in order). The whole plan
+ * is known before any worker starts and every item is a whole
+ * simulation (milliseconds to seconds), so one shared cursor balances
+ * uneven items as well as per-worker queues would: each worker claims
+ * the next unclaimed position until the cursor passes the end.
  */
 void
 runPool(size_t count, unsigned jobs,
@@ -66,67 +38,36 @@ runPool(size_t count, unsigned jobs,
 {
     if (jobs == 0)
         jobs = defaultJobs();
-    if (jobs > count)
-        jobs = static_cast<unsigned>(count);
-
-    if (jobs <= 1) {
-        for (size_t i = 0; i < count; ++i)
-            runOne(i);
-        return;
-    }
-
-    // All work is known up front, so the deques are filled before any
-    // worker starts and never refilled: a worker that finds every
-    // deque empty is done. Round-robin seeding spreads neighboring
-    // (similar-cost) tasks across workers.
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
-    queues.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w)
-        queues.push_back(std::make_unique<WorkerQueue>());
-    for (size_t i = 0; i < count; ++i)
-        queues[i % jobs]->tasks.push_back(i);
+    std::atomic<size_t> next{0};
 
     // A throw inside a worker must not unwind off the thread (that
-    // is std::terminate): the first exception is captured, every
-    // worker keeps draining its deques without simulating — so the
-    // pool winds down promptly instead of finishing hours of doomed
-    // work — and the caller rethrows after the join.
-    std::atomic<bool> failed{false};
+    // is std::terminate): the first exception is captured and moves
+    // the cursor to the end, so no worker claims another item —
+    // the pool winds down promptly instead of finishing hours of
+    // doomed work — and the caller rethrows after the join.
     std::mutex err_mu;
     std::exception_ptr first_error;
 
-    auto worker = [&](unsigned self) {
-        auto run = [&](size_t idx) {
-            if (failed.load(std::memory_order_relaxed))
+    auto worker = [&] {
+        for (;;) {
+            size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
                 return;
             try {
-                runOne(idx);
+                runOne(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(err_mu);
                 if (!first_error)
                     first_error = std::current_exception();
-                failed.store(true, std::memory_order_relaxed);
+                next.store(count, std::memory_order_relaxed);
             }
-        };
-        size_t idx;
-        for (;;) {
-            if (queues[self]->popOwn(idx)) {
-                run(idx);
-                continue;
-            }
-            bool stole = false;
-            for (unsigned off = 1; off < jobs && !stole; ++off)
-                stole = queues[(self + off) % jobs]->steal(idx);
-            if (!stole)
-                return;
-            run(idx);
         }
     };
 
     std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w)
-        pool.emplace_back(worker, w);
+    for (size_t w = 1; w < std::min<size_t>(jobs, count); ++w)
+        pool.emplace_back(worker);
+    worker();
     for (std::thread &t : pool)
         t.join();
     if (first_error)
@@ -144,7 +85,14 @@ void (*sweep_task_hook)(size_t task_index) = nullptr;
 unsigned
 defaultJobs()
 {
-    unsigned n = std::thread::hardware_concurrency();
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    unsigned n = 0;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        n = static_cast<unsigned>(CPU_COUNT(&set));
+    unsigned hw = std::thread::hardware_concurrency();
+    if (n == 0 || (hw != 0 && hw < n))
+        n = hw;
     return n ? n : 1;
 }
 

@@ -47,8 +47,9 @@ struct SweepTask
     uint64_t warmup = 0;
 };
 
-/** Worker count used when jobs == 0: the hardware concurrency, or 1
- *  if the runtime cannot report it. */
+/** Worker count used when jobs == 0: the CPUs in the calling
+ *  thread's affinity mask, capped by the hardware concurrency, and at
+ *  least 1. */
 unsigned defaultJobs();
 
 /**
@@ -58,7 +59,8 @@ unsigned defaultJobs();
  */
 struct RunOptions
 {
-    /** Worker threads; 0 = defaultJobs(), 1 = inline on the caller. */
+    /** Workers, the calling thread counted: 0 = defaultJobs(),
+     *  1 = inline on the caller (no thread is spawned). */
     unsigned jobs = 0;
     /**
      * Split every task's trace into this many contiguous measured
@@ -91,12 +93,13 @@ struct RunOptions
     uint64_t sample_every = 0;
 
     // Completion callbacks. All of them run on whichever worker
-    // thread finished the work (or on the caller when jobs <= 1), in
+    // finished the work, the calling thread or a spawned one, in
     // completion order, and therefore must be thread-safe; the
     // task/shard indices carried by each call — not arrival order —
     // identify the result. A callback that throws aborts the run
-    // like a simulation failure: first exception wins, the pool
-    // drains, and core::run rethrows on the caller.
+    // like a simulation failure: first exception wins, no worker
+    // starts another simulation, and core::run rethrows on the
+    // caller.
 
     /** One task finished: its merged (sharded) or whole-run group,
      *  labelled with the task's configuration name. */
@@ -134,11 +137,12 @@ struct RunResult
 
 /**
  * Simulate every task and return the statistics in task order — the
- * one run entrypoint. Tasks are distributed round-robin over
- * per-worker deques; a worker that drains its own deque steals from
- * the back of its neighbors', so uneven task lengths (a 16-way
- * machine next to a 2-way one) still load-balance. Results are
- * deterministic (bit-identical) for any jobs count.
+ * one run entrypoint. The calling thread and min(jobs, plan size) - 1
+ * spawned threads claim plan positions in order from one shared
+ * cursor, so a worker that finishes early takes the next unclaimed
+ * item and uneven task lengths (a 16-way machine next to a 2-way
+ * one) still load-balance. Results are deterministic (bit-identical)
+ * for any jobs count.
  *
  * Every task becomes a shard plan — with shards > 1 or warmup > 0
  * its trace is split via planShards, otherwise it is one shard of
@@ -148,9 +152,9 @@ struct RunResult
  * RunOptions::shards for the measurement contract.
  *
  * If a simulation (or callback) throws, the first exception is
- * captured, the remaining tasks are drained without running, all
- * workers join, and the exception is rethrown on the calling thread
- * — a worker-side throw never reaches std::terminate.
+ * captured, no worker claims another task, all workers join, and the
+ * exception is rethrown on the calling thread — a worker-side throw
+ * never reaches std::terminate.
  */
 RunResult run(const std::vector<SweepTask> &tasks,
               const RunOptions &options = {});

@@ -271,13 +271,6 @@ struct SimConfig
 
     /** Sanity-check parameter consistency; fatal on bad configs. */
     void validate() const;
-
-    /** Total FIFO entries across the machine (Fifos style). */
-    int
-    totalFifoEntries() const
-    {
-        return num_clusters * fifos_per_cluster * fifo_depth;
-    }
 };
 
 } // namespace cesp::uarch

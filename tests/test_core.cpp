@@ -78,7 +78,8 @@ TEST(Presets, PaperFifoShape)
     uarch::SimConfig d = dependence8x8();
     EXPECT_EQ(d.fifos_per_cluster, 8);
     EXPECT_EQ(d.fifo_depth, 8);
-    EXPECT_EQ(d.totalFifoEntries(), 64); // same capacity as window
+    EXPECT_EQ(d.fifos_per_cluster * d.fifo_depth * d.num_clusters,
+              64); // same capacity as window
 
     uarch::SimConfig c = clusteredDependence2x4();
     EXPECT_EQ(c.num_clusters, 2);

@@ -225,6 +225,83 @@ TEST(StatGroup, DeepNestingIsAParseErrorNotACrash)
 }
 
 /**
+ * Numbers are lexed by the RFC 8259 grammar, and a counter must be an
+ * unsigned integer that fits in uint64_t: a malformed token or a
+ * value a counter cannot hold is a typed load error through both the
+ * single-document and the any-format reader, never a wrapped or
+ * truncated count.
+ */
+TEST(StatGroup, CounterValueMustBeAnUnsignedInteger)
+{
+    const std::string doc = demoGroup().toJson();
+    const std::string value = "\"value\": 40";
+    const size_t at = doc.find(value);
+    ASSERT_NE(at, std::string::npos);
+    auto withTicks = [&](const std::string &token) {
+        return std::string(doc).replace(at, value.size(),
+                                        "\"value\": " + token);
+    };
+    std::filesystem::path file =
+        std::filesystem::temp_directory_path() /
+        ("cesp-counter-" + std::to_string(getpid()) + ".json");
+
+    for (const char *token : {"-1", "1-2", "--", "+5", "1e", "01", "1.5",
+                              "1e3", "18446744073709551616"}) {
+        StatGroup back;
+        std::string err;
+        EXPECT_FALSE(StatGroup::fromJson(withTicks(token), back, &err))
+            << token;
+        EXPECT_FALSE(err.empty()) << token;
+        {
+            std::ofstream out(file, std::ios::binary);
+            out << withTicks(token);
+        }
+        std::vector<StatGroup> groups;
+        err.clear();
+        EXPECT_FALSE(loadStatGroups(file.string(), groups, &err))
+            << token;
+        EXPECT_FALSE(err.empty()) << token;
+    }
+    std::filesystem::remove(file);
+
+    StatGroup max;
+    std::string err;
+    ASSERT_TRUE(StatGroup::fromJson(withTicks("18446744073709551615"),
+                                    max, &err))
+        << err;
+    EXPECT_EQ(max.counter("ticks"), UINT64_MAX);
+    EXPECT_NE(max.toJson().find("\"value\": 18446744073709551615"),
+              std::string::npos);
+}
+
+TEST(StatGroup, GaugeAcceptsAnyNumberOrNull)
+{
+    const std::string doc = demoGroup().toJson();
+    const std::string value = "\"value\": 250.5";
+    const size_t at = doc.find(value);
+    ASSERT_NE(at, std::string::npos);
+    auto withClock = [&](const std::string &token) {
+        return std::string(doc).replace(at, value.size(),
+                                        "\"value\": " + token);
+    };
+    const std::pair<const char *, double> ok[] = {
+        {"-1", -1.0}, {"1e3", 1000.0}, {"-0.5E-1", -0.05}, {"null", 0.0}};
+    for (const auto &[token, expect] : ok) {
+        StatGroup back;
+        std::string err;
+        ASSERT_TRUE(StatGroup::fromJson(withClock(token), back, &err))
+            << token << ": " << err;
+        EXPECT_DOUBLE_EQ(back.value("clock_mhz"), expect) << token;
+    }
+    for (const char *token : {"1-2", "+5", ".5", "1.", "\"5\""}) {
+        StatGroup back;
+        std::string err;
+        EXPECT_FALSE(StatGroup::fromJson(withClock(token), back, &err))
+            << token;
+    }
+}
+
+/**
  * The registry has four kinds. An export that still carries the
  * retired "sample" kind (cesp-trace's dependence_distance before it
  * became a counter and three gauges) is a typed load error, through

@@ -8,7 +8,7 @@
  * approaches the monolithic IPC as the warmup prefix grows.
  *
  * This suite carries the "tsan" ctest label: sharded core::run fans
- * shard simulations out over the work-stealing pool, so the preset
+ * shard simulations out over the shared-cursor pool, so the preset
  * re-runs it under race detection.
  */
 

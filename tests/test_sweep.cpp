@@ -10,6 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -168,6 +174,27 @@ TEST(Sweep, DefaultJobsIsPositive)
     EXPECT_GE(core::defaultJobs(), 1u);
 }
 
+TEST(Sweep, DefaultJobsCountsTheAffinityMask)
+{
+    // Pin this thread to one CPU of its own mask: defaultJobs() must
+    // count the mask, not the machine. Only this thread's mask
+    // changes, and it is restored.
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved))
+        ++cpu;
+    ASSERT_LT(cpu, CPU_SETSIZE);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = core::defaultJobs();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+}
+
 namespace {
 
 /** RAII install/uninstall of the sweep fault-injection hook. */
@@ -199,7 +226,7 @@ TEST(Sweep, WorkerExceptionRethrownOnCaller)
     std::vector<uarch::SimConfig> configs(8, core::baseline8Way());
 
     HookGuard guard(&throwOnTaskThree);
-    for (unsigned jobs : {1u, 4u}) {
+    for (unsigned jobs : {1u, 4u, 12u}) {
         try {
             sweep(configs, buf, jobs);
             FAIL() << "expected the injected fault to propagate "
@@ -208,6 +235,68 @@ TEST(Sweep, WorkerExceptionRethrownOnCaller)
             EXPECT_STREQ(e.what(), "injected fault in task 3");
         }
     }
+}
+
+namespace {
+
+/** What the pool-contract hook saw: how often each plan position ran,
+ *  and on which threads. */
+std::mutex seen_mu;
+std::vector<int> seen_runs;
+std::set<std::thread::id> seen_threads;
+
+void
+recordTask(size_t index)
+{
+    std::lock_guard<std::mutex> lock(seen_mu);
+    ++seen_runs.at(index);
+    seen_threads.insert(std::this_thread::get_id());
+}
+
+} // namespace
+
+TEST(Sweep, PoolRunsEveryTaskOnceOnAtMostJobsThreads)
+{
+    // The pool contract for every jobs value against plans shorter
+    // than, equal to and longer than it: each task runs exactly
+    // once, at most min(jobs, count) threads run tasks (the caller
+    // among them), and jobs == 1 runs everything on the caller.
+    trace::SyntheticParams sp;
+    trace::TraceBuffer buf = trace::generateSynthetic(sp, 300);
+    HookGuard guard(&recordTask);
+    for (unsigned jobs : {1u, 2u, 7u, 12u})
+        for (size_t count : {0u, 1u, 7u}) {
+            std::vector<SweepTask> tasks(count,
+                                         {core::baseline8Way(), buf});
+            seen_runs.assign(count, 0);
+            seen_threads.clear();
+            std::atomic<size_t> results{0};
+            std::atomic<size_t> off_caller{0};
+            const std::thread::id caller = std::this_thread::get_id();
+            core::RunOptions opt;
+            opt.jobs = jobs;
+            opt.on_result = [&](size_t, const StatGroup &) {
+                ++results;
+                if (std::this_thread::get_id() != caller)
+                    ++off_caller;
+            };
+            core::run(tasks, opt);
+
+            const std::string where = "jobs=" + std::to_string(jobs) +
+                " count=" + std::to_string(count);
+            EXPECT_EQ(results.load(), count) << where;
+            EXPECT_EQ(std::count(seen_runs.begin(), seen_runs.end(), 1),
+                      static_cast<ptrdiff_t>(count))
+                << where;
+            EXPECT_LE(seen_threads.size(),
+                      std::min<size_t>(jobs, count))
+                << where;
+            if (jobs == 1) {
+                EXPECT_EQ(off_caller.load(), 0u) << where;
+                EXPECT_EQ(seen_threads.size(), seen_threads.count(caller))
+                    << where;
+            }
+        }
 }
 
 TEST(Sweep, RecoversAfterWorkerException)

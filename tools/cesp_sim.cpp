@@ -22,8 +22,8 @@
  * under --sweep, else the chosen one; the traces are every workload,
  * or the one --workload, --asm program or --synthetic trace. Only
  * the table and the export document depend on the mode. --jobs N
- * picks the worker count (default: all hardware threads); output is
- * identical for any --jobs value.
+ * picks the worker count (default: the CPUs this process may run on,
+ * see core::defaultJobs); output is identical for any --jobs value.
  *
  * --shards K splits every trace into K contiguous windows simulated
  * in parallel and merges the measured stats; --warmup N gives each
@@ -92,7 +92,8 @@ usage()
         "benchmark\n"
         "  --jobs N               parallel simulations, in every "
         "mode\n"
-        "                         (default: all hardware threads)\n"
+        "                         (default: every CPU this process "
+        "may use)\n"
         "  --shards K             split each trace into K parallel "
         "windows\n"
         "  --warmup N             per-shard warmup records (stats "
