@@ -1311,6 +1311,12 @@ loadStatGroups(const std::string &path, std::vector<StatGroup> &out,
     std::string text;
     if (!readTextInput(path, text, error))
         return false;
+    // Every error below the file read names the file.
+    auto failIn = [&] {
+        if (error)
+            *error = strprintf("'%s': %s", path.c_str(), error->c_str());
+        return false;
+    };
 
     // A whole-text parse distinguishes the single-document formats
     // from a multi-line stream (which fails with trailing content).
@@ -1324,7 +1330,7 @@ loadStatGroups(const std::string &path, std::vector<StatGroup> &out,
         if (name == kStatsSchemaName) {
             StatGroup g;
             if (!groupFromJval(root, g, error))
-                return false;
+                return failIn();
             out.push_back(std::move(g));
             return true;
         }
@@ -1343,7 +1349,7 @@ loadStatGroups(const std::string &path, std::vector<StatGroup> &out,
             for (const JVal &gj : use->arr) {
                 StatGroup g;
                 if (!groupFromJval(gj, g, error))
-                    return false;
+                    return failIn();
                 out.push_back(std::move(g));
             }
             return true;
@@ -1360,12 +1366,8 @@ loadStatGroups(const std::string &path, std::vector<StatGroup> &out,
     }
 
     std::vector<StatStreamRecord> recs;
-    if (!readStatStream(text, recs, error)) {
-        if (error)
-            *error = strprintf("'%s': %s", path.c_str(),
-                               error->c_str());
-        return false;
-    }
+    if (!readStatStream(text, recs, error))
+        return failIn();
     std::string kind = preferredStreamKind(recs);
     std::vector<const StatStreamRecord *> picked;
     for (const StatStreamRecord &r : recs)
@@ -1396,12 +1398,8 @@ bool
 writeTextOutput(const std::string &path, const std::string &text,
                 std::string *error)
 {
-    if (path == "-") {
-        std::fwrite(text.data(), 1, text.size(), stdout);
-        std::fflush(stdout);
-        return true;
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
+    const bool to_stdout = path == "-";
+    std::FILE *f = to_stdout ? stdout : std::fopen(path.c_str(), "w");
     if (!f) {
         if (error)
             *error = strprintf("cannot open '%s' for writing",
@@ -1411,7 +1409,8 @@ writeTextOutput(const std::string &path, const std::string &text,
     bool ok = std::fwrite(text.data(), 1, text.size(), f) ==
         text.size();
     ok = std::fflush(f) == 0 && ok;
-    ok = std::fclose(f) == 0 && ok;
+    if (!to_stdout)
+        ok = std::fclose(f) == 0 && ok;
     if (!ok && error)
         *error = strprintf("short write to '%s'", path.c_str());
     return ok;

@@ -6,7 +6,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/logging.hpp"
@@ -120,28 +119,6 @@ Histogram::operator==(const Histogram &o) const
             return false;
     }
     return true;
-}
-
-double
-geometricMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double v : values)
-        s += std::log(v);
-    return std::exp(s / static_cast<double>(values.size()));
-}
-
-double
-arithmeticMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double v : values)
-        s += v;
-    return s / static_cast<double>(values.size());
 }
 
 } // namespace cesp

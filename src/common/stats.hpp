@@ -173,12 +173,6 @@ class Histogram
     uint64_t overflow_ = 0;
 };
 
-/** Geometric mean of a series of strictly positive values. */
-double geometricMean(const std::vector<double> &values);
-
-/** Arithmetic mean; 0 for an empty series. */
-double arithmeticMean(const std::vector<double> &values);
-
 } // namespace cesp
 
 #endif // CESP_COMMON_STATS_HPP

@@ -1,7 +1,7 @@
 /**
  * @file
  * Implementation of machine pricing (clockConfig, the clock/BIPS
- * gauges), the Section 5.5 speedup study and the run comparison.
+ * gauges) and the run comparison.
  */
 
 #include "core/report.hpp"
@@ -38,73 +38,6 @@ addClockGauges(StatGroup &g, double clock_mhz)
                "billions of instructions per second: IPC times the "
                "clock estimate",
                ipc * clock_mhz / 1000.0);
-}
-
-StatGroup
-SpeedupStudy::toGroup() const
-{
-    StatGroup g("cesp.speedup_study",
-                vlsi::technology(tech).name +
-                    " dep-based 2x4 vs window 8-way");
-    g.addGauge("clock_ratio", "ratio",
-               "dependence-based clock over window-based clock",
-               clock_ratio);
-    g.addGauge("mean_speedup", "ratio",
-               "arithmetic mean of per-workload overall speedups",
-               mean_speedup);
-    g.addGauge("mean_ipc_ratio", "ratio",
-               "arithmetic mean of per-workload IPC ratios",
-               mean_ipc_ratio);
-    for (const SpeedupEntry &e : entries) {
-        g.addGauge(e.workload + ".ipc_window", "ipc",
-                   "IPC on the 8-way 64-entry window machine",
-                   e.ipc_window);
-        g.addGauge(e.workload + ".ipc_dep", "ipc",
-                   "IPC on the 2x4 clustered dependence machine",
-                   e.ipc_dep);
-        g.addGauge(e.workload + ".ipc_ratio", "ratio",
-                   "dep-based IPC over window-based IPC",
-                   e.ipcRatio());
-        g.addGauge(e.workload + ".speedup", "ratio",
-                   "IPC ratio times clock ratio", e.speedup);
-    }
-    return g;
-}
-
-SpeedupStudy
-speedupStudy(vlsi::Process tech, const Grid &grid)
-{
-    using uarch::IssueBufferStyle;
-    if (grid.configs.size() != 2 ||
-        grid.configs[0].style != IssueBufferStyle::CentralWindow ||
-        grid.configs[1].style != IssueBufferStyle::Fifos)
-        panic("speedupStudy: the grid must be {window machine, "
-              "dependence-based machine}");
-    SpeedupStudy study;
-    study.tech = tech;
-
-    vlsi::ClockEstimator clock(tech);
-    // Section 5.5: the dep-based machine clocks at least as fast as a
-    // machine with half the width and half the window.
-    study.clock_ratio = clock.dependenceClockRatio(8, 64);
-
-    double speedup_sum = 0.0;
-    double ratio_sum = 0.0;
-    for (size_t w = 0; w < grid.workloads.size(); ++w) {
-        SpeedupEntry e;
-        e.workload = grid.workloads[w];
-        e.ipc_window = grid.at(0, w).ipc();
-        e.ipc_dep = grid.at(1, w).ipc();
-        e.clock_ratio = study.clock_ratio;
-        e.speedup = e.ipcRatio() * e.clock_ratio;
-        speedup_sum += e.speedup;
-        ratio_sum += e.ipcRatio();
-        study.entries.push_back(e);
-    }
-    size_t n = study.entries.size();
-    study.mean_speedup = n ? speedup_sum / static_cast<double>(n) : 0.0;
-    study.mean_ipc_ratio = n ? ratio_sum / static_cast<double>(n) : 0.0;
-    return study;
 }
 
 namespace {

@@ -1,10 +1,9 @@
 /**
  * @file
- * Combined complexity-effectiveness analysis (paper Section 5.5):
- * join the cycle-level IPC results from the timing simulator with the
- * clock estimate from the VLSI delay models to compute the overall
- * speedup of the clustered dependence-based machine over the
- * window-based machine.
+ * Joins the timing simulator to the VLSI delay models and runs to
+ * each other: machine pricing (the SimConfig -> ClockConfig map and
+ * the clock/BIPS gauges) and the cross-run comparison behind
+ * `cesp-sim --compare`.
  */
 
 #ifndef CESP_CORE_REPORT_HPP
@@ -13,10 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "core/sweep.hpp"
-#include "uarch/pipeline.hpp"
+#include "common/metrics.hpp"
+#include "uarch/config.hpp"
 #include "vlsi/clock.hpp"
-#include "vlsi/technology.hpp"
 
 namespace cesp::core {
 
@@ -35,49 +33,6 @@ vlsi::ClockConfig clockConfig(const uarch::SimConfig &cfg);
  * `bips`, the group's IPC times that clock.
  */
 void addClockGauges(StatGroup &g, double clock_mhz);
-
-/** Per-workload entry of the Section 5.5 study. */
-struct SpeedupEntry
-{
-    std::string workload;
-    double ipc_window;  //!< 8-way, 64-entry window machine
-    double ipc_dep;     //!< 2x4-way clustered dependence-based
-    double clock_ratio; //!< dep-based clock / window clock (>1)
-    double speedup;     //!< (ipc_dep/ipc_window) * clock_ratio
-
-    double
-    ipcRatio() const
-    {
-        return ipc_window > 0.0 ? ipc_dep / ipc_window : 0.0;
-    }
-};
-
-/** Full study result. */
-struct SpeedupStudy
-{
-    vlsi::Process tech;
-    double clock_ratio;
-    std::vector<SpeedupEntry> entries;
-    double mean_speedup;     //!< arithmetic mean over workloads
-    double mean_ipc_ratio;
-
-    /**
-     * Export the study as a metrics group: the clock ratio and means
-     * as gauges, then per-workload speedup/IPC-ratio gauges named
-     * `<workload>.speedup` etc. Renders through statTable and
-     * exports through StatGroup::toJson like any simulator group.
-     */
-    StatGroup toGroup() const;
-};
-
-/**
- * Combine the Section 5.5 study from @p grid, whose configuration 0
- * is the window-based machine and configuration 1 the clustered
- * dependence-based one (panics on any other grid shape), with the
- * clock ratio for @p tech from the delay models: one entry per
- * workload of the grid.
- */
-SpeedupStudy speedupStudy(vlsi::Process tech, const Grid &grid);
 
 // ---------------------------------------------------------------------
 // Cross-run comparison (the cesp-sim --compare CI perf gate)

@@ -17,12 +17,6 @@ fpReg(uint32_t field)
 
 } // namespace
 
-bool
-isValidEncoding(uint32_t raw)
-{
-    return (raw >> 26) < static_cast<uint32_t>(Opcode::NUM_OPCODES);
-}
-
 Decoded
 decode(uint32_t raw)
 {

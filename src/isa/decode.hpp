@@ -40,9 +40,6 @@ struct Decoded
  */
 Decoded decode(uint32_t raw);
 
-/** True if the raw word holds a valid opcode field. */
-bool isValidEncoding(uint32_t raw);
-
 } // namespace cesp::isa
 
 #endif // CESP_ISA_DECODE_HPP

@@ -841,7 +841,7 @@ Pipeline::doFetch()
         if (fetchQueueSize() >= static_cast<size_t>(cfg_.fetch_queue))
             return;
 
-        if (next_record_ == trace_.count) {
+        if (next_seq_ == trace_.count) {
             trace_done_ = true;
             return;
         }
@@ -855,7 +855,7 @@ Pipeline::doFetch()
         // Everything a dispatch observer may read that dispatch does
         // not write is reset here, once per instruction.
         DynInst &inst = robSlot(next_seq_);
-        inst.op = trace_[next_record_++];
+        inst.op = trace_[next_seq_];
         const trace::TraceOp &op = inst.op;
         inst.seq = next_seq_++;
         inst.frontend_exit =

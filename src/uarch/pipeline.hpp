@@ -426,8 +426,7 @@ class Pipeline
     size_t fetchQueueSize() const { return next_seq_ - rob_tail_; }
 
     SimConfig cfg_;
-    trace::TraceView trace_;
-    size_t next_record_ = 0; //!< index of the next record to fetch
+    trace::TraceView trace_; //!< record i is the instruction of seq i
 
     std::unique_ptr<bpred::BranchPredictor> bpred_;
     mem::Cache dcache_;

@@ -80,21 +80,4 @@ technology(Process p)
     panic("unknown process id %d", static_cast<int>(p));
 }
 
-Technology
-makeScaledTechnology(double feature_um)
-{
-    if (feature_um <= 0.0)
-        fatal("feature size must be positive, got %f", feature_um);
-    Technology t = kTech0_18;
-    double ratio = feature_um / t.feature_um;
-    t.name = strprintf("%.3gum", feature_um);
-    t.feature_um = feature_um;
-    t.lambda_um = feature_um / 2.0;
-    // Constant wire-delay-per-lambda scaling: R per um rises as the
-    // cross-section shrinks (1/ratio^2); C per um is constant.
-    t.r_metal_ohm_um = kTech0_18.r_metal_ohm_um / (ratio * ratio);
-    t.logic_scale = ratio;
-    return t;
-}
-
 } // namespace cesp::vlsi

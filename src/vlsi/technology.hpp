@@ -66,15 +66,6 @@ struct Technology
 /** Look up the calibrated parameters for one of the three processes. */
 const Technology &technology(Process p);
 
-/**
- * Build a Technology for an arbitrary feature size (microns) by
- * scaling the calibrated 0.18 um process. The delay models and the
- * ClockEstimator take a calibrated Process, so nothing in the
- * library or the experiments reads a scaled Technology; it is kept
- * as a tested model of the constant-wire-delay scaling rule.
- */
-Technology makeScaledTechnology(double feature_um);
-
 } // namespace cesp::vlsi
 
 #endif // CESP_VLSI_TECHNOLOGY_HPP

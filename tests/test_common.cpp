@@ -277,14 +277,6 @@ TEST(Histogram, MeanOfMidpoints)
     EXPECT_DOUBLE_EQ(h.mean(), 3.0);
 }
 
-TEST(Means, GeometricAndArithmetic)
-{
-    EXPECT_DOUBLE_EQ(geometricMean({4.0, 1.0}), 2.0);
-    EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_EQ(geometricMean({}), 0.0);
-    EXPECT_EQ(arithmeticMean({}), 0.0);
-}
-
 TEST(Table, RendersAlignedRows)
 {
     Table t("title");

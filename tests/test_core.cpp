@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the core API layer: presets, simulating a program or a
- * trace on a preset, the trace cache, and the speedup-study report.
+ * trace on a preset, the trace cache, and the configurations x
+ * workloads grid.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +13,10 @@
 
 #include "core/machine.hpp"
 #include "core/presets.hpp"
-#include "core/report.hpp"
 #include "core/sweep.hpp"
 #include "func/emulator.hpp"
 #include "trace/synthetic.hpp"
+#include "vlsi/clock.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cesp;
@@ -158,56 +159,16 @@ TEST(Machine, ReusableAcrossRuns)
     EXPECT_TRUE(s1.group().sameValues(s2.group()));
 }
 
-namespace {
-
-/** The Section 5.5 grid: the window machine, then the clustered
- *  dependence-based machine, over every workload. */
-const Grid &
-speedupGrid()
-{
-    static const Grid g =
-        runGrid({baseline8Way(), clusteredDependence2x4()},
-                workloads::workloadNames());
-    return g;
-}
-
-} // namespace
-
-TEST(Report, SpeedupStudyShape)
-{
-    // Shallow check here (full numeric assertions live in the
-    // integration suite): structure and clock ratio.
-    SpeedupStudy s = speedupStudy(vlsi::Process::um0_18, speedupGrid());
-    EXPECT_EQ(s.tech, vlsi::Process::um0_18);
-    EXPECT_NEAR(s.clock_ratio, 1.2526, 0.001);
-    ASSERT_EQ(s.entries.size(), 7u);
-    for (const auto &e : s.entries) {
-        EXPECT_GT(e.ipc_window, 0.0);
-        EXPECT_GT(e.ipc_dep, 0.0);
-        EXPECT_NEAR(e.speedup, e.ipcRatio() * e.clock_ratio, 1e-9);
-    }
-    EXPECT_GT(s.mean_speedup, 0.9);
-}
-
-TEST(Report, SpeedupStudyRejectsMisorderedGrid)
-{
-    Grid reversed;
-    reversed.configs = {clusteredDependence2x4(), baseline8Way()};
-    EXPECT_DEATH(speedupStudy(vlsi::Process::um0_18, reversed),
-                 "window machine");
-    Grid extra;
-    extra.configs = {baseline8Way(), clusteredDependence2x4(),
-                     dependence8x8()};
-    EXPECT_DEATH(speedupStudy(vlsi::Process::um0_18, extra),
-                 "window machine");
-}
-
 TEST(Report, ClockRatioVariesByTechnology)
 {
-    SpeedupStudy s8 = speedupStudy(vlsi::Process::um0_8, speedupGrid());
-    SpeedupStudy s18 = speedupStudy(vlsi::Process::um0_18, speedupGrid());
-    EXPECT_GT(s8.clock_ratio, 1.0);
-    EXPECT_GT(s18.clock_ratio, 1.0);
+    // Section 5.5: the clustered dependence-based 8-way machine clocks
+    // faster than the window-based one in the oldest and newest process.
+    EXPECT_GT(vlsi::ClockEstimator(vlsi::Process::um0_8)
+                  .dependenceClockRatio(8, 64),
+              1.0);
+    EXPECT_GT(vlsi::ClockEstimator(vlsi::Process::um0_18)
+                  .dependenceClockRatio(8, 64),
+              1.0);
 }
 
 namespace {

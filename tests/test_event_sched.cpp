@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "trace/synthetic.hpp"
 #include "uarch/pipeline.hpp"
@@ -65,6 +66,26 @@ TEST(EventSched, ExactAcrossPresetsAndSeeds)
     for (const SimConfig &cfg : configs)
         for (uint64_t seed : {1ULL, 7ULL, 99ULL})
             expectExact(cfg, seed);
+}
+
+/** tomcatv's first 100,000 records on every sweep preset: the
+ *  synthetic traces and the seven kernels write no FP register, so
+ *  only this row renames and frees FP physical registers. */
+TEST(EventSched, ExactOnFpKernelAcrossPresets)
+{
+    uarch::RunLimits limits;
+    limits.max_instructions = 100000;
+    trace::TraceView trace = core::cachedWorkloadTraceView("tomcatv");
+    for (const core::NamedPreset &p : core::sweepPresets()) {
+        SimConfig cfg = p.make();
+        cfg.issue_model = IssueModel::EventDriven;
+        SimStats ev = uarch::simulate(cfg, trace, limits);
+        cfg.issue_model = IssueModel::LegacyScan;
+        SimStats scan = uarch::simulate(cfg, trace, limits);
+        EXPECT_TRUE(ev.group().sameValues(scan.group()))
+            << "preset " << p.name << "\n"
+            << ev.group().diff(scan.group());
+    }
 }
 
 /** Every select policy on windows and FIFOs. Only oldest-first runs

@@ -7,7 +7,8 @@
  * goldens check each organization against itself; these tie one
  * organization to another. DESIGN.md §5 states each identity.
  *
- * Every pair runs on the seven kernels (their first 100,000 records)
+ * Every pair runs on the seven kernels and on tomcatv, whose FP
+ * destinations none of the others has (their first 100,000 records),
  * and on two seeded synthetic traces, under both issue models.
  */
 
@@ -162,7 +163,9 @@ TEST_P(Identities, EveryStatisticMatches)
 {
     uarch::RunLimits limits;
     limits.max_instructions = kKernelRecords;
-    for (const std::string &w : workloads::workloadNames())
+    std::vector<std::string> kernels = workloads::workloadNames();
+    kernels.push_back("tomcatv");
+    for (const std::string &w : kernels)
         expectSame(core::cachedWorkloadTraceView(w), limits, w);
     for (uint64_t seed : {3ULL, 29ULL}) {
         trace::SyntheticParams sp;

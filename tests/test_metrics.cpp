@@ -252,15 +252,23 @@ TEST(StatGroup, CounterValueMustBeAnUnsignedInteger)
         EXPECT_FALSE(StatGroup::fromJson(withTicks(token), back, &err))
             << token;
         EXPECT_FALSE(err.empty()) << token;
-        {
-            std::ofstream out(file, std::ios::binary);
-            out << withTicks(token);
+        // Loaded from a file, as one group or inside a list, the
+        // error names the file.
+        for (const std::string &text :
+             {withTicks(token),
+              "{\"schema\": \"cesp.statgroup.list\", \"groups\": [" +
+                  withTicks(token) + "]}"}) {
+            {
+                std::ofstream out(file, std::ios::binary);
+                out << text;
+            }
+            std::vector<StatGroup> groups;
+            err.clear();
+            EXPECT_FALSE(loadStatGroups(file.string(), groups, &err))
+                << token;
+            EXPECT_EQ(err.rfind("'" + file.string() + "': ", 0), 0u)
+                << token << ": " << err;
         }
-        std::vector<StatGroup> groups;
-        err.clear();
-        EXPECT_FALSE(loadStatGroups(file.string(), groups, &err))
-            << token;
-        EXPECT_FALSE(err.empty()) << token;
     }
     std::filesystem::remove(file);
 

@@ -50,35 +50,3 @@ TEST(Technology, LogicScaleRelative018)
     EXPECT_NEAR(technology(Process::um0_8).logic_scale, 0.8 / 0.18,
                 1e-12);
 }
-
-TEST(ScaledTechnology, MatchesCalibratedAt018)
-{
-    Technology t = makeScaledTechnology(0.18);
-    EXPECT_NEAR(t.wireDelayPs(20500.0),
-                technology(Process::um0_18).wireDelayPs(20500.0),
-                1e-9);
-}
-
-TEST(ScaledTechnology, PreservesConstantWireDelayPerLambda)
-{
-    // Extrapolation keeps the scaling model: same lambda length,
-    // same delay.
-    Technology t13 = makeScaledTechnology(0.13);
-    Technology t09 = makeScaledTechnology(0.09);
-    EXPECT_NEAR(t13.wireDelayPs(20500.0), 184.9, 0.5);
-    EXPECT_NEAR(t09.wireDelayPs(20500.0), 184.9, 0.5);
-}
-
-TEST(ScaledTechnology, LogicScaleTracksFeature)
-{
-    Technology t = makeScaledTechnology(0.09);
-    EXPECT_NEAR(t.logic_scale, 0.5, 1e-12);
-}
-
-TEST(ScaledTechnologyDeathTest, RejectsNonPositiveFeature)
-{
-    EXPECT_EXIT(makeScaledTechnology(0.0),
-                ::testing::ExitedWithCode(1), "positive");
-    EXPECT_EXIT(makeScaledTechnology(-1.0),
-                ::testing::ExitedWithCode(1), "positive");
-}
