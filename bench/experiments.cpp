@@ -2052,5 +2052,6 @@ main(int argc, char **argv)
                         statGroupListJson(out.groups, out.summary), &err))
             fatal("%s", err.c_str());
     }
+    checkStdout();
     return 0;
 }

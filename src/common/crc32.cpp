@@ -165,6 +165,7 @@ struct CrcShiftOperator
     bool valid = false;
     uint32_t mat[32];
 
+    /** @p len2 > 0: the combined blocks are never empty. */
     void
     build(uint64_t len2)
     {
@@ -172,8 +173,6 @@ struct CrcShiftOperator
         valid = true;
         for (int n = 0; n < 32; ++n)
             mat[n] = 1u << n; // identity
-        if (len2 == 0)
-            return;
         uint32_t even[32], odd[32];
         odd[0] = kPoly; // matrix for one zero bit
         for (int n = 1; n < 32; ++n)

@@ -73,4 +73,11 @@ warn(const char *fmt, ...)
     va_end(ap);
 }
 
+void
+checkStdout()
+{
+    if (std::fflush(stdout) != 0 || std::ferror(stdout))
+        fatal("short write to '-'");
+}
+
 } // namespace cesp

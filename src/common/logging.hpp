@@ -29,6 +29,13 @@ namespace cesp {
 /** Report a suspicious but survivable condition to stderr. */
 void warn(const char *fmt, ...);
 
+/**
+ * Flush stdout and fatal("short write to '-'") unless everything
+ * printed to it arrived: a tool calls this before a successful exit,
+ * so text it could not write is an error, as a "-" export's is.
+ */
+void checkStdout();
+
 /** Printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...);
 

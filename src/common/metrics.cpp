@@ -75,7 +75,8 @@ jsonDouble(double v)
 {
     if (!std::isfinite(v))
         return "null"; // stats never produce these; null parses as 0
-    for (int prec = 15; prec <= 17; ++prec) {
+    // 17 significant digits always round-trip a double.
+    for (int prec = 15; prec < 17; ++prec) {
         std::string s = strprintf("%.*g", prec, v);
         if (std::strtod(s.c_str(), nullptr) == v)
             return s;

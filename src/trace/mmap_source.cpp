@@ -272,6 +272,12 @@ publishTrace(const std::string &path,
              const std::function<void(TraceSink &)> &emit,
              MmapTraceSource &out)
 {
+    std::error_code ec;
+    const auto type = std::filesystem::status(path, ec).type();
+    if (type != std::filesystem::file_type::not_found &&
+        type != std::filesystem::file_type::regular)
+        return fail(TraceIoStatus::OpenFailed,
+                    path + ": not a regular file");
     const std::string tmp = path + strprintf(".%d.tmp", getpid());
     TraceFileWriter writer;
     TraceIoResult r = writer.open(tmp);
@@ -279,7 +285,6 @@ publishTrace(const std::string &path,
         emit(writer);
         r = writer.finish();
     }
-    std::error_code ec;
     if (r.ok()) {
         std::filesystem::rename(tmp, path, ec);
         if (!ec)

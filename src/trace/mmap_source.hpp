@@ -103,7 +103,9 @@ class MmapTraceSource
  * that into place, so no reader of @p path ever sees a half-written
  * file, and map the result into @p out with its one verified open().
  * The temporary is removed on any failure, and the result names the
- * failed step (RenameFailed for the rename).
+ * failed step (RenameFailed for the rename). A @p path that exists
+ * but is not a regular file (a directory, FIFO or device the rename
+ * would replace) is OpenFailed before anything is emitted.
  */
 TraceIoResult publishTrace(const std::string &path,
                            const std::function<void(TraceSink &)> &emit,

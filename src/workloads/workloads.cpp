@@ -28,8 +28,6 @@ extern const char *kVortexSource;
 extern const char *kVortexGolden;
 extern const char *kTomcatvSource;
 extern const char *kTomcatvGolden;
-extern const char *kIjpegSource;
-extern const char *kIjpegGolden;
 
 const std::vector<Workload> &
 allWorkloads()
@@ -59,8 +57,6 @@ extraWorkloads()
     static const std::vector<Workload> extra = {
         {"tomcatv", "single-precision Jacobi stencil (FP pipeline)",
          kTomcatvSource, 4000000, kTomcatvGolden},
-        {"ijpeg", "8x8 block transforms and quantization (high ILP)",
-         kIjpegSource, 4000000, kIjpegGolden},
     };
     return extra;
 }

@@ -54,9 +54,7 @@ const std::vector<Workload> &allWorkloads();
 /**
  * Additional workloads beyond the paper's seven (not part of the
  * figure reproductions): "tomcatv", an FP stencil kernel exercising
- * the floating-point register class, and "ijpeg", the eighth
- * SPECint95 benchmark (high-ILP block transforms) that the paper's
- * evaluation omitted.
+ * the floating-point register class.
  */
 const std::vector<Workload> &extraWorkloads();
 

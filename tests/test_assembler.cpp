@@ -119,6 +119,14 @@ TEST(Assembler, BranchOutOfRangeError)
     auto r = assemble(src);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("range"), std::string::npos);
+    // j, jal and the b pseudo-op reach only the low 256 MB.
+    for (const char *far : {"main: j 0x10000000\n",
+                            "main: b 0x10000000\n"}) {
+        auto rj = assemble(far);
+        ASSERT_FALSE(rj.ok) << far;
+        EXPECT_NE(rj.error.find("target out of range"),
+                  std::string::npos) << rj.error;
+    }
 }
 
 TEST(Assembler, LiExpansions)
@@ -213,6 +221,8 @@ s:      .asciiz "hi\n"
 q:      .word 5
         .space 12
 e:      .word 9
+c:      .byte '\t', '\0', '\\'
+t:      .ascii "\t\0\\\""
         .text
 main:   halt
 )");
@@ -234,6 +244,13 @@ main:   halt
     EXPECT_EQ(mem.read8(sym.at("s")), 'h');
     EXPECT_EQ(mem.read8(sym.at("s") + 2), '\n');
     EXPECT_EQ(mem.read8(sym.at("s") + 3), 0); // NUL
+    EXPECT_EQ(mem.read8(sym.at("c")), '\t');
+    EXPECT_EQ(mem.read8(sym.at("c") + 1), 0);
+    EXPECT_EQ(mem.read8(sym.at("c") + 2), '\\');
+    EXPECT_EQ(mem.read8(sym.at("t")), '\t');
+    EXPECT_EQ(mem.read8(sym.at("t") + 1), 0);
+    EXPECT_EQ(mem.read8(sym.at("t") + 2), '\\');
+    EXPECT_EQ(mem.read8(sym.at("t") + 3), '"');
 }
 
 TEST(Assembler, WordWithSymbolValues)
@@ -402,6 +419,22 @@ TEST(Assembler, MoreDiagnostics)
     EXPECT_FALSE(assemble("main: lw t0\n").ok);
     // jr with a bad register.
     EXPECT_FALSE(assemble("main: jr 42x\n").ok);
+    // Each message names its own fault.
+    const std::pair<const char *, const char *> cases[] = {
+        {".data\ns: .asciiz hi\n", "expects a quoted string"},
+        {".data\ns: .asciiz \"a\\qb\"\n", "bad escape in string"},
+        {"main: li t0, '\\q'\n", "integer literal"},
+        {"main: li t0, 'ab'\n", "integer literal"},
+        {".data\nw: .word w+\n", "undefined symbol 'w+'"},
+        {"main: li t0, 0x100000000\n", "li value out of 32-bit range"},
+        {"main: beq t0, t1, 6\n", "misaligned branch target"},
+        {"main: bgt t0, t1\n", "bgt needs 3 operands"},
+    };
+    for (const auto &[src, msg] : cases) {
+        auto rc = assemble(src);
+        ASSERT_FALSE(rc.ok) << src;
+        EXPECT_NE(rc.error.find(msg), std::string::npos) << rc.error;
+    }
 }
 
 TEST(Assembler, SpaceSizeLimits)

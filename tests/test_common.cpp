@@ -11,6 +11,7 @@
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
+#include "common/metrics.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -92,6 +93,10 @@ TEST(Rng, ZeroSeedIsValid)
 {
     Rng r(0);
     EXPECT_NE(r.next(), 0u);
+    // The one seed whose scramble is zero, a state xorshift never
+    // leaves, is moved off it.
+    Rng z(0x61c8864680b583ebULL);
+    EXPECT_NE(z.next(), 0u);
 }
 
 TEST(Sample, TracksMinMaxMeanCount)
@@ -297,6 +302,22 @@ TEST(Table, CellFormatters)
     EXPECT_EQ(cell(static_cast<int64_t>(-5)), "-5");
     EXPECT_EQ(cell(static_cast<uint64_t>(7)), "7");
     EXPECT_EQ(cell(0), "0");
+}
+
+TEST(Table, HistogramRowsCountOutOfRangeSamples)
+{
+    StatGroup g("demo");
+    size_t h = g.addHistogram("occ", "entries", "occupancy", 2, 1.0);
+    for (double v : {-1.0, 0.5, 1.5, 7.0})
+        g.histogramAt(h).add(v);
+    EXPECT_NE(statTable(g).render().find("(1 under, 1 over)"),
+              std::string::npos);
+    std::vector<Table> tables = histogramTables(g);
+    ASSERT_EQ(tables.size(), 1u);
+    const std::string s = tables[0].render();
+    EXPECT_NE(s.find("< 0"), std::string::npos) << s;
+    EXPECT_NE(s.find(">= 2"), std::string::npos) << s;
+    EXPECT_EQ(tables[0].rows(), 4u);
 }
 
 TEST(Table, EmptyTableStillRenders)

@@ -38,6 +38,14 @@ TEST(Presets, AllValidate)
     }
 }
 
+TEST(PresetsDeath, EmptyFifosAreAConfigError)
+{
+    uarch::SimConfig c = dependence8x8();
+    c.fifo_depth = 0;
+    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
+                "FIFO shape 8x0 invalid");
+}
+
 TEST(Presets, Figure17OrderAndUniqueness)
 {
     auto configs = figure17Configs();
@@ -222,6 +230,22 @@ TEST(RunGrid, MachinesDifferingInOneFieldNeverMerge)
     auto [g, simulations] = countedGrid(configs);
     EXPECT_EQ(simulations, configs.size());
     EXPECT_EQ(g.stats.size(), configs.size());
+}
+
+TEST(RunGrid, MergedAggregatesOneConfigurationsBlock)
+{
+    // Two machines on two traces, config-major: merged(1) is the
+    // mergedStats of the second machine's two runs.
+    Grid g{{baseline8Way(), dependence8x8()}, {"a", "b"}, {}};
+    for (const uarch::SimConfig &cfg : g.configs)
+        for (uint64_t seed : {1, 2}) {
+            trace::SyntheticParams sp;
+            sp.seed = seed;
+            g.stats.push_back(
+                uarch::simulate(cfg, trace::generateSynthetic(sp, 2000)));
+        }
+    EXPECT_TRUE(g.merged(1).sameValues(mergedStats({g.at(1, 0), g.at(1, 1)})));
+    EXPECT_FALSE(g.merged(1).sameValues(g.merged(0)));
 }
 
 TEST(Presets, IpcMonotoneInScaledWidth)

@@ -59,6 +59,7 @@ TEST(Registers, NamesAndAliases)
     EXPECT_EQ(parseRegister("nope"), kNoReg);
     EXPECT_EQ(regName(0), "zero");
     EXPECT_EQ(regName(kFpRegBase + 3), "f3");
+    EXPECT_EQ(regName(kNoReg), "<bad:-1>");
 }
 
 // Encode/decode round trips for every R-type ALU opcode.
@@ -213,6 +214,11 @@ TEST(Disasm, RendersRepresentativeForms)
               "sw t0, 8(sp)");
     EXPECT_EQ(disassemble(encodeNone(Opcode::HALT), 0), "halt");
     EXPECT_EQ(disassemble(encodeR(Opcode::JR, 0, 31, 0), 0), "jr ra");
+    EXPECT_EQ(disassemble(encodeR(Opcode::JALR, 31, 8, 0), 0),
+              "jalr ra, t0");
+    // A jump keeps the pc's top four bits.
+    EXPECT_EQ(disassemble(encodeJ(Opcode::J, 0x4000), 0x10000000),
+              "j 0x10004000");
     // Branch target resolves relative to pc.
     std::string b =
         disassemble(encodeI(Opcode::BEQ, 9, 8, 0xffff), 0x1000);

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -151,12 +152,49 @@ TEST(StatGroup, GoldenJson)
 TEST(StatGroup, JsonRoundTripSmallGroup)
 {
     StatGroup g = demoGroup();
+    // A label holding every byte class the writer escapes, and a gauge
+    // that needs all 17 significant digits, come back exactly.
+    g.label() = "say \"hi\" \\ \r\n\t\x01 end";
+    g.gaugeAt(0) = 0.1 + 0.2;
+    const std::string doc = g.toJson();
+    EXPECT_NE(doc.find("\\u0001"), std::string::npos);
+    EXPECT_NE(doc.find("0.30000000000000004"), std::string::npos);
     StatGroup back;
     std::string err;
-    ASSERT_TRUE(StatGroup::fromJson(g.toJson(), back, &err)) << err;
+    ASSERT_TRUE(StatGroup::fromJson(doc, back, &err)) << err;
     EXPECT_TRUE(g.sameSchema(back));
     EXPECT_TRUE(g.sameValues(back)) << g.diff(back);
-    EXPECT_EQ(g.toJson(), back.toJson());
+    EXPECT_EQ(back.label(), g.label());
+    EXPECT_EQ(back.gaugeAt(0), 0.1 + 0.2);
+    EXPECT_EQ(doc, back.toJson());
+}
+
+TEST(StatGroup, FromJsonReadsEveryEscape)
+{
+    const std::string doc = demoGroup().toJson();
+    const std::string label = "\"label\": \"cfg-a\"";
+    const size_t at = doc.find(label);
+    ASSERT_NE(at, std::string::npos);
+    auto withLabel = [&](const std::string &text) {
+        return std::string(doc).replace(at, label.size(),
+                                        "\"label\": \"" + text + "\"");
+    };
+    StatGroup back;
+    std::string err;
+    ASSERT_TRUE(StatGroup::fromJson(
+        withLabel("\\/\\b\\f\\t\\u0041\\u004a\\u004A"), back, &err))
+        << err;
+    EXPECT_EQ(back.label(), "/\b\f\tAJJ");
+    for (const char *bad : {"\\q", "\\u12G4"}) {
+        EXPECT_FALSE(StatGroup::fromJson(withLabel(bad), back, &err))
+            << bad;
+        EXPECT_NE(err.find("escape"), std::string::npos) << err;
+    }
+    // A document that ends inside an escape.
+    for (const char *cut : {"{\"schema\": \"a\\", "{\"schema\": \"\\u12"}) {
+        EXPECT_FALSE(StatGroup::fromJson(cut, back, &err)) << cut;
+        EXPECT_NE(err.find("escape"), std::string::npos) << err;
+    }
 }
 
 TEST(StatGroup, JsonRoundTripSimulatorGroup)
@@ -185,6 +223,12 @@ TEST(StatGroup, FromJsonRejectsGarbage)
     ASSERT_NE(at, std::string::npos);
     doc.replace(at, 19, "\"schema_version\": 99");
     EXPECT_FALSE(StatGroup::fromJson(doc, back, &err));
+    // Two metrics of one name.
+    std::string dup = demoGroup().toJson();
+    dup.replace(dup.find("\"work\""), 6, "\"ticks\"");
+    EXPECT_FALSE(StatGroup::fromJson(dup, back, &err));
+    EXPECT_NE(err.find("duplicate metric 'ticks'"), std::string::npos)
+        << err;
 }
 
 TEST(StatGroup, DeepNestingIsAParseErrorNotACrash)
@@ -307,6 +351,10 @@ TEST(StatGroup, GaugeAcceptsAnyNumberOrNull)
         EXPECT_FALSE(StatGroup::fromJson(withClock(token), back, &err))
             << token;
     }
+    // The writer's side of null: a non-finite gauge.
+    StatGroup inf = demoGroup();
+    inf.gaugeAt(0) = HUGE_VAL;
+    EXPECT_EQ(inf.toJson(), withClock("null"));
 }
 
 /**
@@ -383,6 +431,8 @@ TEST(StatGroup, MergeAddsEveryKind)
     EXPECT_EQ(a.histogramAt(h->store).total(), 8u);
     EXPECT_EQ(a.histogramAt(h->store).underflow(), 2u);
     EXPECT_EQ(a.histogramAt(h->store).overflow(), 2u);
+    // deltaSince undoes the merge, kind by kind.
+    EXPECT_TRUE(a.deltaSince(demoGroup()).sameValues(demoGroup()));
 }
 
 TEST(StatGroup, DiffNamesTheDifferingEntry)
@@ -478,6 +528,24 @@ TEST(StatGroup, SchemaDiffNamesTheFirstDifferingEntry)
     std::string hd = h1.schemaDiff(h2);
     EXPECT_NE(hd.find("occ"), std::string::npos);
     EXPECT_NE(hd.find("histogram shape"), std::string::npos);
+
+    // Same name, different kind.
+    StatGroup counter("demo");
+    counter.addCounter("x", "ops", "a count");
+    StatGroup gauge("demo");
+    gauge.addGauge("x", "ops", "a count");
+    EXPECT_EQ(counter.schemaDiff(gauge), "entry 0 ('x'): counter vs gauge");
+
+    // Same derived name over other operands.
+    auto ratio = [](const char *num, const char *den) {
+        StatGroup g("demo");
+        g.addCounter("a", "ops", "a");
+        g.addCounter("b", "ops", "b");
+        g.addDerived("r", "", "ratio", num, den);
+        return g;
+    };
+    EXPECT_EQ(ratio("a", "b").schemaDiff(ratio("b", "a")),
+              "entry 2 ('r'): derived operands differ (a/b vs b/a)");
 }
 
 TEST(StatGroup, GrowableHistogramRoundTripsAndMergesAcrossSizes)
@@ -556,6 +624,17 @@ TEST(StatGroupDeath, MergeMismatchNamesTheCulprit)
     // cluster counter, not with a generic size complaint.
     uarch::SimStats one(1), two(2);
     EXPECT_DEATH(one.group().merge(two.group()), "entry count");
+}
+
+TEST(StatGroupDeath, NamedReadOfAMissingOrWrongKindIsFatal)
+{
+    const StatGroup g = demoGroup();
+    EXPECT_EXIT(g.counter("clock_mhz"), ::testing::ExitedWithCode(1),
+                "no counter 'clock_mhz'");
+    EXPECT_EXIT(g.value("nope"), ::testing::ExitedWithCode(1),
+                "no metric 'nope'");
+    EXPECT_EXIT(g.value("occupancy"), ::testing::ExitedWithCode(1),
+                "'occupancy' is a histogram, not a scalar");
 }
 
 /**
@@ -662,4 +741,7 @@ TEST(StatGroup, CsvListsEveryMetric)
               std::string::npos);
     EXPECT_NE(csv.find("occupancy.underflow"), std::string::npos);
     EXPECT_NE(csv.find("occupancy.overflow"), std::string::npos);
+    // A field holding a delimiter or quote is quoted, quotes doubled.
+    g.addCounter("quoted", "ops", "a \"b\", c");
+    EXPECT_NE(g.toCsv().find(",\"a \"\"b\"\", c\"\n"), std::string::npos);
 }

@@ -242,6 +242,7 @@ TEST(StatStream, RoundTripPreservesMetaAndValues)
 {
     std::string path = scratchFile("roundtrip.jsonl");
     StatGroup cumulative = tinyGroup();
+    cumulative.label() = "say \"hi\" \\ \r\x01";
     StatGroup delta = tinyGroup();
     delta.counterAt(0) = 7;
     {
@@ -278,6 +279,7 @@ TEST(StatStream, RoundTripPreservesMetaAndValues)
     EXPECT_EQ(recs[1].shard, 2);
     EXPECT_EQ(recs[2].kind, "snapshot");
     EXPECT_EQ(recs[2].interval, 4);
+    EXPECT_EQ(recs[2].stats.label(), cumulative.label());
     ASSERT_TRUE(recs[2].has_delta);
     EXPECT_TRUE(recs[2].delta.sameValues(delta));
     EXPECT_EQ(recs[2].delta.counter("ticks"), 7u);
@@ -291,6 +293,33 @@ TEST(StatStream, MalformedLineFailsTheRead)
                                 &err));
     EXPECT_FALSE(err.empty());
     EXPECT_FALSE(readStatStream("not json\n", recs, &err));
+
+    // A stamp must be an unsigned integer, and a delta a group.
+    const std::string path = scratchFile("malformed.jsonl");
+    {
+        StatStreamWriter w(path);
+        StatStreamMeta meta;
+        meta.kind = "snapshot";
+        meta.task = 3;
+        StatGroup delta = tinyGroup();
+        w.append(meta, tinyGroup(), &delta);
+    }
+    const std::string line = readAll(path);
+    ASSERT_TRUE(readStatStream(line, recs, &err)) << err;
+    auto broken = [&](const std::string &from, const std::string &to) {
+        std::string s = line;
+        const size_t at = s.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return s.replace(at, from.size(), to);
+    };
+    EXPECT_FALSE(
+        readStatStream(broken("\"task\":3", "\"task\":-1"), recs, &err));
+    EXPECT_EQ(err, "line 1: \"task\" is not an unsigned 64-bit integer");
+    EXPECT_FALSE(readStatStream(
+        broken("\"delta\":{\"schema\":\"cesp.statgroup\"",
+               "\"delta\":{\"schema\":\"other\""),
+        recs, &err));
+    EXPECT_EQ(err.rfind("line 1: delta: ", 0), 0u) << err;
 }
 
 TEST(StatStream, UnwritablePathReportsError)
@@ -298,6 +327,9 @@ TEST(StatStream, UnwritablePathReportsError)
     StatStreamWriter w("/nonexistent-dir/out.jsonl");
     EXPECT_FALSE(w.ok());
     EXPECT_FALSE(w.error().empty());
+    std::string err;
+    EXPECT_FALSE(writeTextOutput("/nonexistent-dir/out.json", "{}", &err));
+    EXPECT_EQ(err, "cannot open '/nonexistent-dir/out.json' for writing");
 }
 
 // ---------------------------------------------------------------------
@@ -354,6 +386,28 @@ TEST(LoadStatGroups, ReadsSingleListAndStreamDocuments)
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].counter("ticks"), 99u); // task 0, despite arrival
     EXPECT_EQ(out[1].counter("ticks"), 40u); // task 1
+
+    // Snapshots alone, all of task 0: ordered by shard, then interval.
+    std::string snapshots = scratchFile("snapshots.jsonl");
+    {
+        StatStreamWriter w(snapshots);
+        const int64_t arrival[][2] = {{1, 0}, {0, 1}, {0, 0}};
+        for (uint64_t i = 0; i < 3; ++i) {
+            StatStreamMeta m;
+            m.kind = "snapshot";
+            m.task = 0;
+            m.shard = arrival[i][0];
+            m.interval = arrival[i][1];
+            StatGroup s = tinyGroup();
+            s.counterAt(0) = 3 - i;
+            w.append(m, s);
+        }
+    }
+    out.clear();
+    ASSERT_TRUE(loadStatGroups(snapshots, out, &err)) << err;
+    ASSERT_EQ(out.size(), 3u);
+    for (size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out[i].counter("ticks"), i + 1);
 }
 
 TEST(LoadStatGroups, MissingFileAndGarbageFail)
@@ -366,6 +420,17 @@ TEST(LoadStatGroups, MissingFileAndGarbageFail)
     std::string garbage = scratchFile("garbage.json");
     ASSERT_TRUE(writeTextOutput(garbage, "not json at all", &err));
     EXPECT_FALSE(loadStatGroups(garbage, out, &err));
+    // A directory opens but cannot be read.
+    EXPECT_FALSE(loadStatGroups(g_dir.string(), out, &err));
+    EXPECT_EQ(err, "read error on '" + g_dir.string() + "'");
+    std::string empty_list = scratchFile("empty_list.json");
+    ASSERT_TRUE(writeTextOutput(
+        empty_list,
+        "{\"schema\": \"cesp.statgroup.list\", \"schema_version\": 1}",
+        &err));
+    EXPECT_FALSE(loadStatGroups(empty_list, out, &err));
+    EXPECT_NE(err.find("list document has no groups"), std::string::npos)
+        << err;
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -244,6 +247,44 @@ TEST(TraceFileWriter, ByteIdenticalToOneShotLayoutAtChunkEdges)
     }
 }
 
+TEST(TraceFileWriter, StatusNamesAreDistinct)
+{
+    std::set<std::string> names;
+    for (int s = 0; s <= static_cast<int>(TraceIoStatus::MmapFailed); ++s) {
+        const std::string name =
+            trace::traceIoStatusName(static_cast<TraceIoStatus>(s));
+        EXPECT_NE(name, "unknown") << s;
+        EXPECT_TRUE(names.insert(name).second) << name;
+    }
+}
+
+TEST(TraceFileWriter, UnfinishedAndReopenedWritersCloseTheirFiles)
+{
+    const trace::TraceBuffer buf = sampleTrace(100);
+    const std::string first = scratchFile("abandoned.trc");
+    const std::string second = scratchFile("reopened.trc");
+    {
+        // Destroyed without finish(): closed, holding no trace.
+        trace::TraceFileWriter w;
+        ASSERT_TRUE(w.open(first).ok());
+        w.append(buf[0]);
+    }
+    expectCorrupt(first, TraceIoStatus::EmptyFile);
+
+    // A second open() closes the first file and starts afresh.
+    trace::TraceFileWriter w;
+    ASSERT_TRUE(w.open(first).ok());
+    w.append(buf[0]);
+    ASSERT_TRUE(w.open(second).ok());
+    for (const trace::TraceOp &op : buf.ops())
+        w.append(op);
+    ASSERT_TRUE(w.finish().ok());
+    expectCorrupt(first, TraceIoStatus::EmptyFile);
+    trace::MmapTraceSource src;
+    ASSERT_TRUE(src.open(second).ok());
+    EXPECT_TRUE(sameRecords(src.view(), buf));
+}
+
 TEST(TraceFileWriter, ReportsOpenAndWriteFailures)
 {
     trace::TraceFileWriter missing;
@@ -274,6 +315,28 @@ TEST(TraceFileWriter, ReportsOpenAndWriteFailures)
             << trace::traceIoStatusName(r.status) << ": " << r.detail;
         EXPECT_FALSE(r.detail.empty());
     }
+}
+
+TEST(TraceFileWriter, UnseekableFileFailsTheHeaderRewrite)
+{
+    // A FIFO takes the payload but cannot seek back to the header, so
+    // finish() must report the header it could not write. The read
+    // end is opened first (non-blocking), so the writer's open does
+    // not wait for a reader.
+    const std::string fifo = scratchFile("header.fifo");
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+    int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(reader, 0);
+    const trace::TraceBuffer buf = sampleTrace(100);
+    trace::TraceFileWriter w;
+    ASSERT_TRUE(w.open(fifo).ok());
+    for (const trace::TraceOp &op : buf.ops())
+        w.append(op);
+    trace::TraceIoResult r = w.finish();
+    EXPECT_EQ(r.status, TraceIoStatus::ShortWrite) << r.detail;
+    EXPECT_NE(r.detail.find("short write"), std::string::npos);
+    ::close(reader);
+    std::filesystem::remove(fifo);
 }
 
 namespace {
@@ -322,17 +385,35 @@ TEST(PublishTrace, MapsThePublishedFileAndCleansUpOnFailure)
     ASSERT_TRUE(trace::saveTrace(buf, saved).ok());
     EXPECT_EQ(readAll(path), readAll(saved));
 
-    // A directory in the way: the rename fails, nothing is mapped and
-    // the temporary is gone.
-    const std::string blocked = scratchFile("blocked.trc");
-    std::filesystem::create_directory(blocked);
+    // A directory or a FIFO in the way is refused before anything is
+    // written: nothing is mapped, no temporary is left, and the node
+    // is still what it was (a rename would have replaced the FIFO).
+    const std::string dir = scratchFile("blocked.trc");
+    const std::string fifo = scratchFile("fifo.trc");
+    std::filesystem::create_directory(dir);
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+    for (const std::string &blocked : {dir, fifo}) {
+        SCOPED_TRACE(blocked);
+        const auto type = std::filesystem::status(blocked).type();
+        trace::MmapTraceSource none;
+        trace::TraceIoResult r = trace::publishTrace(blocked, emit, none);
+        EXPECT_EQ(r.status, TraceIoStatus::OpenFailed);
+        EXPECT_NE(r.detail.find("not a regular file"), std::string::npos)
+            << r.detail;
+        EXPECT_FALSE(none.mapped());
+        EXPECT_FALSE(std::filesystem::exists(
+            blocked + strprintf(".%d.tmp", getpid())));
+        EXPECT_EQ(std::filesystem::status(blocked).type(), type);
+        std::filesystem::remove(blocked);
+    }
+
+    // A missing directory: the temporary cannot be opened.
     trace::MmapTraceSource none;
-    EXPECT_EQ(trace::publishTrace(blocked, emit, none).status,
-              TraceIoStatus::RenameFailed);
+    EXPECT_EQ(trace::publishTrace(scratchFile("no-such-dir/x.trc"), emit,
+                                  none)
+                  .status,
+              TraceIoStatus::OpenFailed);
     EXPECT_FALSE(none.mapped());
-    EXPECT_FALSE(std::filesystem::exists(
-        blocked + strprintf(".%d.tmp", getpid())));
-    std::filesystem::remove(blocked);
 }
 
 TEST(TraceFileV1, BothReadersRefuseLegacyVersion)
@@ -515,8 +596,9 @@ TEST(TraceFileFaults, ImpossibleOpcodeWithValidCrc)
 {
     // A record can be bit-intact (CRC passes) yet decode to garbage —
     // e.g. written by a build with more opcodes. Must be BadRecord,
-    // not silently accepted.
-    trace::TraceBuffer buf = sampleTrace(100);
+    // not silently accepted. Past the reader's first 8192-record
+    // block, so the CRC runs on over blocks it no longer validates.
+    trace::TraceBuffer buf = sampleTrace(20000);
     const std::string path = scratchFile("badrecord.trc");
     ASSERT_TRUE(trace::saveTrace(buf, path).ok());
     std::vector<uint8_t> bytes = readAll(path);
@@ -685,7 +767,7 @@ TEST(TraceCacheRecovery, FailedPublishFallsBackToMemory)
     ASSERT_FALSE(file.empty());
 
     // A directory where the published file belongs: it cannot be
-    // mapped, and renaming the streamed file over it fails.
+    // mapped, and publishing refuses to replace it.
     core::clearTraceCache();
     std::filesystem::remove(file);
     std::filesystem::create_directory(file);

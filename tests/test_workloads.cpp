@@ -10,7 +10,6 @@
 
 #include "func/emulator.hpp"
 #include "trace/trace.hpp"
-#include "uarch/pipeline.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cesp;
@@ -34,6 +33,18 @@ TEST(Workloads, LookupByNameAndUnknownFatal)
     EXPECT_EQ(workload("li").name, "li");
     EXPECT_EXIT(workload("nope"), ::testing::ExitedWithCode(1),
                 "unknown workload");
+}
+
+TEST(Workloads, WrongChecksumOrNoHaltIsFatal)
+{
+    Workload wrong = workload("li");
+    wrong.expected_console = "wrong";
+    EXPECT_EXIT(traceOf(wrong), ::testing::ExitedWithCode(1),
+                "li checksum mismatch: got '.*', want 'wrong'");
+    Workload short_bound = workload("li");
+    short_bound.max_instructions = 10;
+    EXPECT_EXIT(traceOf(short_bound), ::testing::ExitedWithCode(1),
+                "li did not halt within 10 instructions");
 }
 
 class WorkloadRun : public ::testing::TestWithParam<const char *>
@@ -137,22 +148,9 @@ TEST(ExtraWorkloads, RegisteredSeparately)
 {
     // The paper's seven stay untouched; extras are additive.
     EXPECT_EQ(allWorkloads().size(), 7u);
-    ASSERT_EQ(extraWorkloads().size(), 2u);
+    ASSERT_EQ(extraWorkloads().size(), 1u);
     EXPECT_EQ(extraWorkloads()[0].name, "tomcatv");
-    EXPECT_EQ(extraWorkloads()[1].name, "ijpeg");
     EXPECT_EQ(workload("tomcatv").name, "tomcatv");
-    EXPECT_EQ(workload("ijpeg").name, "ijpeg");
-}
-
-TEST(ExtraWorkloads, IjpegIsHighIlp)
-{
-    // The block transforms expose more parallelism than any of the
-    // paper's seven: the wide machine should fly.
-    trace::TraceBuffer buf = traceOf(workload("ijpeg"));
-    uarch::SimConfig cfg; // 8-way window baseline
-    cfg.name = "ijpeg-base";
-    uarch::SimStats s = uarch::simulate(cfg, buf);
-    EXPECT_GT(s.ipc(), 4.0);
 }
 
 TEST(ExtraWorkloads, TomcatvExercisesTheFpPipeline)

@@ -401,6 +401,7 @@ main(int argc, char **argv)
             for (const auto &w : workloads::extraWorkloads())
                 std::printf("  %-14s %s\n", w.name.c_str(),
                             w.description.c_str());
+            checkStdout();
             return 0;
         } else if (a == "--preset") {
             preset = next();
@@ -663,8 +664,10 @@ main(int argc, char **argv)
         std::move(core::run(tasks, ropt).groups);
     if (stream && !stream->ok())
         fatal("%s", stream->error().c_str());
-    if (!ropt.collect_results)
+    if (!ropt.collect_results) {
+        checkStdout();
         return 0;
+    }
     std::vector<StatGroup> runs;
     for (size_t t = 0; t < groups.size(); ++t)
         runs.push_back(runGroup(groups[t], task_labels[t],
@@ -677,6 +680,7 @@ main(int argc, char **argv)
             writeExport(json_path, runs[0].toJson());
         if (!csv_path.empty())
             writeExport(csv_path, runs[0].toCsv());
+        checkStdout();
         return 0;
     }
 
@@ -726,5 +730,6 @@ main(int argc, char **argv)
         writeExport(json_path, statGroupListJson(runs, merged));
     if (!csv_path.empty())
         writeExport(csv_path, statGroupListCsv(runs));
+    checkStdout();
     return 0;
 }

@@ -72,6 +72,7 @@ verifyCommand(const std::string &path)
                     src.size(),
                     trace::kTraceHeaderBytes +
                         src.size() * trace::kTraceRecordBytes);
+        checkStdout();
         return 0;
     }
     std::fprintf(stderr, "%s: CORRUPT: %s (%s)\n", path.c_str(),
@@ -308,5 +309,6 @@ main(int argc, char **argv)
     if (!csv_path.empty() &&
         !writeTextOutput(csv_path, g.toCsv(), &err))
         fatal("%s", err.c_str());
+    checkStdout();
     return 0;
 }

@@ -53,7 +53,7 @@ def run_side(checkout, workload, seconds):
     if out.returncode or not lines:
         sys.stderr.write(out.stderr[-2000:])
         print("%s: perfbench exited %d without a result" %
-              (checkout, out.returncode), file=sys.stderr)
+              (checkout, out.returncode), file=sys.stderr, flush=True)
         sys.exit(2)
     return json.loads(lines[-1])
 
