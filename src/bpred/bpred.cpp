@@ -29,8 +29,7 @@ Gshare::Gshare(const uarch::BpredConfig &cfg)
     if (cfg.counter_bits < 1 || cfg.counter_bits > 7)
         fatal("gshare: counter bits %d out of range", cfg.counter_bits);
     index_mask_ = static_cast<uint32_t>(cfg.table_entries) - 1;
-    history_mask_ = cfg.history_bits >= 31
-        ? 0xffffffffu : ((1u << cfg.history_bits) - 1);
+    history_mask_ = (1u << cfg.history_bits) - 1;
     counter_max_ =
         static_cast<uint8_t>((1u << cfg.counter_bits) - 1);
     // Weakly not-taken start.

@@ -74,10 +74,12 @@ warn(const char *fmt, ...)
 }
 
 void
-checkStdout()
+checkStdout(int status)
 {
-    if (std::fflush(stdout) != 0 || std::ferror(stdout))
-        fatal("short write to '-'");
+    if (std::fflush(stdout) == 0 && !std::ferror(stdout))
+        return;
+    std::fputs("fatal: short write to '-'\n", stderr);
+    std::exit(status);
 }
 
 } // namespace cesp

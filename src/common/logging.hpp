@@ -30,11 +30,12 @@ namespace cesp {
 void warn(const char *fmt, ...);
 
 /**
- * Flush stdout and fatal("short write to '-'") unless everything
- * printed to it arrived: a tool calls this before a successful exit,
- * so text it could not write is an error, as a "-" export's is.
+ * Flush stdout and, unless everything printed to it arrived, report
+ * "short write to '-'" as fatal() does but exit with @p status: a
+ * tool calls this before a successful exit, so text it could not
+ * write is an error, as a "-" export's is.
  */
-void checkStdout();
+void checkStdout(int status = 1);
 
 /** Printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...);

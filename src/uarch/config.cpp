@@ -1,68 +1,81 @@
 /**
  * @file
- * Configuration validation.
+ * Configuration validation and field setting.
  */
 
 #include "uarch/config.hpp"
 
+#include <bit>
+#include <utility>
+
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 
 namespace cesp::uarch {
 
-void
+const SimConfig &
 SimConfig::validate() const
 {
-    if (num_clusters < 1 || num_clusters > kMaxClusters)
-        fatal("%s: num_clusters %d outside [1, %d]", name.c_str(),
-              num_clusters, kMaxClusters);
-    if (fetch_width < 1 || rename_width < 1 || issue_width < 1 ||
-        retire_width < 1)
-        fatal("%s: pipeline widths must be positive", name.c_str());
-    if (max_inflight < 1)
-        fatal("%s: max_inflight must be positive", name.c_str());
-    if (style == IssueBufferStyle::Fifos &&
-        (fifos_per_cluster < 1 || fifo_depth < 1))
-        fatal("%s: FIFO shape %dx%d invalid", name.c_str(),
-              fifos_per_cluster, fifo_depth);
-    if (style != IssueBufferStyle::Fifos && window_size < 1)
-        fatal("%s: window_size must be positive", name.c_str());
-    if ((style == IssueBufferStyle::Fifos
-             ? int64_t{fifos_per_cluster} * fifo_depth
-             : int64_t{window_size}) > kMaxBufferEntries)
-        fatal("%s: issue buffer over %lld entries per cluster",
-              name.c_str(), static_cast<long long>(kMaxBufferEntries));
-    if (fus_per_cluster < 1 || ls_ports < 1)
-        fatal("%s: execution resources must be positive",
-              name.c_str());
+    const char *m = name.c_str();
+    forEachField(*this, [&](const ConfigField &f, const auto &v) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(v)>, bool>)
+            if (std::cmp_less(v, f.min) || std::cmp_greater(v, f.max))
+                fatal("%s: %s %s outside [%lld, %lld]", m, f.path.c_str(),
+                      std::to_string(v).c_str(), f.min, f.max);
+    });
+
+    auto checkFifos = [&](const char *what, int fifos, int depth) {
+        if (int64_t{fifos} * depth > kMaxEntries)
+            fatal("%s: %sFIFO shape %dx%d over %lld entries per cluster",
+                  m, what, fifos, depth, kMaxEntries);
+    };
+    if (style == IssueBufferStyle::Fifos)
+        checkFifos("", fifos_per_cluster, fifo_depth);
+    if (steering == SteeringPolicy::WindowFifo)
+        checkFifos("conceptual ", concept_fifos_per_cluster,
+                   concept_fifo_depth);
     if (!fu_mix.symmetric() &&
         (fu_mix.alu < 1 || fu_mix.mem < 1 || fu_mix.branch < 1))
-        fatal("%s: a typed FU mix needs at least one unit of each "
-              "class", name.c_str());
-    if (inter_cluster_extra < 0 || regfile_extra < 0 ||
-        local_bypass_extra < 0)
-        fatal("%s: bypass timing must be non-negative", name.c_str());
-    if (wakeup_select_stages < 1)
-        fatal("%s: wakeup_select_stages must be >= 1", name.c_str());
-    if (phys_int_regs < 33 || phys_fp_regs < 33)
-        fatal("%s: need more physical than architectural registers",
-              name.c_str());
+        fatal("%s: a typed FU mix needs at least one unit of each class", m);
+    auto isPow2 = [](long long v) {
+        return v > 0 && std::has_single_bit(static_cast<uint64_t>(v));
+    };
+    // mem::Cache needs a power-of-two line size, and its whole lines
+    // split into a power-of-two number of sets.
+    auto checkCache = [&](const char *c, long long size, long long assoc,
+                          long long line) {
+        if (!isPow2(line) || size / line % assoc != 0 ||
+            !isPow2(size / line / assoc))
+            fatal("%s: %s.size_bytes %lld, associativity %lld and "
+                  "line_bytes %lld give no power-of-two set count", m, c,
+                  size, assoc, line);
+    };
+    checkCache("dcache", dcache.size_bytes, dcache.associativity,
+               dcache.line_bytes);
+    if (l2.enabled)
+        checkCache("l2", l2.size_bytes, l2.associativity, l2.line_bytes);
+    if ((bpred.kind == BpredKind::Gshare ||
+         bpred.kind == BpredKind::Bimodal) &&
+        !isPow2(bpred.table_entries))
+        fatal("%s: bpred.table_entries %d is not a power of two", m,
+              bpred.table_entries);
     if (l2.enabled && l2.memory_latency < dcache.miss_latency)
-        fatal("%s: memory latency below the L2 hit latency",
-              name.c_str());
-    if (frontend_latency < 0 || fetch_queue < fetch_width)
-        fatal("%s: bad front-end shape", name.c_str());
+        fatal("%s: memory latency below the L2 hit latency", m);
+    if (fetch_queue < fetch_width)
+        fatal("%s: bad front-end shape: fetch_queue %d below fetch_width "
+              "%d", m, fetch_queue, fetch_width);
     // One instruction's slowest path (front end, wakeup loop, farthest
     // bypass, a load missing to memory) must fit in half the no-commit
     // watchdog; the other half covers the one-cycle stages around it.
-    int64_t path = int64_t{frontend_latency} + wakeup_select_stages +
+    // In range, these 12 latencies add up to far below INT_MAX.
+    const int path = frontend_latency + wakeup_select_stages +
         fu_latency + local_bypass_extra + regfile_extra +
-        int64_t{kMaxClusters} * inter_cluster_extra +
-        dcache.hit_latency + dcache.miss_latency + l2.memory_latency;
-    if (path > static_cast<int64_t>(kNoCommitWatchdog / 2))
-        fatal("%s: latencies add up to %lld cycles, over half the "
-              "%llu-cycle no-commit watchdog", name.c_str(),
-              static_cast<long long>(path),
-              static_cast<unsigned long long>(kNoCommitWatchdog));
+        kMaxClusters * inter_cluster_extra + dcache.hit_latency +
+        dcache.miss_latency + l2.memory_latency;
+    if (path > static_cast<int>(kNoCommitWatchdog / 2))
+        fatal("%s: latencies add up to %d cycles, over half the %d-cycle "
+              "no-commit watchdog", m, path,
+              static_cast<int>(kNoCommitWatchdog));
 
     bool steering_ok = false;
     switch (steering) {
@@ -83,22 +96,39 @@ SimConfig::validate() const
     }
     if (!steering_ok)
         fatal("%s: steering policy %d incompatible with issue-buffer "
-              "style %d", name.c_str(), static_cast<int>(steering),
+              "style %d", m, static_cast<int>(steering),
               static_cast<int>(style));
     if (in_order_issue &&
-        (style != IssueBufferStyle::CentralWindow ||
-         num_clusters != 1))
+        (style != IssueBufferStyle::CentralWindow || num_clusters != 1))
         fatal("%s: in-order issue is modeled for single-cluster "
-              "central-window machines only", name.c_str());
+              "central-window machines only", m);
     if (in_order_issue && select_policy != SelectPolicy::OldestFirst)
-        fatal("%s: in-order issue requires oldest-first selection",
-              name.c_str());
+        fatal("%s: in-order issue requires oldest-first selection", m);
     if (!window_compaction && style != IssueBufferStyle::CentralWindow)
         fatal("%s: slot-priority windows are only modeled for the "
-              "central-window organization", name.c_str());
+              "central-window organization", m);
     if (num_clusters > 1 && steering == SteeringPolicy::None)
-        fatal("%s: clustered machines need a steering policy",
-              name.c_str());
+        fatal("%s: clustered machines need a steering policy", m);
+    return *this;
+}
+
+void
+setField(SimConfig &c, const std::string &path, const std::string &value)
+{
+    bool found = false;
+    std::string rows; // the listing for an unknown path
+    forEachField(c, [&](const ConfigField &f, auto &member) {
+        rows += strprintf("\n  %-28s [%lld, %lld] %s", f.path.c_str(),
+                          f.min, f.max, f.doc);
+        if (f.path == path) {
+            member = static_cast<std::decay_t<decltype(member)>>(
+                intArg(path, value, f.min, f.max));
+            found = true;
+        }
+    });
+    if (!found)
+        fatal("unknown config field '%s'; the fields are:%s",
+              path.c_str(), rows.c_str());
 }
 
 } // namespace cesp::uarch

@@ -72,12 +72,12 @@ SimStats::SimStats(int num_clusters)
 }
 
 Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
-    : cfg_(cfg), trace_(trace), bpred_(bpred::makePredictor(cfg.bpred)),
+    : cfg_(cfg.validate()), trace_(trace),
+      bpred_(bpred::makePredictor(cfg.bpred)),
       dcache_(cfg.dcache), rename_(cfg),
       select_rng_(cfg.random_seed ^ 0x5e1ec7ULL),
       stats_(cfg.num_clusters)
 {
-    cfg_.validate();
     stats_.config_name() = cfg_.name;
 
     // The event path serves one order, the paper's oldest-first
@@ -117,15 +117,10 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
     steering_ = std::make_unique<Steering>(
         cfg_, fifos_.get(), windows_.empty() ? nullptr : &windows_);
 
-    if (cfg_.l2.enabled) {
-        CacheConfig l2c;
-        l2c.size_bytes = cfg_.l2.size_bytes;
-        l2c.associativity = cfg_.l2.associativity;
-        l2c.line_bytes = cfg_.l2.line_bytes;
-        l2c.hit_latency = cfg_.dcache.miss_latency;
-        l2c.miss_latency = cfg_.l2.memory_latency;
-        l2_ = std::make_unique<mem::Cache>(l2c);
-    }
+    if (cfg_.l2.enabled)
+        l2_ = std::make_unique<mem::Cache>(CacheConfig{
+            cfg_.l2.size_bytes, cfg_.l2.associativity, cfg_.l2.line_bytes,
+            cfg_.dcache.miss_latency, cfg_.l2.memory_latency});
 
     // The ring holds the in-flight and the fetched instructions.
     // Waiter links pack (slot << 1) | operand into 32 bits.
@@ -134,9 +129,6 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
     const size_t rob_slots =
         ceilPow2(static_cast<size_t>(cfg_.max_inflight) +
                  static_cast<size_t>(cfg_.fetch_queue));
-    if (rob_slots > (size_t{1} << 30))
-        fatal("%s: max_inflight %d plus fetch_queue %d too large",
-              cfg_.name.c_str(), cfg_.max_inflight, cfg_.fetch_queue);
     size_t bytes = rob_slots * sizeof(RobSlot) + 64;
     rob_storage_ = std::make_unique<std::byte[]>(bytes);
     void *base = rob_storage_.get();

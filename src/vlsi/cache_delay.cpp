@@ -5,6 +5,7 @@
 
 #include "vlsi/cache_delay.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -25,39 +26,13 @@ constexpr double kTagBase = 60.0;
 constexpr double kTagPerWay = 20.0;
 constexpr int kMaxRows = 256;
 
-bool
-isPow2(uint32_t v)
-{
-    return v && !(v & (v - 1));
-}
-
 } // namespace
-
-CacheDelayModel::CacheDelayModel(Process p) : process_(p)
-{
-    switch (p) {
-      case Process::um0_8:
-        logic_scale_ = 0.8 / 0.18;
-        wire_scale_ = 2.9;
-        break;
-      case Process::um0_35:
-        logic_scale_ = 0.35 / 0.18;
-        wire_scale_ = 1.75;
-        break;
-      case Process::um0_18:
-        logic_scale_ = 1.0;
-        wire_scale_ = 1.0;
-        break;
-      default:
-        panic("unknown process id %d", static_cast<int>(p));
-    }
-}
 
 CacheDelay
 CacheDelayModel::delay(uint32_t size_bytes, int associativity,
                        uint32_t line_bytes) const
 {
-    if (!isPow2(size_bytes) || !isPow2(line_bytes))
+    if (!std::has_single_bit(size_bytes) || !std::has_single_bit(line_bytes))
         fatal("cache delay model: size and line must be powers of "
               "two");
     if (associativity < 1 || associativity > 32)
@@ -76,15 +51,15 @@ CacheDelayModel::delay(uint32_t size_bytes, int associativity,
         (static_cast<double>(sets) / rows);
 
     CacheDelay d;
-    d.decode = logic_scale_ *
+    d.decode = tech_->logic_scale *
         (kDecodeBase + kDecodePerLog2Row * std::log2(
             static_cast<double>(rows)));
-    d.wordline = logic_scale_ * kWordlineBase +
-        wire_scale_ * kWordlinePerBit * row_bits;
-    d.bitline = logic_scale_ * kBitlineBase +
-        wire_scale_ * kBitlinePerRow * rows;
-    d.senseamp = logic_scale_ * kSense;
-    d.tag_compare = logic_scale_ *
+    d.wordline = tech_->logic_scale * kWordlineBase +
+        tech_->wire_scale * kWordlinePerBit * row_bits;
+    d.bitline = tech_->logic_scale * kBitlineBase +
+        tech_->wire_scale * kBitlinePerRow * rows;
+    d.senseamp = tech_->logic_scale * kSense;
+    d.tag_compare = tech_->logic_scale *
         (kTagBase + kTagPerWay * associativity);
     return d;
 }

@@ -48,7 +48,7 @@ struct CacheDelay
 class CacheDelayModel
 {
   public:
-    explicit CacheDelayModel(Process p);
+    explicit CacheDelayModel(Process p) : tech_(&technology(p)) {}
 
     /**
      * Access delay for a cache of @p size_bytes with @p associativity
@@ -64,12 +64,8 @@ class CacheDelayModel
         return delay(size_bytes, associativity, line_bytes).total();
     }
 
-    Process process() const { return process_; }
-
   private:
-    Process process_;
-    double logic_scale_;
-    double wire_scale_;
+    const Technology *tech_;
 };
 
 } // namespace cesp::vlsi

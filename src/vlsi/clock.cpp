@@ -29,8 +29,8 @@ StageDelays::criticalStage() const
 }
 
 ClockEstimator::ClockEstimator(Process p)
-    : process_(p), rename_(p), wakeup_(p), select_(p), bypass_(p),
-      resv_(p), regfile_(p), dcache_(p)
+    : rename_(p), wakeup_(p), select_(p), bypass_(p), resv_(p),
+      regfile_(p), dcache_(p)
 {
 }
 

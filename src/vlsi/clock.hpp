@@ -118,10 +118,7 @@ class ClockEstimator
                int dcache_assoc = 2,
                uint32_t dcache_line = 32) const;
 
-    Process process() const { return process_; }
-
   private:
-    Process process_;
     RenameDelayModel rename_;
     WakeupDelayModel wakeup_;
     SelectDelayModel select_;

@@ -33,26 +33,6 @@ constexpr double kSensePerPort = 0.5;
 
 } // namespace
 
-RegfileDelayModel::RegfileDelayModel(Process p) : process_(p)
-{
-    switch (p) {
-      case Process::um0_8:
-        logic_scale_ = 0.8 / 0.18;
-        wire_scale_ = 2.9;
-        break;
-      case Process::um0_35:
-        logic_scale_ = 0.35 / 0.18;
-        wire_scale_ = 1.75;
-        break;
-      case Process::um0_18:
-        logic_scale_ = 1.0;
-        wire_scale_ = 1.0;
-        break;
-      default:
-        panic("unknown process id %d", static_cast<int>(p));
-    }
-}
-
 RegfileDelay
 RegfileDelayModel::delay(int num_regs, int read_ports,
                          int write_ports) const
@@ -69,15 +49,15 @@ RegfileDelayModel::delay(int num_regs, int read_ports,
     double regs = num_regs;
 
     RegfileDelay d;
-    d.decode = logic_scale_ *
+    d.decode = tech_->logic_scale *
         (kDecodeBase + kDecodePerLog2Reg * std::log2(regs));
-    d.wordline = logic_scale_ * kWordlineBase +
-        wire_scale_ * kWordlinePerPort * ports;
-    d.bitline = logic_scale_ * kBitlineBase +
-        wire_scale_ *
+    d.wordline = tech_->logic_scale * kWordlineBase +
+        tech_->wire_scale * kWordlinePerPort * ports;
+    d.bitline = tech_->logic_scale * kBitlineBase +
+        tech_->wire_scale *
             (kBitlinePerReg * regs + kBitlinePerRegPort * regs * ports);
     d.senseamp =
-        logic_scale_ * (kSenseBase + kSensePerPort * ports);
+        tech_->logic_scale * (kSenseBase + kSensePerPort * ports);
     return d;
 }
 

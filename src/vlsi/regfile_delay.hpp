@@ -47,7 +47,7 @@ struct RegfileDelay
 class RegfileDelayModel
 {
   public:
-    explicit RegfileDelayModel(Process p);
+    explicit RegfileDelayModel(Process p) : tech_(&technology(p)) {}
 
     /**
      * Access delay for a file of @p num_regs registers with
@@ -72,12 +72,8 @@ class RegfileDelayModel
         return totalPs(num_regs, 2 * issue_width, issue_width);
     }
 
-    Process process() const { return process_; }
-
   private:
-    Process process_;
-    double logic_scale_;
-    double wire_scale_;
+    const Technology *tech_;
 };
 
 } // namespace cesp::vlsi

@@ -6,7 +6,6 @@
 #include "vlsi/rename_cam.hpp"
 
 #include "common/logging.hpp"
-#include "vlsi/rename_delay.hpp"
 
 namespace cesp::vlsi {
 
@@ -22,14 +21,6 @@ constexpr double kReadPerPort = 10.0;
 constexpr double kReadPerEntry = 0.3; // match-line OR over entries
 
 } // namespace
-
-RenameCamDelayModel::RenameCamDelayModel(Process p) : process_(p)
-{
-    // Like the RAM map table, the CAM is a small multi-ported array;
-    // scale across technologies with the RAM rename model.
-    RenameDelayModel here(p), base(Process::um0_18);
-    scale_ = here.totalPs(4) / base.totalPs(4);
-}
 
 RenameCamDelay
 RenameCamDelayModel::delay(int issue_width, int phys_regs) const

@@ -21,7 +21,7 @@
 #ifndef CESP_VLSI_RENAME_CAM_HPP
 #define CESP_VLSI_RENAME_CAM_HPP
 
-#include "vlsi/technology.hpp"
+#include "vlsi/rename_delay.hpp"
 
 namespace cesp::vlsi {
 
@@ -43,7 +43,8 @@ struct RenameCamDelay
 class RenameCamDelayModel
 {
   public:
-    explicit RenameCamDelayModel(Process p);
+    explicit RenameCamDelayModel(Process p)
+        : scale_(RenameDelayModel::ramScale(p)) {}
 
     /**
      * Delay for renaming @p issue_width instructions against a CAM
@@ -57,10 +58,7 @@ class RenameCamDelayModel
         return delay(issue_width, phys_regs).total();
     }
 
-    Process process() const { return process_; }
-
   private:
-    Process process_;
     double scale_; //!< technology scaling relative to 0.18 um
 };
 

@@ -85,6 +85,13 @@ RenameDelayModel::dependenceCheckPs(int issue_width) const
     return base * technology(process_).logic_scale;
 }
 
+double
+RenameDelayModel::ramScale(Process p)
+{
+    return RenameDelayModel(p).totalPs(4) /
+        RenameDelayModel(Process::um0_18).totalPs(4);
+}
+
 RenameDelay
 RenameDelayModel::delay(int issue_width) const
 {

@@ -74,14 +74,19 @@ class RenameDelayModel
      */
     double dependenceCheckPs(int issue_width) const;
 
+    /**
+     * Technology scaling of a small multi-ported RAM (the map table,
+     * the rename CAM, the reservation table) relative to 0.18 um: the
+     * 4-wide total at @p p over the one at 0.18 um.
+     */
+    static double ramScale(Process p);
+
     /** True if the check fits under the map-table access. */
     bool
     dependenceCheckHidden(int issue_width) const
     {
         return dependenceCheckPs(issue_width) <= totalPs(issue_width);
     }
-
-    Process process() const { return process_; }
 
   private:
     Process process_;

@@ -6,7 +6,6 @@
 #include "vlsi/reservation_delay.hpp"
 
 #include "common/logging.hpp"
-#include "vlsi/rename_delay.hpp"
 
 namespace cesp::vlsi {
 
@@ -19,15 +18,6 @@ constexpr double kR1 = 5.933;  // per table entry (wordline/bitline)
 constexpr double kR2 = 6.0;    // per issue-width port
 
 } // namespace
-
-ReservationDelayModel::ReservationDelayModel(Process p) : process_(p)
-{
-    // Both the reservation table and the rename map table are small
-    // multi-ported RAMs; scale across technologies with the rename
-    // model's 4-wide total.
-    RenameDelayModel here(p), base(Process::um0_18);
-    scale_ = here.totalPs(4) / base.totalPs(4);
-}
 
 int
 ReservationDelayModel::tableEntries(int phys_regs)

@@ -19,7 +19,7 @@
 #ifndef CESP_VLSI_RESERVATION_DELAY_HPP
 #define CESP_VLSI_RESERVATION_DELAY_HPP
 
-#include "vlsi/technology.hpp"
+#include "vlsi/rename_delay.hpp"
 
 namespace cesp::vlsi {
 
@@ -27,7 +27,8 @@ namespace cesp::vlsi {
 class ReservationDelayModel
 {
   public:
-    explicit ReservationDelayModel(Process p);
+    explicit ReservationDelayModel(Process p)
+        : scale_(RenameDelayModel::ramScale(p)) {}
 
     /** Number of 8-bit table entries for a physical register count. */
     static int tableEntries(int phys_regs);
@@ -38,10 +39,7 @@ class ReservationDelayModel
      */
     double totalPs(int issue_width, int phys_regs) const;
 
-    Process process() const { return process_; }
-
   private:
-    Process process_;
     double scale_; //!< technology scaling relative to 0.18 um
 };
 

@@ -9,7 +9,7 @@
 
 namespace cesp::vlsi {
 
-SelectDelayModel::SelectDelayModel(Process p) : process_(p)
+SelectDelayModel::SelectDelayModel(Process p)
 {
     switch (p) {
       case Process::um0_8:

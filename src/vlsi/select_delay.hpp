@@ -82,10 +82,7 @@ class SelectDelayModel
         return totalPs(window_size) + extra;
     }
 
-    Process process() const { return process_; }
-
   private:
-    Process process_;
     double t_req_;   //!< per-level request propagation, ps
     double t_grant_; //!< per-level grant propagation, ps
     double t_root_;  //!< root cell delay, ps

@@ -26,6 +26,7 @@ const Technology kTech0_8 = {
     0.0199989,  // r_metal_ohm_um
     0.275,      // c_metal_ff_um
     0.8 / 0.18, // logic_scale
+    2.9,        // wire_scale
 };
 
 const Technology kTech0_35 = {
@@ -35,6 +36,7 @@ const Technology kTech0_35 = {
     0.104484,
     0.275,
     0.35 / 0.18,
+    1.75,
 };
 
 const Technology kTech0_18 = {
@@ -43,6 +45,7 @@ const Technology kTech0_18 = {
     0.09,
     0.395040,
     0.275,
+    1.0,
     1.0,
 };
 

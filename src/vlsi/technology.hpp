@@ -48,6 +48,8 @@ struct Technology
      * process; pure logic paths scale proportionally to feature size.
      */
     double logic_scale;
+    /** Cache/register-file wire delay scaling relative to 0.18 um. */
+    double wire_scale;
 
     /**
      * Distributed-RC delay, in picoseconds, of a metal wire whose

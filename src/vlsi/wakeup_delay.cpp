@@ -56,7 +56,7 @@ paramsFor(Process p)
 
 } // namespace
 
-WakeupDelayModel::WakeupDelayModel(Process p) : process_(p)
+WakeupDelayModel::WakeupDelayModel(Process p)
 {
     Params prm = paramsFor(p);
     total_ = Quad2D(kIw, kWs, prm.totals);

@@ -66,10 +66,7 @@ class WakeupDelayModel
         return delay(issue_width, window_size).total();
     }
 
-    Process process() const { return process_; }
-
   private:
-    Process process_;
     Quad2D total_;
     // Tag match: m0 + m1*IW + m2*WS. Match OR: o0 + o1*IW.
     double m0_, m1_, m2_, o0_, o1_;

@@ -43,7 +43,7 @@ TEST(PresetsDeath, EmptyFifosAreAConfigError)
     uarch::SimConfig c = dependence8x8();
     c.fifo_depth = 0;
     EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
-                "FIFO shape 8x0 invalid");
+                "fifo_depth 0 outside \\[1, 65536\\]");
 }
 
 TEST(Presets, Figure17OrderAndUniqueness)

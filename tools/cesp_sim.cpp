@@ -1,7 +1,7 @@
 /**
  * @file
  * cesp-sim: command-line driver for the library. Pick a machine
- * preset (optionally overriding its parameters), point it at a
+ * preset (optionally setting its fields), point it at a
  * built-in workload, an assembly file, or a synthetic trace, and get
  * the timing statistics — plus the delay-model clock estimate so a
  * run reports complexity-effectiveness (BIPS), not just IPC.
@@ -10,7 +10,7 @@
  *   cesp-sim --preset dep8x8 --workload compress
  *   cesp-sim --preset baseline --all-workloads --tech 0.18
  *   cesp-sim --preset clustered2x4 --asm my_kernel.s
- *   cesp-sim --preset baseline --synthetic 1000000 --window 32
+ *   cesp-sim --preset baseline --synthetic 1000000 --set window_size=32
  *   cesp-sim --sweep --jobs 4
  *   cesp-sim --workload compress --shards 8 --warmup 50000
  *   cesp-sim --sweep --json-lines sweep.jsonl
@@ -44,7 +44,8 @@
  * --compare A B loads two exports (JSON documents or .jsonl
  * streams), prints the per-run delta, and exits 1 when the gating
  * metric (--metric, default ipc) regresses by more than --threshold
- * (e.g. '2%'), 2 on load/schema errors — a CI perf gate.
+ * (e.g. '2%'), 2 on load/schema errors or a verdict stdout could
+ * not take — a CI perf gate.
  */
 
 #include <unistd.h>
@@ -70,6 +71,7 @@
 #include "trace/mmap_source.hpp"
 #include "trace/synthetic.hpp"
 #include "vlsi/clock.hpp"
+#include "vlsi/technology.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cesp;
@@ -105,12 +107,10 @@ usage()
         "trace\n"
         "  --tech F               clock estimate feature size "
         "(0.8|0.35|0.18)\n"
-        "  --window N             override window size\n"
-        "  --fifos N --depth N    override FIFO shape\n"
-        "  --issue N              override issue width\n"
-        "  --stages N             wakeup+select pipeline stages\n"
-        "  --perfect-bpred        oracle conditional prediction\n"
-        "  --seed N               random-steering seed\n"
+        "  --set FIELD=VALUE      set a machine field by its C++ "
+        "path (repeatable),\n"
+        "                         e.g. window_size=32 or "
+        "dcache.miss_latency=12\n"
         "  --json PATH            write statistics as JSON ('-' = "
         "stdout)\n"
         "  --csv PATH             write statistics as CSV ('-' = "
@@ -142,12 +142,9 @@ findPreset(const std::string &name)
 vlsi::Process
 findTech(const std::string &f)
 {
-    if (f == "0.8")
-        return vlsi::Process::um0_8;
-    if (f == "0.35")
-        return vlsi::Process::um0_35;
-    if (f == "0.18")
-        return vlsi::Process::um0_18;
+    for (vlsi::Process p : vlsi::allProcesses())
+        if (f + "um" == vlsi::technology(p).name)
+            return p;
     fatal("unknown technology '%s' (0.8, 0.35, or 0.18)", f.c_str());
 }
 
@@ -284,7 +281,7 @@ deltaGroup(const StatGroup &a, const StatGroup &b)
  * The --compare mode: load two exports (single-group JSON, a
  * statGroupListJson document, or a .jsonl stream), pair the runs by
  * position, and gate on one metric. Exit 0 = within threshold, 1 =
- * regression, 2 = load or schema error.
+ * regression, 2 = load or schema error, or a short write to stdout.
  */
 int
 runCompare(const std::string &a_path, const std::string &b_path,
@@ -337,6 +334,9 @@ runCompare(const std::string &a_path, const std::string &b_path,
                     statTable(deltaGroup(before[i], after[i])).print();
     }
 
+    // A verdict that did not reach stdout is no verdict: exit 2, as
+    // for unloadable input, since 1 already means "regression".
+    checkStdout(2);
     if (!res.schema_ok || !res.error.empty())
         return 2;
     return res.regressed ? 1 : 0;
@@ -368,19 +368,7 @@ main(int argc, char **argv)
     std::string metric = "ipc";
     double threshold = 0.0;
 
-    // Shape flags are capped like --shards; validate() checks --stages
-    // against the rest of the machine's latencies.
-    struct Override
-    {
-        const char *flag;
-        int max;
-        int value = 0;
-        bool set = false;
-    };
-    Override window{"--window", 65536}, fifos{"--fifos", 65536},
-        depth{"--depth", 65536}, issue{"--issue", 65536},
-        stages{"--stages", 1000000000}, seed{"--seed", 1000000000};
-    bool perfect = false;
+    std::vector<std::string> sets; // FIELD=VALUE, for every machine
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -427,8 +415,10 @@ main(int argc, char **argv)
         } else if (a == "--warmup") {
             warmup = static_cast<uint64_t>(
                 intArg(a, next(), 0, 1000000000000LL));
-        } else if (a == "--perfect-bpred") {
-            perfect = true;
+        } else if (a == "--set") {
+            sets.push_back(next());
+            if (sets.back().find('=') == std::string::npos)
+                usage();
         } else if (a == "--json") {
             json_path = next();
         } else if (a == "--csv") {
@@ -449,39 +439,14 @@ main(int argc, char **argv)
         } else if (a == "--verbose") {
             verbose = true;
         } else {
-            bool matched = false;
-            for (Override *o :
-                 {&window, &fifos, &depth, &issue, &stages, &seed}) {
-                if (a == o->flag) {
-                    o->value =
-                        static_cast<int>(intArg(a, next(), 0, o->max));
-                    o->set = true;
-                    matched = true;
-                    break;
-                }
-            }
-            if (!matched)
-                usage();
+            usage();
         }
     }
 
-    auto applyOverrides = [&](uarch::SimConfig &c) {
-        if (window.set)
-            c.window_size = window.value;
-        if (fifos.set)
-            c.fifos_per_cluster = fifos.value;
-        if (depth.set)
-            c.fifo_depth = depth.value;
-        if (issue.set) {
-            c.issue_width = issue.value;
-            c.fetch_width = std::min(c.fetch_width, issue.value);
-            c.rename_width = c.fetch_width;
-        }
-        if (stages.set)
-            c.wakeup_select_stages = stages.value;
-        if (seed.set)
-            c.random_seed = static_cast<uint64_t>(seed.value);
-        c.bpred.perfect = perfect;
+    auto applySets = [&](uarch::SimConfig &c) {
+        for (const std::string &kv : sets)
+            uarch::setField(c, kv.substr(0, kv.find('=')),
+                            kv.substr(kv.find('=') + 1));
         c.validate();
     };
 
@@ -512,7 +477,7 @@ main(int argc, char **argv)
     }
 
     uarch::SimConfig cfg = findPreset(preset);
-    applyOverrides(cfg);
+    applySets(cfg);
 
     const bool sharded = shards > 1 || warmup > 0;
     if (sample_every > 0 && jsonl_path.empty())
@@ -529,14 +494,14 @@ main(int argc, char **argv)
     }
 
     // The machines: every preset under --sweep (the Fig. 13
-    // comparison writ large), with any overrides applied; else the
+    // comparison writ large), with every --set applied; else the
     // chosen one.
     std::vector<uarch::SimConfig> machines;
     std::vector<std::string> machine_names;
     if (sweep) {
         for (const core::NamedPreset &p : core::sweepPresets()) {
             uarch::SimConfig c = p.make();
-            applyOverrides(c);
+            applySets(c);
             machines.push_back(c);
             machine_names.push_back(p.name);
         }
