@@ -1,42 +1,21 @@
 /**
  * @file
- * Every table and figure of the paper's evaluation, the ablations
- * and the design studies as one binary. Each experiment is a
- * declarative spec — a name, its machine variants and a report that
- * turns the result grid into tables, summary lines and summary
- * StatGroups. The runner puts the variants of every chosen spec in
- * one core::runGrid over all seven workloads (one core::run on
- * defaultJobs() workers; bit-identical for any worker count), where a
- * machine that several specs share simulates once; each report reads
- * its own config-major block once the run ends. The delay-model
- * specs, Figure 12 and complexity_report have no variants: their
- * empty block holds no runs, and the report reads the vlsi models
- * (Figure 12 runs the paper's code segment on a pipeline of its own).
- *
- *   experiments [NAME...] [--json PATH]
- *
- * With no NAME every experiment runs, in bench/README.md order.
- * --json takes exactly one NAME and writes its export as a
- * cesp.statgroup.list document: by default every run, config-major
- * and labelled "<variant label> / <workload>", unless the report
- * chooses other groups. `--json -` prints only that document.
+ * The specs and their runner. The delay-model specs, Figure 12 and
+ * complexity_report have no variants: their reports read the vlsi
+ * models (Figure 12 runs the paper's code on a pipeline of its own).
  */
+
+#include "experiments.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <string>
-#include <vector>
 
 #include "common/logging.hpp"
-#include "common/metrics.hpp"
-#include "common/table.hpp"
 #include "core/machine.hpp"
 #include "core/presets.hpp"
 #include "core/report.hpp"
-#include "core/sweep.hpp"
 #include "func/emulator.hpp"
 #include "trace/analysis.hpp"
 #include "vlsi/area.hpp"
@@ -44,54 +23,14 @@
 #include "vlsi/rename_cam.hpp"
 #include "workloads/workloads.hpp"
 
-using namespace cesp;
+namespace cesp::bench {
+
 using namespace cesp::core;
 using namespace cesp::vlsi;
 using uarch::SimConfig;
 using uarch::SimStats;
 
 namespace {
-
-/** One machine of an experiment: the label its exported runs carry,
- *  and its configuration. */
-struct Variant
-{
-    std::string label;
-    SimConfig cfg;
-};
-
-/** What an experiment's report produces. */
-struct Report
-{
-    /** Tables and summary lines (suppressed by `--json -`). */
-    std::string text;
-    /** Exported groups; left empty, the export is every run,
-     *  config-major. */
-    std::vector<StatGroup> groups;
-    /** Exported summary ("merged") groups. */
-    std::vector<StatGroup> summary;
-    /** Variant labels, indexed like the grid's configurations. */
-    std::vector<std::string> labels;
-
-    void table(const Table &t) { text += t.render(); }
-    void line(const std::string &s) { text += s + '\n'; }
-
-    /** Export run (c, w) labelled "<variant label> / <workload>". */
-    void
-    addRun(const Grid &g, size_t c, size_t w)
-    {
-        groups.push_back(g.at(c, w).group());
-        groups.back().label() = labels[c] + " / " + g.workloads[w];
-    }
-};
-
-struct Experiment
-{
-    std::string name;
-    std::vector<Variant> variants;
-    /** Reads the grid (configuration v is variants[v]) into a report. */
-    std::function<void(const Grid &, Report &)> report;
-};
 
 /** @p cfg renamed to @p name after @p tweak; the label is the name. */
 Variant
@@ -1926,7 +1865,8 @@ complexityReport()
     }};
 }
 
-/** Every experiment, in bench/README.md order. */
+} // namespace
+
 std::vector<Experiment>
 allExperiments()
 {
@@ -1965,53 +1905,21 @@ allExperiments()
             complexityReport()};
 }
 
-int
-usage(const std::vector<Experiment> &all)
-{
-    std::fprintf(stderr, "usage: experiments [NAME...] [--json PATH]\n"
-                         "  --json PATH  write NAME's groups as JSON "
-                         "('-' = stdout only); exactly one NAME\n"
-                         "experiments:\n");
-    for (const Experiment &e : all)
-        std::fprintf(stderr, "  %s\n", e.name.c_str());
-    return 2;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
+std::vector<ExperimentRun>
+runExperiments(const std::vector<std::string> &names)
 {
     const std::vector<Experiment> all = allExperiments();
     std::vector<const Experiment *> chosen;
-    std::string json_path;
-    bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--json") {
-            if (json || i + 1 >= argc)
-                return usage(all);
-            json = true;
-            json_path = argv[++i];
-            continue;
-        }
+    for (const std::string &name : names) {
         auto it = std::find_if(all.begin(), all.end(),
                                [&](const Experiment &e) {
-                                   return e.name == a;
+                                   return e.name == name;
                                });
-        if (it == all.end()) {
-            std::fprintf(stderr, "experiments: unknown experiment "
-                                 "'%s'\n", a.c_str());
-            return usage(all);
-        }
+        if (it == all.end())
+            panic("runExperiments: unknown experiment '%s'",
+                  name.c_str());
         chosen.push_back(&*it);
     }
-    if (json && chosen.size() != 1)
-        return usage(all);
-    if (chosen.empty())
-        for (const Experiment &e : all)
-            chosen.push_back(&e);
-    const bool quiet = json_path == "-";
 
     // One run for every chosen spec: a machine that several specs
     // share runs once (the Table 3 baseline is 21 of all 118 variants).
@@ -2021,37 +1929,25 @@ main(int argc, char **argv)
             configs.push_back(v.cfg);
     Grid grid = runGrid(std::move(configs), workloads::workloadNames());
 
+    std::vector<ExperimentRun> runs;
     const size_t nw = grid.workloads.size();
     size_t first = 0; // the next spec's first configuration in the run
     for (const Experiment *e : chosen) {
         // The spec's report reads its own config-major block.
-        Grid g{{}, grid.workloads, {}};
-        Report out;
+        ExperimentRun &r = runs.emplace_back();
+        r.name = e->name;
+        r.grid.workloads = grid.workloads;
         for (const Variant &v : e->variants) {
-            g.configs.push_back(v.cfg);
+            r.grid.configs.push_back(v.cfg);
             for (size_t w = 0; w < nw; ++w)
-                g.stats.push_back(std::move(grid.stats[first * nw + w]));
-            out.labels.push_back(v.label);
+                r.grid.stats.push_back(
+                    std::move(grid.stats[first * nw + w]));
+            r.report.labels.push_back(v.label);
             ++first;
         }
-        e->report(g, out);
-        // A report that chose no groups exports every run.
-        if (json && out.groups.empty())
-            for (size_t c = 0; c < g.configs.size(); ++c)
-                for (size_t w = 0; w < nw; ++w)
-                    out.addRun(g, c, w);
-        if (!quiet) {
-            if (chosen.size() > 1)
-                std::printf("== %s ==\n", e->name.c_str());
-            std::fwrite(out.text.data(), 1, out.text.size(), stdout);
-            std::fflush(stdout);
-        }
-        std::string err;
-        if (json && !writeTextOutput(
-                        json_path,
-                        statGroupListJson(out.groups, out.summary), &err))
-            fatal("%s", err.c_str());
+        e->report(r.grid, r.report);
     }
-    checkStdout();
-    return 0;
+    return runs;
 }
+
+} // namespace cesp::bench

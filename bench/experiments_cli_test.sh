@@ -1,12 +1,14 @@
 #!/bin/sh
 # CLI contract of the experiments runner: usage errors exit 2, an
 # experiment's `--json -` export is the JSON document alone, which
-# loads back through cesp-sim --compare, Figure 12's chains hold, and
-# specs run together print what each prints alone.
+# loads back through cesp-sim --compare (and, given PYTHON, parses as
+# standard JSON), Figure 12's chains hold, and specs run together
+# print what each prints alone.
 #
-#   experiments_cli_test.sh EXPERIMENTS CESP_SIM
+#   experiments_cli_test.sh EXPERIMENTS CESP_SIM [PYTHON]
 exp=$1
 sim=$2
+py=$3
 
 expect_usage() {
     "$exp" "$@" >/dev/null 2>&1
@@ -25,6 +27,11 @@ expect_export() {
         echo "experiments $1 --json -: export does not load back" >&2
         exit 1
     fi
+    if [ -n "$py" ] && ! "$py" -c \
+        'import json, sys; json.load(open(sys.argv[1]))' exp.json; then
+        echo "experiments $1 --json -: export is not JSON" >&2
+        exit 1
+    fi
 }
 
 expect_usage no_such_experiment
@@ -32,6 +39,7 @@ expect_usage abl_window_compaction --json
 expect_usage fig13_dependence_ipc abl_window_compaction --json exp.json
 
 expect_export abl_window_compaction
+expect_export fig13_dependence_ipc
 
 # The specs without a simulation grid take milliseconds each.
 for name in fig3_rename_delay fig5_wakeup_window fig6_wakeup_feature \

@@ -188,34 +188,6 @@ struct BpredConfig
 };
 
 /**
- * How the simulator finds ready instructions each cycle. Both models
- * are observationally identical (cycle- and statistic-exact); the
- * knob exists so tests can compare them.
- *
- *  - EventDriven (default): wakeup events. When an instruction
- *    issues, its completion time is known, so a wakeup is scheduled
- *    for each dependent at the exact cycle its value becomes usable
- *    in the dependent's cluster; selection walks a maintained ready
- *    set oldest first. That is the only order the event path serves:
- *    youngest-first or random selection, a slot-priority window
- *    (window_compaction false) and in-order issue fall back to the
- *    scan model internally, which reorders or cuts its full
- *    per-cycle candidate list for each (random selection shuffles
- *    the entire buffer, not just the ready set, and in-order issue
- *    stalls on the oldest *unready* instruction).
- *  - LegacyScan: re-scan every buffered instruction every cycle,
- *    mirroring the broadcast-wakeup hardware of Section 4.2. The
- *    candidates come from the ROB in age order (slot order for a
- *    slot-priority window). Kept as the reference for equivalence
- *    tests.
- */
-enum class IssueModel
-{
-    EventDriven,
-    LegacyScan,
-};
-
-/**
  * Order in which ready instructions are considered by the selection
  * logic. The paper adopts position-based (oldest-first) selection
  * from the HP PA-8000 and cites Butler and Patt's finding that
@@ -282,8 +254,6 @@ struct SimConfig
 
     /** Selection order among ready instructions. */
     SelectPolicy select_policy = SelectPolicy::OldestFirst;
-    /** Ready-instruction discovery model (identical results). */
-    IssueModel issue_model = IssueModel::EventDriven;
     CESP_SIM_CORE_FIELDS(CESP_CONFIG_MEMBER)
 
     CacheConfig dcache;

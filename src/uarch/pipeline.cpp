@@ -79,17 +79,6 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
       stats_(cfg.num_clusters)
 {
     stats_.config_name() = cfg_.name;
-
-    // The event path serves one order, the paper's oldest-first
-    // select over age (Section 4.3). Every other order (youngest-first,
-    // random, a slot-priority window, in-order issue) keeps the
-    // reference scan, whose candidate list each of them reorders or
-    // cuts.
-    event_driven_ =
-        cfg_.issue_model == IssueModel::EventDriven &&
-        !cfg_.in_order_issue &&
-        cfg_.select_policy == SelectPolicy::OldestFirst &&
-        cfg_.window_compaction;
     fu_symmetric_ = cfg_.fu_mix.symmetric();
 
     switch (cfg_.style) {
@@ -160,26 +149,6 @@ Pipeline::Pipeline(const SimConfig &cfg, trace::TraceView trace)
                            static_cast<uint64_t>(
                                cfg_.inter_cluster_extra));
         }
-    }
-
-    // A wakeup is due at most the slowest result latency plus the
-    // largest ready offset after the cycle that schedules it: its
-    // last source's producer issued then or earlier. The wheel spans
-    // more cycles than that, so it holds every wakeup.
-    if (event_driven_) {
-        int latency = std::max({cfg_.fu_latency, cfg_.dcache.hit_latency,
-                                cfg_.dcache.miss_latency});
-        if (cfg_.l2.enabled)
-            latency = std::max(latency, cfg_.l2.memory_latency);
-        uint64_t offset = 0;
-        for (int from = 0; from < n; ++from)
-            offset = std::max(offset,
-                              *std::max_element(ready_offset_[from],
-                                                ready_offset_[from] + n));
-        const uint64_t slots =
-            std::bit_ceil(static_cast<uint64_t>(latency) + offset + 1);
-        wheel_mask_ = slots - 1;
-        wheel_.assign(slots * ready_bits_.size(), 0);
     }
 }
 
@@ -896,6 +865,37 @@ Pipeline::run(const RunLimits &limits)
     sampler_ = limits.sampler;
     sample_every_ = sampler_ ? limits.sample_every : 0;
     next_sample_ = sample_every_;
+
+    // The event path serves one order, the paper's oldest-first
+    // select over age (Section 4.3). Every other order (youngest-first,
+    // random, a slot-priority window, in-order issue) keeps the
+    // reference scan, whose candidate list each of them reorders or
+    // cuts.
+    event_driven_ =
+        limits.issue_model == IssueModel::EventDriven &&
+        !cfg_.in_order_issue &&
+        cfg_.select_policy == SelectPolicy::OldestFirst &&
+        cfg_.window_compaction;
+    // A wakeup is due at most the slowest result latency plus the
+    // largest ready offset after the cycle that schedules it: its
+    // last source's producer issued then or earlier. The wheel spans
+    // more cycles than that, so it holds every wakeup.
+    if (event_driven_) {
+        const int n = cfg_.num_clusters;
+        int latency = std::max({cfg_.fu_latency, cfg_.dcache.hit_latency,
+                                cfg_.dcache.miss_latency});
+        if (cfg_.l2.enabled)
+            latency = std::max(latency, cfg_.l2.memory_latency);
+        uint64_t offset = 0;
+        for (int from = 0; from < n; ++from)
+            offset = std::max(offset,
+                              *std::max_element(ready_offset_[from],
+                                                ready_offset_[from] + n));
+        const uint64_t slots =
+            std::bit_ceil(static_cast<uint64_t>(latency) + offset + 1);
+        wheel_mask_ = slots - 1;
+        wheel_.assign(slots * ready_bits_.size(), 0);
+    }
 
     switch (cfg_.style) {
       case IssueBufferStyle::CentralWindow:

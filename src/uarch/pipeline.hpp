@@ -15,7 +15,8 @@
  *
  * Ready instructions are discovered from wakeup events rather than
  * a per-cycle scan of the whole buffer (IssueModel::EventDriven, the
- * default): issuing an instruction schedules a wakeup for each
+ * default of RunLimits::issue_model, a property of the run, not of
+ * the machine): issuing an instruction schedules a wakeup for each
  * dependent at the exact cycle its operands become usable (in a wheel
  * of ready-bitmap words, one slot per cycle), and the select stage
  * walks a ready bitmap keyed by age slot, oldest first. The event
@@ -252,6 +253,23 @@ struct StatSnapshot
 };
 
 /**
+ * How the simulator finds ready instructions each cycle (see the file
+ * comment): EventDriven (default) walks wakeup events, oldest first,
+ * and LegacyScan re-scans every buffered instruction each cycle, like
+ * the broadcast-wakeup hardware of Section 4.2, with candidates from
+ * the ROB in age order (slot order for a slot-priority window).
+ * Youngest-first and random select, slot-priority windows and
+ * in-order issue run the scan under either. The two are cycle- and
+ * statistic-exact, so the choice belongs to the run, not the machine;
+ * the scan is kept as the tests' reference.
+ */
+enum class IssueModel
+{
+    EventDriven,
+    LegacyScan,
+};
+
+/**
  * Limits and observation hooks for one Pipeline::run. Named fields,
  * so knobs like the sampler compose without argument-order traps.
  */
@@ -291,6 +309,10 @@ struct RunLimits
     /** Snapshot consumer; called synchronously on the simulating
      *  thread. */
     std::function<void(const StatSnapshot &)> sampler;
+    /** Ready-instruction discovery model (identical results; the
+     *  event path serves only oldest-first, age-compacted,
+     *  out-of-order machines and the rest run the scan either way). */
+    IssueModel issue_model = IssueModel::EventDriven;
 };
 
 /** The timing simulator. */
@@ -511,8 +533,8 @@ class Pipeline
      * ready_bits_, the bits of the instructions that become ready
      * that cycle, and drainWakeups ORs the slot into ready_bits_ when
      * the cycle comes. The span, wheel_mask_ + 1, is a power of two
-     * beyond the farthest wakeup the configuration allows (see the
-     * constructor).
+     * beyond the farthest wakeup the configuration allows (see
+     * run()).
      */
     std::vector<uint64_t> wheel_;
     uint64_t wheel_mask_ = 0;

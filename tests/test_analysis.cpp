@@ -121,8 +121,7 @@ TEST(DataflowSchedule, MemoryDependencesRespected)
 
 TEST(DataflowSchedule, LimitsOnlyReduceIpc)
 {
-    SyntheticParams sp;
-    TraceBuffer buf = generateSynthetic(sp, 20000);
+    TraceBuffer buf = generateSynthetic({}, 20000);
     double unlimited = dataflowSchedule(buf).ipc;
     ScheduleLimits lim;
     lim.window = 64;
@@ -136,8 +135,7 @@ TEST(DataflowSchedule, LimitsOnlyReduceIpc)
 
 TEST(DataflowSchedule, LargerWindowNeverHurts)
 {
-    SyntheticParams sp;
-    TraceBuffer buf = generateSynthetic(sp, 20000);
+    TraceBuffer buf = generateSynthetic({}, 20000);
     double prev = 0.0;
     for (int ws : {4, 8, 16, 32, 64, 128}) {
         ScheduleLimits lim;

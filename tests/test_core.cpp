@@ -251,9 +251,8 @@ TEST(RunGrid, MergedAggregatesOneConfigurationsBlock)
 TEST(Presets, IpcMonotoneInScaledWidth)
 {
     // On parallel code, wider scaled machines never lose IPC.
-    trace::SyntheticParams sp;
-    sp.mean_dep_distance = 10.0;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf =
+        trace::generateSynthetic({.mean_dep_distance = 10.0}, 20000);
     double prev = 0.0;
     for (int iw : {2, 4, 8}) {
         uarch::SimConfig cfg = scaledBaseline(iw);
@@ -266,8 +265,7 @@ TEST(Presets, IpcMonotoneInScaledWidth)
 
 TEST(Presets, ScaledDependenceTracksScaledBaseline)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 20000);
     for (int iw : {2, 4, 8}) {
         double base =
             uarch::simulate(scaledBaseline(iw), buf).ipc();

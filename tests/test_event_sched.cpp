@@ -24,14 +24,14 @@ using uarch::SimStats;
 namespace {
 
 SimStats
-runWith(SimConfig cfg, IssueModel model, uint64_t trace_seed,
+runWith(const SimConfig &cfg, IssueModel model, uint64_t trace_seed,
         uint64_t instructions = 20000)
 {
-    cfg.issue_model = model;
-    trace::SyntheticParams sp;
-    sp.seed = trace_seed;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, instructions);
-    return uarch::simulate(cfg, buf);
+    uarch::RunLimits limits;
+    limits.issue_model = model;
+    trace::TraceBuffer buf =
+        trace::generateSynthetic({.seed = trace_seed}, instructions);
+    return uarch::simulate(cfg, buf, limits);
 }
 
 /**
@@ -77,10 +77,10 @@ TEST(EventSched, ExactOnFpKernelAcrossPresets)
     limits.max_instructions = 100000;
     trace::TraceView trace = core::cachedWorkloadTraceView("tomcatv");
     for (const core::NamedPreset &p : core::sweepPresets()) {
-        SimConfig cfg = p.make();
-        cfg.issue_model = IssueModel::EventDriven;
+        const SimConfig cfg = p.make();
+        limits.issue_model = IssueModel::EventDriven;
         SimStats ev = uarch::simulate(cfg, trace, limits);
-        cfg.issue_model = IssueModel::LegacyScan;
+        limits.issue_model = IssueModel::LegacyScan;
         SimStats scan = uarch::simulate(cfg, trace, limits);
         EXPECT_TRUE(ev.group().sameValues(scan.group()))
             << "preset " << p.name << "\n"

@@ -129,8 +129,7 @@ INSTANTIATE_TEST_SUITE_P(ZeroToTwo, LocalBypass,
 
 TEST(SelectPolicyTest, AllPoliciesCommitEverything)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 20000);
     for (SelectPolicy pol :
          {SelectPolicy::OldestFirst, SelectPolicy::YoungestFirst,
           SelectPolicy::Random}) {
@@ -145,8 +144,7 @@ TEST(SelectPolicyTest, AllPoliciesCommitEverything)
 TEST(SelectPolicyTest, PerformanceLargelyInsensitive)
 {
     // Butler & Patt's finding (paper Section 4.3).
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 50000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 50000);
     double ipc[3];
     int i = 0;
     for (SelectPolicy pol :
@@ -164,8 +162,7 @@ TEST(SelectPolicyTest, PerformanceLargelyInsensitive)
 
 TEST(SelectPolicyTest, RandomPolicyIsDeterministic)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 20000);
     SimConfig cfg;
     cfg.name = "rand";
     cfg.select_policy = SelectPolicy::Random;
@@ -219,9 +216,8 @@ TEST(BpredKindTest, AlwaysTakenMispredictsNotTakenBranches)
 
 TEST(BpredKindTest, PerfectPredictionNeverStalls)
 {
-    trace::SyntheticParams sp;
-    sp.noisy_branch_frac = 1.0;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf =
+        trace::generateSynthetic({.noisy_branch_frac = 1.0}, 20000);
     SimConfig perfect;
     perfect.name = "perfect";
     perfect.bpred.perfect = true;
@@ -409,8 +405,7 @@ TEST(InOrderIssue, StalledHeadBlocksYoungerReadyOps)
 
 TEST(InOrderIssue, AlwaysSlowerOrEqualToOutOfOrder)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 30000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 30000);
     SimConfig ooo;
     ooo.name = "ooo";
     SimConfig ino;
@@ -433,8 +428,7 @@ TEST(InOrderIssueDeathTest, RequiresCentralWindowSingleCluster)
 
 TEST(FuMix, SymmetricDefaultUnchanged)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 20000);
     SimConfig sym;
     sym.name = "sym";
     SimConfig typed;
@@ -505,8 +499,7 @@ TEST(FuMixDeathTest, PartialMixRejected)
 
 TEST(RingInterconnect, TwoClustersMatchBroadcast)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 20000);
     SimConfig bc = core::clusteredDependence2x4();
     SimConfig ring = core::clusteredDependence2x4();
     ring.name = "ring";
@@ -518,9 +511,8 @@ TEST(RingInterconnect, TwoClustersMatchBroadcast)
 
 TEST(RingInterconnect, FourClustersRingIsSlower)
 {
-    trace::SyntheticParams sp;
-    sp.mean_dep_distance = 10.0;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 30000);
+    trace::TraceBuffer buf =
+        trace::generateSynthetic({.mean_dep_distance = 10.0}, 30000);
     SimConfig bc = core::clusteredDependence4x4();
     bc.bpred.perfect = true;
     SimConfig ring = bc;
@@ -535,8 +527,7 @@ TEST(RingInterconnect, FourClustersRingIsSlower)
 
 TEST(WindowCompaction, SlotPriorityCommitsEverything)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 20000);
     SimConfig cfg;
     cfg.name = "slot";
     cfg.window_compaction = false;
@@ -548,8 +539,7 @@ TEST(WindowCompaction, PerformanceCloseToCompacting)
 {
     // Section 4.3.1: restricted compaction "so that overall
     // performance is not affected".
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 50000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 50000);
     SimConfig age;
     age.name = "age";
     SimConfig slot;

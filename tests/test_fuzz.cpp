@@ -183,9 +183,7 @@ reseal(std::string &bytes)
 StatGroup
 sampleStats(uint64_t seed)
 {
-    trace::SyntheticParams sp;
-    sp.seed = seed;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 2000);
+    trace::TraceBuffer buf = trace::generateSynthetic({.seed = seed}, 2000);
     return uarch::simulate(core::baseline8Way(), buf).group();
 }
 
@@ -246,11 +244,9 @@ TEST(Fuzz, AssemblerOnMutatedKernels)
 
 TEST(Fuzz, TraceReaderOnMutatedFiles)
 {
-    trace::SyntheticParams sp;
-    sp.seed = 5;
     const std::string clean = scratchFile("clean.trc");
-    ASSERT_TRUE(
-        trace::saveTrace(trace::generateSynthetic(sp, 2000), clean).ok());
+    ASSERT_TRUE(trace::saveTrace(trace::generateSynthetic({.seed = 5}, 2000),
+                                 clean).ok());
     const std::string original = readFile(clean);
     ASSERT_EQ(original.size(), trace::kTraceHeaderBytes +
                                    2000 * trace::kTraceRecordBytes);

@@ -140,12 +140,12 @@ class Identities : public testing::TestWithParam<Case>
 {
   protected:
     void
-    expectSame(trace::TraceView trace, const uarch::RunLimits &limits,
+    expectSame(trace::TraceView trace, uarch::RunLimits limits,
                const std::string &what)
     {
         const auto &[id, model] = GetParam();
-        SimConfig lhs = id.lhs, rhs = id.rhs;
-        lhs.issue_model = rhs.issue_model = model;
+        const SimConfig &lhs = id.lhs, &rhs = id.rhs;
+        limits.issue_model = model;
         StatGroup a = compared(uarch::simulate(lhs, trace, limits),
                                id.ignored);
         StatGroup b = compared(uarch::simulate(rhs, trace, limits),
@@ -168,10 +168,8 @@ TEST_P(Identities, EveryStatisticMatches)
     for (const std::string &w : kernels)
         expectSame(core::cachedWorkloadTraceView(w), limits, w);
     for (uint64_t seed : {3ULL, 29ULL}) {
-        trace::SyntheticParams sp;
-        sp.seed = seed;
         trace::TraceBuffer buf =
-            trace::generateSynthetic(sp, kSyntheticRecords);
+            trace::generateSynthetic({.seed = seed}, kSyntheticRecords);
         expectSame(buf, {}, "synthetic seed " + std::to_string(seed));
     }
 }

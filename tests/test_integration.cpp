@@ -1,18 +1,16 @@
 /**
  * @file
- * Integration tests: run the benchmark workloads through every
- * machine organization and assert the paper's cross-configuration
- * findings at the shape level (who wins, roughly by how much), plus
- * the combined Section 5.5 result. These are the claims EXPERIMENTS.md
- * records.
+ * Integration tests: the paper's cross-configuration findings at the
+ * shape level (who wins, roughly by how much), asserted on what the
+ * specs of Figures 13, 15 and 17 and Section 5.5 report (summary
+ * gauges, and their runs' raw counters). EXPERIMENTS.md records them.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/presets.hpp"
-#include "core/sweep.hpp"
+#include "experiments.hpp"
 #include "func/emulator.hpp"
-#include "vlsi/clock.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cesp;
@@ -20,69 +18,67 @@ using namespace cesp::core;
 
 namespace {
 
-/** One shared run of every (config, workload) pair. */
-class IntegrationData
+/** The four specs, in the order spec() runs them. */
+enum Spec { Fig13, Fig15, Fig17, Sec55 };
+
+/** One shared run of the four specs (six machines, seven workloads). */
+const bench::ExperimentRun &
+spec(Spec s)
 {
-  public:
-    static IntegrationData &
-    get()
-    {
-        static IntegrationData d;
-        return d;
-    }
+    static const std::vector<bench::ExperimentRun> runs =
+        bench::runExperiments({"fig13_dependence_ipc",
+                               "fig15_clustered_ipc",
+                               "fig17_clustered_variants",
+                               "sec55_speedup"});
+    return runs.at(s);
+}
 
-    const uarch::SimStats &
-    stats(const std::string &config, const std::string &workload) const
-    {
-        size_t c = 0, w = 0;
-        while (grid_.configs.at(c).name != config)
-            ++c;
-        while (grid_.workloads.at(w) != workload)
-            ++w;
-        return grid_.at(c, w);
-    }
+/** Gauge @p name of the summary group spec @p s reports. */
+double
+gauge(Spec s, const std::string &name)
+{
+    const bench::Report &out = spec(s).report;
+    return (s == Sec55 ? out.groups : out.summary).at(0).value(name);
+}
 
-    double
-    ipcRatio(const std::string &config,
-             const std::string &workload) const
-    {
-        return stats(config, workload).ipc() /
-            stats("1-cluster.1window", workload).ipc();
-    }
+/** Figure 17's IPC degradation (%) of @p org on workload @p w. */
+double
+fig17(const std::string &org, const std::string &w)
+{
+    return gauge(Fig17, org + "." + w + ".degradation_pct");
+}
 
-    double
-    meanIpcRatio(const std::string &config) const
-    {
-        double sum = 0.0;
-        int n = 0;
-        for (const auto &w : workloads::workloadNames()) {
-            sum += ipcRatio(config, w);
-            ++n;
-        }
-        return sum / n;
-    }
+/** The mean of fig17(@p org, w) over the workloads. */
+double
+fig17Mean(const std::string &org)
+{
+    double sum = 0.0;
+    for (const std::string &w : workloads::workloadNames())
+        sum += fig17(org, w);
+    return sum / static_cast<double>(workloads::workloadNames().size());
+}
 
-  private:
-    IntegrationData()
-    {
-        std::vector<uarch::SimConfig> configs = figure17Configs();
-        configs.push_back(dependence8x8());
-        grid_ = runGrid(configs, workloads::workloadNames());
-    }
-
-    Grid grid_;
-};
+/** Figure 17's run of organization @p org on workload @p w. */
+const uarch::SimStats &
+fig17Run(const std::string &org, size_t w)
+{
+    const Grid &g = spec(Fig17).grid;
+    size_t c = 0;
+    while (g.configs.at(c).name != org)
+        ++c;
+    return g.at(c, w);
+}
 
 } // namespace
 
 TEST(Integration, BaselineIpcInPlausibleSuperscalarRange)
 {
     // Figure 13's baseline bars sit between ~2 and ~4 IPC.
-    auto &d = IntegrationData::get();
-    for (const auto &w : workloads::workloadNames()) {
-        double ipc = d.stats("1-cluster.1window", w).ipc();
-        EXPECT_GT(ipc, 1.0) << w;
-        EXPECT_LT(ipc, 8.0) << w;
+    const Grid &g = spec(Fig13).grid;
+    for (size_t w = 0; w < g.workloads.size(); ++w) {
+        double ipc = g.at(0, w).ipc();
+        EXPECT_GT(ipc, 1.0) << g.workloads[w];
+        EXPECT_LT(ipc, 8.0) << g.workloads[w];
     }
 }
 
@@ -93,45 +89,39 @@ TEST(Integration, Figure13DependenceBasedNearBaseline)
     // but the most parallel kernels (vortex/perl) lose up to ~16% to
     // FIFO-pool exhaustion: every benchmark within 18%, at least
     // five of seven within 5%, mean within 8%.
-    auto &d = IntegrationData::get();
     int within5 = 0;
-    for (const auto &w : workloads::workloadNames()) {
-        double r = d.ipcRatio("1-cluster.fifos.dispatch_steer", w);
-        EXPECT_GT(r, 0.82) << w;
-        EXPECT_LT(r, 1.02) << w;
-        if (r > 0.95)
+    for (const std::string &w : workloads::workloadNames()) {
+        double deg = gauge(Fig13, w + ".degradation_pct");
+        EXPECT_LT(deg, 18.0) << w;
+        EXPECT_GT(deg, -2.0) << w;
+        if (deg < 5.0)
             ++within5;
     }
     EXPECT_GE(within5, 5);
-    EXPECT_GT(d.meanIpcRatio("1-cluster.fifos.dispatch_steer"), 0.92);
+    EXPECT_LT(gauge(Fig13, "mean_degradation_pct"), 8.0);
 }
 
 TEST(Integration, Figure15ClusteredDependenceDegradesModestly)
 {
     // Paper: average 6.3% IPC degradation, worst ~12%.
-    auto &d = IntegrationData::get();
-    for (const auto &w : workloads::workloadNames()) {
-        double r = d.ipcRatio("2-cluster.fifos.dispatch_steer", w);
-        EXPECT_GT(r, 0.78) << w;
-        EXPECT_LT(r, 1.02) << w;
+    for (const std::string &w : workloads::workloadNames()) {
+        double deg = gauge(Fig15, w + ".degradation_pct");
+        EXPECT_LT(deg, 22.0) << w;
+        EXPECT_GT(deg, -2.0) << w;
     }
-    double mean = d.meanIpcRatio("2-cluster.fifos.dispatch_steer");
-    EXPECT_GT(mean, 0.85);
-    EXPECT_LT(mean, 0.99);
+    double mean = gauge(Fig15, "mean_degradation_pct");
+    EXPECT_LT(mean, 15.0);
+    EXPECT_GT(mean, 1.0);
 }
 
 TEST(Integration, Figure17RandomSteeringIsWorst)
 {
     // Paper: 17-26% degradation, consistently the worst organization.
-    auto &d = IntegrationData::get();
-    double random = d.meanIpcRatio("2-cluster.windows.random_steer");
-    EXPECT_LT(random,
-              d.meanIpcRatio("2-cluster.fifos.dispatch_steer"));
-    EXPECT_LT(random,
-              d.meanIpcRatio("2-cluster.windows.dispatch_steer"));
-    EXPECT_LT(random,
-              d.meanIpcRatio("2-cluster.1window.exec_steer"));
-    EXPECT_LT(random, 0.90); // at least ~10% degradation on average
+    double random = fig17Mean("2-cluster.windows.random_steer");
+    EXPECT_GT(random, fig17Mean("2-cluster.fifos.dispatch_steer"));
+    EXPECT_GT(random, fig17Mean("2-cluster.windows.dispatch_steer"));
+    EXPECT_GT(random, fig17Mean("2-cluster.1window.exec_steer"));
+    EXPECT_GT(random, 10.0); // at least ~10% degradation on average
 }
 
 TEST(Integration, Figure17ExecDrivenNearIdeal)
@@ -139,33 +129,26 @@ TEST(Integration, Figure17ExecDrivenNearIdeal)
     // Paper: within 6% of the ideal central-window machine. Our
     // branchiest kernel (go) loses ~13% to the per-cluster FU split;
     // assert within 15% everywhere and within 8% on average.
-    auto &d = IntegrationData::get();
-    for (const auto &w : workloads::workloadNames())
-        EXPECT_GT(d.ipcRatio("2-cluster.1window.exec_steer", w),
-                  0.85) << w;
-    EXPECT_GT(d.meanIpcRatio("2-cluster.1window.exec_steer"), 0.92);
+    for (const std::string &w : workloads::workloadNames())
+        EXPECT_LT(fig17("2-cluster.1window.exec_steer", w), 15.0) << w;
+    EXPECT_LT(fig17Mean("2-cluster.1window.exec_steer"), 8.0);
 }
 
 TEST(Integration, Figure17DispatchSteeredWindowsCompetitive)
 {
-    auto &d = IntegrationData::get();
-    double win = d.meanIpcRatio("2-cluster.windows.dispatch_steer");
-    EXPECT_GT(win, 0.85);
+    EXPECT_LT(fig17Mean("2-cluster.windows.dispatch_steer"), 15.0);
 }
 
 TEST(Integration, Figure17BypassFrequencyAnticorrelatesWithIpc)
 {
     // Paper: organizations with more inter-cluster traffic commit
     // fewer instructions per cycle; random steering is the extreme.
-    auto &d = IntegrationData::get();
-    auto mean_bypass = [&](const std::string &cfg) {
+    auto mean_bypass = [](const std::string &org) {
         double sum = 0.0;
-        int n = 0;
-        for (const auto &w : workloads::workloadNames()) {
-            sum += d.stats(cfg, w).interClusterPct();
-            ++n;
-        }
-        return sum / n;
+        size_t n = workloads::workloadNames().size();
+        for (size_t w = 0; w < n; ++w)
+            sum += fig17Run(org, w).interClusterPct();
+        return sum / static_cast<double>(n);
     };
     double random = mean_bypass("2-cluster.windows.random_steer");
     double fifos = mean_bypass("2-cluster.fifos.dispatch_steer");
@@ -178,22 +161,20 @@ TEST(Integration, Figure17BypassFrequencyAnticorrelatesWithIpc)
 
 TEST(Integration, IdealMachineHasNoInterClusterTraffic)
 {
-    auto &d = IntegrationData::get();
-    for (const auto &w : workloads::workloadNames())
-        EXPECT_EQ(d.stats("1-cluster.1window", w)
-                      .intercluster_bypasses(), 0u) << w;
+    for (size_t w = 0; w < workloads::workloadNames().size(); ++w)
+        EXPECT_EQ(fig17Run("1-cluster.1window", w).intercluster_bypasses(),
+                  0u) << workloads::workloadNames()[w];
 }
 
 TEST(Integration, ClusteredVariantsDoNotBeatIdeal)
 {
-    auto &d = IntegrationData::get();
-    for (const auto &cfg :
+    for (const char *org :
          {"2-cluster.fifos.dispatch_steer",
           "2-cluster.windows.dispatch_steer",
           "2-cluster.1window.exec_steer",
           "2-cluster.windows.random_steer"}) {
-        for (const auto &w : workloads::workloadNames())
-            EXPECT_LE(d.ipcRatio(cfg, w), 1.005) << cfg << " " << w;
+        for (const std::string &w : workloads::workloadNames())
+            EXPECT_GE(fig17(org, w), -0.5) << org << " " << w;
     }
 }
 
@@ -201,44 +182,37 @@ TEST(Integration, Section55SpeedupStudy)
 {
     // The speedup of the 2x4 clustered dependence-based machine over
     // the 8-way window machine: IPC ratio times clock ratio.
-    auto &d = IntegrationData::get();
-    double clock_ratio = vlsi::ClockEstimator(vlsi::Process::um0_18)
-                             .dependenceClockRatio(8, 64);
-    EXPECT_NEAR(clock_ratio, 1.2526, 0.001);
+    EXPECT_NEAR(gauge(Sec55, "clock_ratio"), 1.2526, 0.001);
     ASSERT_EQ(workloads::workloadNames().size(), 7u);
     // Paper: 10-22% speedup per benchmark, 16% average. Our IPC
     // ratios differ; assert every benchmark gains and the mean gain
     // is substantial.
-    double sum = 0.0;
-    for (const auto &w : workloads::workloadNames()) {
-        double speedup =
-            d.ipcRatio("2-cluster.fifos.dispatch_steer", w) * clock_ratio;
+    for (const std::string &w : workloads::workloadNames()) {
+        double speedup = gauge(Sec55, w + ".speedup");
         EXPECT_GT(speedup, 1.0) << w;
         EXPECT_LT(speedup, 1.3) << w;
-        sum += speedup;
     }
-    double mean = sum / 7.0;
-    EXPECT_GT(mean, 1.08);
-    EXPECT_LT(mean, 1.25);
+    EXPECT_GT(gauge(Sec55, "mean_speedup"), 1.08);
+    EXPECT_LT(gauge(Sec55, "mean_speedup"), 1.25);
 }
 
 TEST(Integration, MispredictionRatesAreSane)
 {
-    auto &d = IntegrationData::get();
-    for (const auto &w : workloads::workloadNames()) {
-        const auto &s = d.stats("1-cluster.1window", w);
-        EXPECT_GT(s.cond_branches(), 1000u) << w;
-        EXPECT_LT(s.mispredictRate(), 0.35) << w;
+    const Grid &g = spec(Fig13).grid;
+    for (size_t w = 0; w < g.workloads.size(); ++w) {
+        const uarch::SimStats &s = g.at(0, w);
+        EXPECT_GT(s.cond_branches(), 1000u) << g.workloads[w];
+        EXPECT_LT(s.mispredictRate(), 0.35) << g.workloads[w];
     }
 }
 
 TEST(Integration, CacheBehaviourIsSane)
 {
-    auto &d = IntegrationData::get();
-    for (const auto &w : workloads::workloadNames()) {
-        const auto &s = d.stats("1-cluster.1window", w);
-        EXPECT_GT(s.dcache_accesses(), 1000u) << w;
-        EXPECT_LT(s.dcacheMissRate(), 0.35) << w;
+    const Grid &g = spec(Fig13).grid;
+    for (size_t w = 0; w < g.workloads.size(); ++w) {
+        const uarch::SimStats &s = g.at(0, w);
+        EXPECT_GT(s.dcache_accesses(), 1000u) << g.workloads[w];
+        EXPECT_LT(s.dcacheMissRate(), 0.35) << g.workloads[w];
     }
 }
 

@@ -51,10 +51,8 @@ SimStats
 simulatePreset(const uarch::SimConfig &cfg, uint64_t seed,
                uint64_t instructions = 5000)
 {
-    trace::SyntheticParams sp;
-    sp.seed = seed;
     trace::TraceBuffer buf =
-        trace::generateSynthetic(sp, instructions);
+        trace::generateSynthetic({.seed = seed}, instructions);
     return uarch::simulate(cfg, buf);
 }
 

@@ -492,8 +492,7 @@ TEST(Pipeline, InterClusterLatencySlowsCrossClusterConsumer)
 
 TEST(Pipeline, DeterministicAcrossRuns)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 20000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 20000);
     SimStats a = simulate(windowCfg(), buf);
     SimStats b = simulate(windowCfg(), buf);
     EXPECT_EQ(a.cycles(), b.cycles());
@@ -529,8 +528,7 @@ TEST(Pipeline, MaxInstructionCapRespected)
 
 TEST(Pipeline, StatsAccountingConsistent)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 10000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 10000);
     SimStats s = simulate(windowCfg(), buf);
     EXPECT_EQ(s.committed(), s.issued());
     EXPECT_EQ(s.committed(), s.dispatched());
@@ -552,9 +550,7 @@ TEST(Pipeline, StatsAccountingConsistent)
  *  occupant. */
 TEST(Pipeline, DispatchSeesFetchedRecordUnissued)
 {
-    trace::SyntheticParams sp;
-    sp.seed = 31;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 5000);
+    trace::TraceBuffer buf = trace::generateSynthetic({.seed = 31}, 5000);
     for (SimConfig base :
          {core::baseline8Way(), core::dependence8x8(),
           core::clusteredWindows2x4(), core::clusteredExecDriven2x4()}) {

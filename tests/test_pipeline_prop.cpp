@@ -161,9 +161,8 @@ INSTANTIATE_TEST_SUITE_P(FortySeeds, PipelineFuzz,
 TEST(PipelineFuzzExtra, TightResourceCornerCases)
 {
     // Deliberately hostile shapes that stress stall paths.
-    trace::SyntheticParams sp;
-    sp.mean_dep_distance = 2.0;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 8000);
+    trace::TraceBuffer buf =
+        trace::generateSynthetic({.mean_dep_distance = 2.0}, 8000);
 
     {
         SimConfig c;

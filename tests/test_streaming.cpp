@@ -44,9 +44,7 @@ namespace {
 trace::TraceBuffer
 synthetic(uint64_t seed, uint64_t n)
 {
-    trace::SyntheticParams sp;
-    sp.seed = seed;
-    return trace::generateSynthetic(sp, n);
+    return trace::generateSynthetic({.seed = seed}, n);
 }
 
 /** Private scratch directory, removed when the suite exits. It is

@@ -102,9 +102,7 @@ TEST(Sweep, IdenticalResultsForAnyThreadCount)
 
 TEST(Sweep, MatchesDirectSimulation)
 {
-    trace::SyntheticParams sp;
-    sp.seed = 5;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 10000);
+    trace::TraceBuffer buf = trace::generateSynthetic({.seed = 5}, 10000);
 
     std::vector<uarch::SimConfig> configs = {
         core::baseline8Way(), core::dependence8x8(),
@@ -121,8 +119,7 @@ TEST(Sweep, MatchesDirectSimulation)
 
 TEST(Sweep, MoreJobsThanTasks)
 {
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 5000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 5000);
 
     std::vector<uarch::SimConfig> configs = {core::baseline8Way(),
                                              core::dependence8x8()};
@@ -143,8 +140,7 @@ TEST(Sweep, DegenerateInputsClampDeterministically)
 {
     // jobs == 0 means defaultJobs(): same results as serial, no
     // division by a zero worker count anywhere.
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 3000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 3000);
     std::vector<uarch::SimConfig> configs = {core::baseline8Way(),
                                              core::dependence8x8()};
     std::vector<SimStats> def = sweep(configs, buf, 0);
@@ -221,8 +217,7 @@ TEST(Sweep, WorkerExceptionRethrownOnCaller)
     // A throw inside a worker thread must not call std::terminate:
     // the runner captures the first exception, drains the remaining
     // tasks, joins, and rethrows here.
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 2000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 2000);
     std::vector<uarch::SimConfig> configs(8, core::baseline8Way());
 
     HookGuard guard(&throwOnTaskThree);
@@ -261,8 +256,7 @@ TEST(Sweep, PoolRunsEveryTaskOnceOnAtMostJobsThreads)
     // than, equal to and longer than it: each task runs exactly
     // once, at most min(jobs, count) threads run tasks (the caller
     // among them), and jobs == 1 runs everything on the caller.
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 300);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 300);
     HookGuard guard(&recordTask);
     for (unsigned jobs : {1u, 2u, 7u, 12u})
         for (size_t count : {0u, 1u, 7u}) {
@@ -303,8 +297,7 @@ TEST(Sweep, RecoversAfterWorkerException)
 {
     // The pool must wind down cleanly: a subsequent sweep on the
     // same traces works and produces correct results.
-    trace::SyntheticParams sp;
-    trace::TraceBuffer buf = trace::generateSynthetic(sp, 2000);
+    trace::TraceBuffer buf = trace::generateSynthetic({}, 2000);
     std::vector<uarch::SimConfig> configs(8, core::baseline8Way());
 
     {

@@ -110,9 +110,7 @@ recomputeCrc(std::vector<uint8_t> &bytes)
 trace::TraceBuffer
 sampleTrace(size_t n = 5000, uint64_t seed = 11)
 {
-    trace::SyntheticParams sp;
-    sp.seed = seed;
-    return trace::generateSynthetic(sp, n);
+    return trace::generateSynthetic({.seed = seed}, n);
 }
 
 bool

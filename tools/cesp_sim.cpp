@@ -80,6 +80,9 @@ namespace {
 
 /** Largest --synthetic trace (records; 16 bytes each in memory). */
 constexpr long long kSyntheticLimit = 1000000000LL;
+/** The --synthetic trace's seed: fixed, so --set random_seed varies
+ *  the machines' random steering and select over one trace. */
+constexpr uint64_t kSyntheticSeed = 12345;
 
 [[noreturn]] void
 usage()
@@ -151,12 +154,10 @@ findTech(const std::string &f)
 /** The --synthetic trace; running out of memory for it is a usage
  *  error, not an abort. */
 trace::TraceBuffer
-syntheticTrace(uint64_t seed, uint64_t records)
+syntheticTrace(uint64_t records)
 {
-    trace::SyntheticParams sp;
-    sp.seed = seed;
     try {
-        return trace::generateSynthetic(sp, records);
+        return trace::generateSynthetic({.seed = kSyntheticSeed}, records);
     } catch (const std::bad_alloc &) {
         fatal("cannot allocate a %llu-record synthetic trace",
               (unsigned long long)records);
@@ -517,7 +518,7 @@ main(int argc, char **argv)
     std::vector<std::string> names;
     std::vector<trace::TraceView> traces;
     if (synthetic > 0) {
-        synth = syntheticTrace(machines[0].random_seed, synthetic);
+        synth = syntheticTrace(synthetic);
         names.push_back("synthetic");
         traces.push_back(synth);
     } else if (!workload.empty()) {
